@@ -14,8 +14,8 @@ Library layout:
 from .config import RunConfig, SweepConfig, fingerprint, parse_config
 from .dynamics import (
     DIRECT_EVAL_FLOOR,
-    RotorState,
     Trajectory,
+    coefficients_for,
     default_time_grid,
     delta_infinity,
     delta_measure,

@@ -23,6 +23,7 @@ from typing import Any
 
 from .config import RunConfig, SweepConfig, fingerprint, parse_config
 from .dynamics import (
+    coefficients_for,
     default_time_grid,
     delta_infinity,
     moment_of_inertia,
@@ -31,7 +32,7 @@ from .dynamics import (
     sync_time,
 )
 from .errors import ConfigError, ConvergenceError, NanospinError
-from .torque import friction_coefficients
+from .torque import friction_coefficients  # noqa: F401 -- bench/tracing.py wraps nanospin.cli.friction_coefficients
 
 __all__ = ["OutputBundle", "run", "run_sweep", "main"]
 
@@ -66,15 +67,7 @@ def _write_json(path: Path, doc: dict[str, Any]) -> None:
 def run(config: RunConfig) -> OutputBundle:
     """Execute one run and write its artifacts under config.out_dir."""
     out_dir = Path(config.out_dir or _DEFAULT_OUT)
-    coeffs, quad_diags = friction_coefficients(
-        config.particle,
-        config.distance,
-        config.thermal,
-        config.quad,
-        coupling_scale=config.coupling_scale,
-        thermal_weight=config.thermal_weight,
-        coth_half_argument=config.coth_half_argument,
-    )
+    coeffs, quad_diags = coefficients_for(config)
     inertia = moment_of_inertia(config.particle)
     denom = coeffs.gamma_s + coeffs.gamma_b
     if config.mode == "nonlinear":
@@ -100,6 +93,8 @@ def run(config: RunConfig) -> OutputBundle:
         "tau_s": (inertia / denom) if denom > 0.0 else None,
         "zero_coupling": traj.zero_coupling,
     }
+    if traj.solver is not None:
+        summary["solver"] = traj.solver
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "trajectory.csv"
@@ -233,15 +228,7 @@ def _cmd_coeffs(args) -> int:
         cfg = replace(base, distance=args.distance)
     else:
         cfg = parse_config(json.dumps({"distance_m": args.distance}))
-    coeffs, _ = friction_coefficients(
-        cfg.particle,
-        cfg.distance,
-        cfg.thermal,
-        cfg.quad,
-        coupling_scale=cfg.coupling_scale,
-        thermal_weight=cfg.thermal_weight,
-        coth_half_argument=cfg.coth_half_argument,
-    )
+    coeffs, _ = coefficients_for(cfg)
     print(f"gamma_s_Nms {_fmt(coeffs.gamma_s)}")
     print(f"gamma_b_Nms {_fmt(coeffs.gamma_b)}")
     print(f"delta_infinity {_fmt(delta_infinity(coeffs))}")

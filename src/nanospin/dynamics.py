@@ -15,9 +15,10 @@ long-time value delta_inf = gamma_s/(gamma_b+gamma_s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import ConfigError, ConvergenceError
 from .material import ParticleSpec
@@ -34,8 +35,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DIRECT_EVAL_FLOOR",
-    "RotorState",
+    "SURROGATE_MAX_DEGREE",
+    "ChebyshevInterpolant",
     "Trajectory",
+    "chebyshev_interpolant",
+    "coefficients_for",
     "moment_of_inertia",
     "delta_measure",
     "delta_infinity",
@@ -51,14 +55,9 @@ __all__ = [
 # One safety decade on top of the measured boundary.
 DIRECT_EVAL_FLOOR = 1e9
 
-
-@dataclass(frozen=True)
-class RotorState:
-    """Instantaneous state: driver spin, follower spin, time."""
-
-    omega1: float
-    omega2: float
-    time: float
+# Highest Chebyshev degree a torque surrogate may reach before its build
+# gives up; the default materials certify at degree 8 or 16.
+SURROGATE_MAX_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,8 @@ class Trajectory:
     """Time series of the follower spin and the synchronization measure.
 
     zero_coupling marks the degenerate gamma_b + gamma_s = 0 case where
-    the follower never moves and the series is constant.
+    the follower never moves and the series is constant. solver holds
+    the nonlinear solver's work counts (None for the closed form).
     """
 
     times: np.ndarray
@@ -74,6 +74,7 @@ class Trajectory:
     delta: np.ndarray
     meta: "RunConfig | None" = None
     zero_coupling: bool = False
+    solver: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -86,6 +87,83 @@ class Trajectory:
     def samples(self):
         """Iterator of (time, omega2, delta) tuples."""
         return zip(self.times.tolist(), self.omega2.tolist(), self.delta.tolist())
+
+
+@dataclass(frozen=True)
+class ChebyshevInterpolant:
+    """Polynomial on [lo, hi] given by its Chebyshev coefficients."""
+
+    lo: float
+    hi: float
+    coeffs: np.ndarray
+
+    @property
+    def nodes(self) -> int:
+        """Chebyshev-Lobatto nodes the interpolant was built from."""
+        return len(self.coeffs)
+
+    def __contains__(self, w: float) -> bool:
+        return self.lo <= w <= self.hi
+
+    def __call__(self, w: float) -> float:
+        return float(chebval((2.0 * w - (self.lo + self.hi)) / (self.hi - self.lo), self.coeffs))
+
+
+def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the degree-n interpolant through values
+    at x_j = cos(pi*j/n), j = 0..n (a type-I discrete cosine transform)."""
+    n = len(values) - 1
+    jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)  # exact cosine arguments
+    halved = np.ones(n + 1)
+    halved[[0, -1]] = 0.5
+    coeffs = (2.0 / n) * (np.cos(np.pi * jk / n) @ (halved * values))
+    coeffs[[0, -1]] *= 0.5
+    return coeffs
+
+
+def chebyshev_interpolant(f: Callable[[float], float], lo: float, hi: float, tol: float) -> ChebyshevInterpolant:
+    """Interpolate f on [lo, hi] at Chebyshev-Lobatto nodes, certified
+    by coefficient decay.
+
+    The degree starts at 8 and doubles, so every earlier node is reused,
+    until the last three coefficients are at most tol in magnitude. A
+    function that needs more than SURROGATE_MAX_DEGREE raises
+    ConvergenceError.
+    """
+
+    def sample(j: np.ndarray, n: int) -> list[float]:
+        return [f(lo + 0.5 * (hi - lo) * (1.0 + x)) for x in np.cos(np.pi * j / n)]
+
+    n = 8
+    values = np.array(sample(np.arange(n + 1), n))
+    while True:
+        coeffs = _lobatto_coefficients(values)
+        tail = float(np.max(np.abs(coeffs[-3:])))
+        if tail <= tol:
+            return ChebyshevInterpolant(lo, hi, coeffs)
+        if 2 * n > SURROGATE_MAX_DEGREE:
+            raise ConvergenceError(
+                f"Chebyshev surrogate on [{lo:.6e}, {hi:.6e}] not certified at degree {n}: "
+                f"tail coefficient {tail:.3e} > {tol:.3e}"
+            )
+        refined = np.empty(2 * n + 1)
+        refined[0::2] = values
+        refined[1::2] = sample(np.arange(1, 2 * n, 2), 2 * n)
+        n, values = 2 * n, refined
+
+
+def coefficients_for(config: "RunConfig") -> tuple[FrictionCoefficients, dict]:
+    """friction_coefficients for the particle, distance, thermal state,
+    quadrature and kernel conventions of one run configuration."""
+    return friction_coefficients(
+        config.particle,
+        config.distance,
+        config.thermal,
+        config.quad,
+        coupling_scale=config.coupling_scale,
+        thermal_weight=config.thermal_weight,
+        coth_half_argument=config.coth_half_argument,
+    )
 
 
 def moment_of_inertia(particle: ParticleSpec) -> float:
@@ -159,61 +237,95 @@ def _pair_scale(o1: float, o2: float) -> float:
 def solve_nonlinear(config: "RunConfig") -> Trajectory:
     """Adaptive step-doubling RK4 on the full torque balance.
 
-    Torques are re-evaluated every stage, each channel independently:
-    the direct kernel when its spin scales sit at or above
-    DIRECT_EVAL_FLOOR, the linearized coefficient below (where the two
-    agree to better than the integrator tolerance anyway). The follower
-    transits arbitrarily small spins on its way up, and near the plateau
-    the spin difference shrinks without bound, so both fallbacks are
-    always exercised.
+    Each channel's torque is its linearized form plus a residual,
+    R_b(w) = mutual_torque(omega1, w) - gamma_b*(omega1 - w) and
+    R_s(w) = vacuum_torque(w) - gamma_s*w. Before stepping, each residual
+    becomes a chebyshev_interpolant of direct kernel values, certified to
+    quad.rel_tol * (gamma_s + gamma_b) * omega1, on the spins where that
+    kernel is used: [F, omega1 - F] for the mutual channel and
+    [F, omega1] for the vacuum channel, F = DIRECT_EVAL_FLOOR. An empty
+    interval builds nothing, so runs with omega1 <= F evaluate no direct
+    kernel.
+
+    Per stage, a channel whose spin scales sit below F uses its
+    linearized coefficient (the two agree to better than the integrator
+    tolerance there), else its interpolant, else, for a spin outside the
+    interpolant's interval such as the mutual channel at omega2 = 0, the
+    direct kernel.
+
+    Trajectory.solver counts the work: surrogate nodes per channel (0
+    where none was built), direct torque calls (nodes included), and
+    accepted and rejected steps.
     """
     particle = config.particle
     inertia = moment_of_inertia(particle)
-    coeffs, _ = friction_coefficients(
-        particle,
-        config.distance,
-        config.thermal,
-        config.quad,
-        coupling_scale=config.coupling_scale,
-        thermal_weight=config.thermal_weight,
-        coth_half_argument=config.coth_half_argument,
-    )
+    coeffs, _ = coefficients_for(config)
     denom = coeffs.gamma_s + coeffs.gamma_b
     omega1 = config.omega1
+    stats = {
+        "accepted_steps": 0,
+        "direct_torque_calls": 0,
+        "rejected_steps": 0,
+        "surrogate_nodes": {"mutual": 0, "vacuum": 0},
+    }
     if denom == 0.0:
         t = np.array([0.0, 1.0])
         w2 = np.zeros_like(t)
-        return Trajectory(times=t, omega2=w2, delta=delta_measure(omega1, w2), meta=config, zero_coupling=True)
+        return Trajectory(
+            times=t, omega2=w2, delta=delta_measure(omega1, w2), meta=config, zero_coupling=True, solver=stats
+        )
     tau = inertia / denom
     grid = default_time_grid(tau, config.samples)
 
-    def net_torque(_t: float, w2: float) -> float:
-        if _pair_scale(omega1, w2) >= DIRECT_EVAL_FLOOR:
-            drive = mutual_torque(
-                SpinPair(omega1, w2),
-                config.distance,
-                particle,
-                config.thermal.T,
-                config.quad,
-                coupling_scale=config.coupling_scale,
-                thermal_weight=config.thermal_weight,
-            )
-        else:
-            drive = coeffs.gamma_b * (omega1 - w2)
-        if abs(w2) >= DIRECT_EVAL_FLOOR:
-            drag = vacuum_torque(
-                w2,
-                particle,
-                config.thermal,
-                config.quad,
-                coth_half_argument=config.coth_half_argument,
-            )
-        else:
-            drag = coeffs.gamma_s * w2
-        return drive - drag
+    def drive_direct(w2: float) -> float:
+        stats["direct_torque_calls"] += 1
+        return mutual_torque(
+            SpinPair(omega1, w2),
+            config.distance,
+            particle,
+            config.thermal.T,
+            config.quad,
+            coupling_scale=config.coupling_scale,
+            thermal_weight=config.thermal_weight,
+        )
 
-    def acc(t: float, w2: float) -> float:
-        return net_torque(t, w2) / inertia
+    def drag_direct(w2: float) -> float:
+        stats["direct_torque_calls"] += 1
+        return vacuum_torque(
+            w2,
+            particle,
+            config.thermal,
+            config.quad,
+            coth_half_argument=config.coth_half_argument,
+        )
+
+    def drive_linear(w2: float) -> float:
+        return coeffs.gamma_b * (omega1 - w2)
+
+    def drag_linear(w2: float) -> float:
+        return coeffs.gamma_s * w2
+
+    fit_tol = config.quad.rel_tol * denom * omega1
+    floor = DIRECT_EVAL_FLOOR
+    drive_fit = drag_fit = None
+    if omega1 - floor > floor:
+        drive_fit = chebyshev_interpolant(lambda w: drive_direct(w) - drive_linear(w), floor, omega1 - floor, fit_tol)
+        stats["surrogate_nodes"]["mutual"] = drive_fit.nodes
+    if omega1 > floor:
+        drag_fit = chebyshev_interpolant(lambda w: drag_direct(w) - drag_linear(w), floor, omega1, fit_tol)
+        stats["surrogate_nodes"]["vacuum"] = drag_fit.nodes
+
+    def channel(w2, scale, linear, fit, direct) -> float:
+        if scale < floor:
+            return linear(w2)
+        if fit is not None and w2 in fit:
+            return linear(w2) + fit(w2)
+        return direct(w2)
+
+    def acc(_t: float, w2: float) -> float:
+        drive = channel(w2, _pair_scale(omega1, w2), drive_linear, drive_fit, drive_direct)
+        drag = channel(w2, abs(w2), drag_linear, drag_fit, drag_direct)
+        return (drive - drag) / inertia
 
     rtol = 1e-6
     tol = rtol * abs(omega1)
@@ -240,12 +352,14 @@ def solve_nonlinear(config: "RunConfig") -> Trajectory:
                 t_now += h
                 grow = 2.0 if err == 0.0 else min(2.0, 0.9 * (tol / err) ** 0.2)
                 h = min(h_max, h * grow)
+                stats["accepted_steps"] += 1
             else:
                 h = max(h_min, 0.5 * h)
+                stats["rejected_steps"] += 1
         samples.append(y)
 
     w2 = np.asarray(samples)
-    return Trajectory(times=grid, omega2=w2, delta=delta_measure(omega1, w2), meta=config)
+    return Trajectory(times=grid, omega2=w2, delta=delta_measure(omega1, w2), meta=config, solver=stats)
 
 
 def sync_time(traj: Trajectory, threshold: float = 0.01) -> float | None:

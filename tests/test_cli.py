@@ -66,11 +66,45 @@ class TestRunArtifacts:
         assert s["sync_time_s"] == pytest.approx(0.030, rel=0.01)
         assert s["zero_coupling"] is False
 
+    def test_linear_summary_has_no_solver_key(self, bundle):
+        assert "solver" not in bundle.summary
+
     def test_repeat_is_byte_identical(self, bundle, tmp_path):
         cfg = parse_config(json.dumps({"distance_m": 1e-7, "out_dir": str(tmp_path)}))
         again = run(cfg)
         assert again.trajectory_csv.read_bytes() == bundle.trajectory_csv.read_bytes()
         assert again.summary_json.read_bytes() == bundle.summary_json.read_bytes()
+
+
+class TestNonlinearRun:
+    def test_direct_kernel_run_repeats_byte_identical(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, "omega1_rad_per_s": 1e10})
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["run", "--config", cfg, "--out", str(out), "--mode", "nonlinear"]) == 0
+        for name in ("trajectory.csv", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        summary = json.loads((outs[0] / "summary.json").read_text(encoding="utf-8"))
+        jsonschema.validate(summary, load_schema("summary.schema.json"))
+        solver = summary["solver"]
+        assert solver["surrogate_nodes"] == {"mutual": 9, "vacuum": 9}
+        assert 18 <= solver["direct_torque_calls"] <= 64
+        assert solver["accepted_steps"] > 0
+
+    def test_uncertifiable_surrogate_exits_3(self, tmp_path, capsys, monkeypatch):
+        import nanospin.dynamics as dynamics_mod
+
+        # a residual with a kink cannot certify: the run must fail, not
+        # fall back to direct kernels at every stage
+        real = dynamics_mod.mutual_torque
+
+        def kinked(spins, *args, **kwargs):
+            return real(spins, *args, **kwargs) * (1.0 + abs(spins.omega02 - 4.4e9) / 1e10)
+
+        monkeypatch.setattr(dynamics_mod, "mutual_torque", kinked)
+        cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, "omega1_rad_per_s": 1e10, "mode": "nonlinear"})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "not certified" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -5,15 +5,20 @@ tau = I/(gamma_b + gamma_s) and plateau omega1 * gamma_b/(gamma_b + gamma_s),
 so most checks here compare against that closed form directly.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nanospin import (
+    DIRECT_EVAL_FLOOR,
     ConfigError,
+    ConvergenceError,
     FrictionCoefficients,
     ParticleSpec,
     QuadratureConfig,
     RunConfig,
+    SpinPair,
     ThermalState,
     Trajectory,
     default_time_grid,
@@ -21,10 +26,15 @@ from nanospin import (
     delta_measure,
     friction_coefficients,
     moment_of_inertia,
+    mutual_torque,
     solve_linear,
     solve_nonlinear,
     sync_time,
+    vacuum_torque,
 )
+from nanospin.dynamics import chebyshev_interpolant
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +247,70 @@ class TestSolveNonlinear:
         traj = solve_nonlinear(config)
         assert traj.times.shape == (51,)
         assert traj.omega2[-1] < config.omega1
+
+
+class TestNonlinearDirectKernels:
+    """omega1 = 1e10 sits above DIRECT_EVAL_FLOOR, so these runs build the
+    torque surrogates from the direct kernels."""
+
+    @pytest.mark.parametrize("distance, name", [(1e-7, "100nm"), (9.49e-7, "949nm")])
+    def test_matches_frozen_direct_trajectory(self, particle, thermal, quad, distance, name):
+        # frozen from the solver that integrated both direct kernels at
+        # every RK4 stage; 1e-6*omega1 is the stepper's own tolerance
+        oracle = np.loadtxt(DATA / f"nonlinear_1e10_{name}.csv", delimiter=",", skiprows=2)
+        config = RunConfig(particle, thermal, quad, distance=distance, omega1=1e10)
+        traj = solve_nonlinear(config)
+        assert np.array_equal(traj.times, oracle[:, 0])
+        assert np.max(np.abs(traj.omega2 - oracle[:, 1])) <= 1e-6 * config.omega1
+        assert np.all(np.diff(traj.omega2) >= 0.0)
+        assert traj.solver["surrogate_nodes"] == {"mutual": 9, "vacuum": 9}
+        assert traj.solver["direct_torque_calls"] <= 64
+
+    def test_surrogate_matches_direct_torques_between_nodes(self, particle, thermal, quad, coeffs):
+        omega1, floor = 1e10, DIRECT_EVAL_FLOOR
+        tol = quad.rel_tol * (coeffs.gamma_s + coeffs.gamma_b) * omega1
+
+        def mutual(w):
+            return mutual_torque(SpinPair(omega1, w), 1e-7, particle, thermal.T, quad)
+
+        def vacuum(w):
+            return vacuum_torque(w, particle, thermal, quad)
+
+        drive = chebyshev_interpolant(lambda w: mutual(w) - coeffs.gamma_b * (omega1 - w), floor, omega1 - floor, tol)
+        drag = chebyshev_interpolant(lambda w: vacuum(w) - coeffs.gamma_s * w, floor, omega1, tol)
+        for w in (1.7e9, 3.3e9, 5.55e9, 8.1e9, 8.95e9):
+            assert abs(coeffs.gamma_b * (omega1 - w) + drive(w) - mutual(w)) <= tol
+            assert abs(coeffs.gamma_s * w + drag(w) - vacuum(w)) <= tol
+
+    def test_low_spin_builds_no_surrogate(self, particle, thermal, quad):
+        traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, samples=50))
+        assert traj.solver["surrogate_nodes"] == {"mutual": 0, "vacuum": 0}
+        assert traj.solver["direct_torque_calls"] == 0
+        assert traj.solver["accepted_steps"] > 0
+
+
+class TestChebyshevInterpolant:
+    def test_smooth_function_certifies_reusing_nodes(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.exp(x)
+
+        fit = chebyshev_interpolant(f, -0.5, 0.5, 1e-13)
+        assert len(calls) == fit.nodes == 17  # degree 8 fell short, 16 certified
+        assert len(set(calls)) == len(calls)  # doubling reuses every earlier node
+        for x in (-0.5, -0.123, 0.0, 0.377, 0.5):
+            assert fit(x) == pytest.approx(np.exp(x), rel=0, abs=1e-13)
+        assert 0.5 in fit and 0.51 not in fit
+
+    def test_kink_does_not_certify(self):
+        calls = []
+
+        def kink(x):
+            calls.append(x)
+            return abs(x - 0.3)
+
+        with pytest.raises(ConvergenceError, match="not certified at degree 64"):
+            chebyshev_interpolant(kink, -1.0, 1.0, 1e-12)
+        assert len(calls) == 65
