@@ -1,7 +1,7 @@
 """Command-line entry points and artifact emission.
 
     nanospin run    --config cfg.json [--out DIR] [--mode linear|nonlinear]
-    nanospin sweep  --config cfg.json [--jobs N]
+    nanospin sweep  --config cfg.json
     nanospin coeffs --distance 1e-7 [--config cfg.json]
 
 Each run writes trajectory.csv (time_s, omega2_rad_per_s, delta; LF line
@@ -9,6 +9,10 @@ endings, 17 significant digits so parsing reproduces the binary values
 exactly) and summary.json (sorted keys, no timestamps: repeated runs are
 byte-identical). Exit codes: 0 ok, 2 configuration error, 3 numerical
 non-convergence, 4 I/O failure.
+
+A sweep computes the coefficients of all its distances in one pass
+(gamma_s once, every gamma_b integral in lockstep), then writes each
+distance exactly as `run` would. `--jobs N` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -29,9 +32,11 @@ from .dynamics import (
     moment_of_inertia,
     solve_linear,
     solve_nonlinear,
+    sweep_coefficients_for,
     sync_time,
 )
 from .errors import ConfigError, ConvergenceError, NanospinError
+from .torque import FrictionCoefficients
 from .torque import friction_coefficients  # noqa: F401 -- bench/tracing.py wraps nanospin.cli.friction_coefficients
 
 __all__ = ["OutputBundle", "run", "run_sweep", "main"]
@@ -66,8 +71,13 @@ def _write_json(path: Path, doc: dict[str, Any]) -> None:
 
 def run(config: RunConfig) -> OutputBundle:
     """Execute one run and write its artifacts under config.out_dir."""
+    return _write_run(config, *coefficients_for(config))
+
+
+def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict) -> OutputBundle:
+    """Solve one run's trajectory from its coefficients and write its
+    artifacts under config.out_dir."""
     out_dir = Path(config.out_dir or _DEFAULT_OUT)
-    coeffs, quad_diags = coefficients_for(config)
     inertia = moment_of_inertia(config.particle)
     denom = coeffs.gamma_s + coeffs.gamma_b
     if config.mode == "nonlinear":
@@ -104,25 +114,25 @@ def run(config: RunConfig) -> OutputBundle:
     return OutputBundle(out_dir=out_dir, trajectory_csv=csv_path, summary_json=summary_path, summary=summary)
 
 
-def run_sweep(sweep: SweepConfig, jobs: int | None = None) -> dict[str, Any]:
-    """Run every distance (concurrently), then write the combined table.
+def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
+    """Run every distance, then write the combined table.
 
-    A failing distance does not stop the others; the first failure is
-    re-raised after all runs finish and the partial table is written.
+    The coefficients of all distances come from one pass; each distance
+    then gets the artifacts `run` writes for it. A failing distance does
+    not stop the others; the first failure is re-raised after the tables
+    are written, and sweep_summary.json names each failure's error.
     """
     root = Path(sweep.base.out_dir or _DEFAULT_OUT)
     ordered = sorted(set(sweep.distances))
-    configs = [sweep.base.with_distance(d, out_dir=str(root / f"d_{d:.6g}")) for d in ordered]
-
-    workers = jobs if jobs and jobs > 0 else min(4, len(configs))
     results: dict[float, OutputBundle | Exception] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(run, cfg): cfg.distance for cfg in configs}
-        for fut, d in futures.items():
-            try:
-                results[d] = fut.result()
-            except Exception as exc:  # re-raised after the sweep completes
-                results[d] = exc
+    for d, coefficients in zip(ordered, sweep_coefficients_for(sweep.base, ordered)):
+        if isinstance(coefficients, NanospinError):
+            results[d] = coefficients
+            continue
+        try:
+            results[d] = _write_run(sweep.base.with_distance(d, out_dir=str(root / f"d_{d:.6g}")), *coefficients)
+        except Exception as exc:  # re-raised after the sweep completes
+            results[d] = exc
 
     rows = []
     failed = []
@@ -162,6 +172,10 @@ def run_sweep(sweep: SweepConfig, jobs: int | None = None) -> dict[str, Any]:
         "gamma_s_Nms": gamma_s_val,
         "runs": runs_doc,
     }
+    if failed:
+        doc["failures"] = [
+            {"distance_m": d, "error": type(results[d]).__name__, "message": str(results[d])} for d in failed
+        ]
     _write_json(root / "sweep_summary.json", doc)
 
     for d in ordered:
@@ -181,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run every distance in distances_m")
     p_sweep.add_argument("--config", required=True, help="path to JSON configuration")
-    p_sweep.add_argument("--jobs", type=int, default=None, help="concurrent runs")
+    p_sweep.add_argument("--jobs", type=int, default=None, help="accepted and ignored: a sweep runs in one pass")
 
     p_coeffs = sub.add_parser("coeffs", help="print gamma_s, gamma_b, delta_infinity")
     p_coeffs.add_argument("--distance", type=float, required=True, help="separation in meters")
@@ -215,7 +229,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
     if isinstance(cfg, RunConfig):
         cfg = SweepConfig(base=cfg, distances=(cfg.distance,))
-    doc = run_sweep(cfg, jobs=args.jobs)
+    doc = run_sweep(cfg)
     print(f"swept {len(doc['runs'])} distances")
     return 0
 

@@ -18,7 +18,7 @@ from typing import Any
 from .errors import ConfigError
 from .material import DielectricParams, ParticleSpec
 from .quadrature import QuadratureConfig
-from .torque import DEFAULT_COUPLING_SCALE, THERMAL_WEIGHTS, ThermalState
+from .torque import DEFAULT_COUPLING_SCALE, THERMAL_WEIGHTS, ThermalState, check_point_dipole
 
 __all__ = ["RunConfig", "SweepConfig", "parse_config", "fingerprint"]
 
@@ -43,11 +43,7 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.distance < 10.0 * self.particle.radius:
-            raise ConfigError(
-                f"distance_m = {self.distance:.3e} violates the point-dipole "
-                f"constraint distance >= 10*radius = {10 * self.particle.radius:.3e}"
-            )
+        check_point_dipole(self.distance, self.particle)
         if not self.omega1 > 0.0:
             raise ConfigError("omega1_rad_per_s must be > 0")
         if self.mode not in _MODES:

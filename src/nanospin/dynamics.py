@@ -15,18 +15,19 @@ long-time value delta_inf = gamma_s/(gamma_b+gamma_s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, NanospinError
 from .material import ParticleSpec
 from .torque import (
     FrictionCoefficients,
     SpinPair,
     friction_coefficients,
     mutual_torque,
+    sweep_friction_coefficients,
     vacuum_torque,
 )
 
@@ -40,6 +41,7 @@ __all__ = [
     "Trajectory",
     "chebyshev_interpolant",
     "coefficients_for",
+    "sweep_coefficients_for",
     "moment_of_inertia",
     "delta_measure",
     "delta_infinity",
@@ -158,6 +160,22 @@ def coefficients_for(config: "RunConfig") -> tuple[FrictionCoefficients, dict]:
     return friction_coefficients(
         config.particle,
         config.distance,
+        config.thermal,
+        config.quad,
+        coupling_scale=config.coupling_scale,
+        thermal_weight=config.thermal_weight,
+        coth_half_argument=config.coth_half_argument,
+    )
+
+
+def sweep_coefficients_for(
+    config: "RunConfig", distances: Sequence[float]
+) -> list[tuple[FrictionCoefficients, dict] | NanospinError]:
+    """sweep_friction_coefficients for one run configuration's particle,
+    thermal state, quadrature and kernel conventions at each distance."""
+    return sweep_friction_coefficients(
+        config.particle,
+        distances,
         config.thermal,
         config.quad,
         coupling_scale=config.coupling_scale,

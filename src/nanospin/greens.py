@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from .material import CONSTANTS
 
@@ -69,31 +68,44 @@ def g_longitudinal(d: float, omega):
     return 2.0 * np.exp(1j * kd) * (1.0 - 1j * kd) / (d**3 * k * k)
 
 
-def abs2_transverse_sum(d: float, omega):
+def abs2_transverse_sum(d, omega):
     """2|g_t|^2 via the closed-form modulus (no complex arithmetic).
 
     |e^{ikd}(k^2d^2 + ikd - 1)|^2 = (kd)^4 - (kd)^2 + 1; the quadratic in
     (kd)^2 has negative discriminant, so the value is strictly positive,
-    and it is strictly decreasing in d at every frequency.
+    and it is strictly decreasing in d at every frequency. d may be an
+    array that broadcasts against omega, such as one distance per row.
     """
-    if d <= 0.0:
+    d = np.asarray(d, dtype=float)
+    if np.any(d <= 0.0):
         raise ValueError("require d > 0")
     k = _wavenumber(omega)
     u = (k * d) ** 2
-    return 2.0 * (u * u - u + 1.0) / (k**4 * d**6)
+    # Python's float power, one distance at a time: numpy's array power
+    # can differ in the last bit, and a row of a batch must reproduce the
+    # value for its distance alone
+    d6 = np.reshape([x**6 for x in d.ravel().tolist()], d.shape)
+    return 2.0 * (u * u - u + 1.0) / (k**4 * d6)
 
 
 def im_g_transverse_scaled(x):
     """Im g_t at kd = x in units of k, i.e. Im[g_t]/k, cancellation-safe.
 
     Algebraically Im[e^{ix}(x^2 + ix - 1)]/x^3 = sin(x)/x - (sin(x)/x^2
-    - cos(x)/x)/x = sinc(x) - j1(x)/x, which evaluates stably down to
-    x ~ 1e-8 where the direct complex form loses to rounding below
-    x ~ 1e-3. Limit 2/3 as x -> 0, approached like (2/3) - (2/15)x^2.
+    - cos(x)/x)/x = sinc(x) - j1(x)/x. That closed form loses about
+    eps/x^2 to cancellation, so below |x| = 0.1 the Taylor series
+    sum_k (-1)^k 2(k+1) x^2k / ((2k+3)(2k+1)!) takes over, through x^8
+    (the next term is below 1e-17 there). Limit 2/3 as x -> 0,
+    approached like (2/3) - (2/15)x^2.
     """
     x = np.asarray(x, dtype=float)
-    out = np.sinc(x / np.pi) - spherical_jn(1, x) / np.where(x == 0.0, 1.0, x)
-    out = np.where(x == 0.0, 2.0 / 3.0, out)
+    t = x * x
+    series = 2.0 / 3.0 + t * (-2.0 / 15.0 + t * (1.0 / 140.0 + t * (-1.0 / 5670.0 + t / 399168.0)))
+    small = np.abs(x) < 0.1
+    xs = np.where(small, 1.0, x)
+    sinc = np.sin(xs) / xs
+    closed = sinc - (sinc - np.cos(xs)) / (xs * xs)
+    out = np.where(small, series, closed)
     return out if out.ndim else float(out)
 
 

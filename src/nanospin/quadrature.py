@@ -3,8 +3,12 @@
 The torque integrands are smooth except for a sharp phonon resonance
 (width ~9e11 rad/s on a ~9e14 rad/s domain) and thermal-scale structure,
 so a globally adaptive Gauss-Kronrod scheme with resonance breakpoints
-converges in a few dozen panels. The engine is deterministic: identical
-inputs produce an identical panel sequence and an identical float result.
+converges in a few dozen panels (QUADPACK's greedy scheme, Piessens et
+al., 1983). The engine is deterministic: identical inputs produce an
+identical panel sequence and an identical float result. It also runs
+many integrands in lockstep, such as gamma_b at every distance of a
+sweep: each round evaluates the split halves of all of them in one
+kernel call, and each keeps the bits it has when integrated alone.
 
 Node and weight tables are the standard published 15-point Kronrod
 extension of 7-point Gauss; the test suite verifies them by polynomial
@@ -15,12 +19,13 @@ exactness (degree 22 for the 15-point rule, degree 13 for the embedded
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, TailNotNegligibleError
+from .errors import ConfigError, ConvergenceError, NanospinError, TailNotNegligibleError
 
 __all__ = [
     "QuadratureConfig",
@@ -122,95 +127,154 @@ class IntegrationResult:
     peak_kernel: float
 
 
-def _panel(kernel, a: float, b: float):
-    """One 15-point evaluation on [a, b]: (I15, |I15-I7|, peak|f|)."""
+def _panels(kernel, owners: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """15-point evaluations of the panels [a[i], b[i]], panel i belonging
+    to integrand owners[i], in one kernel call.
+
+    Returns per panel I15, |I15 - I7| and peak |f| (Python floats), and
+    whether its kernel values are finite. Each panel's sums are 1-D dot
+    products, as for a lone panel: a 2-D product may round differently.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y = np.asarray(kernel(mid + half * _NODES), dtype=float)
-    if y.shape != (15,):
+    w = mid[:, None] + half[:, None] * _NODES
+    y = np.asarray(kernel(w, owners), dtype=float)
+    if y.shape != w.shape:
         raise ConfigError("kernel must map a float array to a same-shape array")
-    if not np.all(np.isfinite(y)):
-        raise ConvergenceError(
-            f"kernel is not finite inside panel [{a:.6e}, {b:.6e}]",
-            worst_panel=(a, b),
-        )
-    i15 = half * float(_WEIGHTS_K @ y)
-    i7 = half * float(_WEIGHTS_G @ y)
-    return i15, abs(i15 - i7), float(np.max(np.abs(y)))
+    finite = np.isfinite(y).all(axis=1).tolist()
+    peaks = np.max(np.abs(y), axis=1).tolist()
+    i15, err = [], []
+    for h, row, ok in zip(half.tolist(), y, finite):
+        k = h * float(_WEIGHTS_K @ row) if ok else 0.0
+        i15.append(k)
+        err.append(abs(k - h * float(_WEIGHTS_G @ row)) if ok else 0.0)
+    return i15, err, peaks, finite
+
+
+class _Integral:
+    """One integrand's panel heap and running sums."""
+
+    def __init__(self) -> None:
+        self.heap: list[tuple[float, int, float, float, float]] = []
+        self.pushes = itertools.count()  # ties in error pop in insertion order
+        self.total = 0.0
+        self.err_total = 0.0
+        self.peak = 0.0
+        self.evals = 0
+        self.splits = 0
+        self.outcome: IntegrationResult | NanospinError | None = None
+
+    def add(self, a: float, b: float, i15: float, err: float, peak: float) -> None:
+        self.total += i15
+        self.err_total += err
+        self.peak = max(self.peak, peak)
+        self.evals += 15
+        heapq.heappush(self.heap, (-err, next(self.pushes), a, b, i15))
+
+    def converged(self, quad: QuadratureConfig) -> bool:
+        return self.err_total <= max(quad.abs_tol, quad.rel_tol * abs(self.total))
+
+    def pop_worst(self) -> tuple[float, float]:
+        neg_err, _, a, b, i_old = heapq.heappop(self.heap)
+        self.total -= i_old
+        self.err_total += neg_err  # neg_err = -err of the popped panel
+        return a, b
+
+
+def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult | NanospinError]:
+    """Integrate n integrands, each exactly as a lone one would be.
+
+    Every round splits the worst panel of each integrand that has not
+    converged yet, and evaluates all the halves in one kernel call.
+    """
+    if quad.omega_max is None:
+        raise ConfigError("omega_max unresolved; supply a value or use the torque-level entry points")
+    lo, hi = quad.omega_min, quad.omega_max
+    edges = [lo] + [b for b in quad.breakpoints if lo < b < hi] + [hi]
+    integrals = [_Integral() for _ in range(n)]
+
+    # one row per panel: (integrand, a, b), both halves of a split in order
+    rows = [(j, a, b) for j in range(n) for a, b in zip(edges[:-1], edges[1:])]
+    while rows:
+        owners, a, b = (np.array(c) for c in zip(*rows))
+        for (j, aa, bb), i15, err, pk, ok in zip(rows, *_panels(kernel, owners, a, b)):
+            s = integrals[j]
+            if s.outcome is not None:
+                continue
+            if not ok:
+                s.outcome = ConvergenceError(
+                    f"kernel is not finite inside panel [{aa:.6e}, {bb:.6e}]",
+                    worst_panel=(aa, bb),
+                )
+                continue
+            s.add(aa, bb, i15, err, pk)
+        rows = []
+        for j, s in enumerate(integrals):
+            if s.outcome is not None or s.converged(quad):
+                continue
+            if s.splits >= quad.max_subdivisions:
+                worst = s.heap[0]
+                s.outcome = ConvergenceError(
+                    f"no convergence after {s.splits} subdivisions; "
+                    f"worst panel [{worst[2]:.6e}, {worst[3]:.6e}] "
+                    f"error {-worst[0]:.3e}",
+                    worst_panel=(worst[2], worst[3]),
+                )
+                continue
+            aa, bb = s.pop_worst()
+            m = 0.5 * (aa + bb)
+            rows += [(j, aa, m), (j, m, bb)]
+            s.splits += 1
+
+    done = [j for j, s in enumerate(integrals) if s.outcome is None]
+    if quad.certify_tail and done:
+        owners = np.array(done)
+        tails = np.abs(np.asarray(kernel(np.full((len(done), 1), hi), owners), dtype=float)).reshape(-1)
+        for j, tail in zip(done, tails.tolist()):
+            s = integrals[j]
+            s.evals += 1
+            s.peak = max(s.peak, tail)
+            if tail > 1e-12 * s.peak:
+                s.outcome = TailNotNegligibleError(
+                    f"kernel at omega_max={hi:.6e} is {tail:.3e}, "
+                    f"above 1e-12 of the peak {s.peak:.3e}; raise omega_max"
+                )
+    for s in integrals:
+        if s.outcome is None:
+            s.outcome = IntegrationResult(
+                value=s.total,
+                error_estimate=s.err_total,
+                panels=len(s.heap),
+                evaluations=s.evals,
+                peak_kernel=s.peak,
+            )
+    return [s.outcome for s in integrals]
 
 
 def integrate_with_diagnostics(
-    kernel: Callable[[np.ndarray], np.ndarray],
+    kernel: Callable[..., np.ndarray],
     quad: QuadratureConfig,
-) -> IntegrationResult:
+    n: int | None = None,
+) -> IntegrationResult | list[IntegrationResult | NanospinError]:
     """Globally adaptive integration of kernel over [omega_min, omega_max].
 
     Splits the current worst panel at its midpoint until the summed error
     estimate meets max(abs_tol, rel_tol * |integral|). Raises
     ConvergenceError (with the worst panel bounds) after max_subdivisions,
     and TailNotNegligibleError when tail certification fails.
+
+    With n, integrates n integrands in lockstep: kernel(w, owners) maps a
+    2-D frequency array w to same-shape values, row i belonging to
+    integrand owners[i]. Each integrand gets the panels, sums and result
+    it would get alone, and the return value is a list with, for each
+    integrand, its IntegrationResult or the error it would have raised.
     """
-    if quad.omega_max is None:
-        raise ConfigError("omega_max unresolved; supply a value or use the torque-level entry points")
-    lo, hi = quad.omega_min, quad.omega_max
-
-    edges = [lo] + [b for b in quad.breakpoints if lo < b < hi] + [hi]
-    heap: list[tuple[float, int, float, float, float]] = []
-    counter = 0
-    total = 0.0
-    err_total = 0.0
-    peak = 0.0
-    evals = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        i15, err, pk = _panel(kernel, a, b)
-        total += i15
-        err_total += err
-        peak = max(peak, pk)
-        evals += 15
-        heapq.heappush(heap, (-err, counter, a, b, i15))
-        counter += 1
-
-    splits = 0
-    while err_total > max(quad.abs_tol, quad.rel_tol * abs(total)):
-        if splits >= quad.max_subdivisions:
-            worst = heap[0]
-            raise ConvergenceError(
-                f"no convergence after {splits} subdivisions; "
-                f"worst panel [{worst[2]:.6e}, {worst[3]:.6e}] "
-                f"error {-worst[0]:.3e}",
-                worst_panel=(worst[2], worst[3]),
-            )
-        neg_err, _, a, b, i_old = heapq.heappop(heap)
-        total -= i_old
-        err_total += neg_err  # neg_err = -err of the popped panel
-        m = 0.5 * (a + b)
-        for aa, bb in ((a, m), (m, b)):
-            i15, err, pk = _panel(kernel, aa, bb)
-            total += i15
-            err_total += err
-            peak = max(peak, pk)
-            evals += 15
-            heapq.heappush(heap, (-err, counter, aa, bb, i15))
-            counter += 1
-        splits += 1
-
-    if quad.certify_tail:
-        tail = float(np.abs(np.asarray(kernel(np.array([hi])), dtype=float))[0])
-        evals += 1
-        peak = max(peak, tail)
-        if tail > 1e-12 * peak:
-            raise TailNotNegligibleError(
-                f"kernel at omega_max={hi:.6e} is {tail:.3e}, "
-                f"above 1e-12 of the peak {peak:.3e}; raise omega_max"
-            )
-
-    return IntegrationResult(
-        value=total,
-        error_estimate=err_total,
-        panels=len(heap),
-        evaluations=evals,
-        peak_kernel=peak,
-    )
+    if n is not None:
+        return _lockstep(kernel, quad, n)
+    (result,) = _lockstep(lambda w, _owners: kernel(w), quad, 1)
+    if isinstance(result, NanospinError):
+        raise result
+    return result
 
 
 def integrate(kernel: Callable[[np.ndarray], np.ndarray], quad: QuadratureConfig) -> float:

@@ -26,10 +26,11 @@ synchronization time).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, PoleError, SmallSpinError
+from .errors import ConfigError, NanospinError, PoleError, SmallSpinError
 from .greens import abs2_transverse_sum, im_g_self_transverse_sum
 from .material import CONSTANTS, ParticleSpec, d_im_polarizability, im_polarizability
 from .quadrature import (
@@ -59,6 +60,8 @@ __all__ = [
     "gamma_s",
     "gamma_b",
     "friction_coefficients",
+    "sweep_friction_coefficients",
+    "check_point_dipole",
 ]
 
 # Direct kernel evaluation is refused for 0 < |spin| < this (rad/s):
@@ -238,6 +241,16 @@ def _thermal_breakpoints(particle: ParticleSpec, *temps: float) -> list[float]:
     return pts
 
 
+def check_point_dipole(d: float, particle: ParticleSpec) -> None:
+    """Raise ConfigError unless d >= 10*radius, the point-dipole regime
+    every kernel here assumes."""
+    if d < 10.0 * particle.radius:
+        raise ConfigError(
+            f"distance {d:.3e} m violates the point-dipole regime "
+            f"(require distance >= 10*radius = {10 * particle.radius:.3e} m)"
+        )
+
+
 def _check_spin_in_band(quad: QuadratureConfig, *spins: float) -> None:
     # Shifted kernel arguments omega -+ spin must stay strictly positive
     # on the grid; half the infrared cutoff leaves a safe margin.
@@ -311,10 +324,7 @@ def mutual_torque(
     Refuses unequal spins whose nonzero scales sit below
     SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_b there).
     """
-    if d < 10.0 * particle.radius:
-        raise ConfigError(
-            f"d = {d:.3e} m violates the point-dipole regime (require d >= 10*radius = {10 * particle.radius:.3e} m)"
-        )
+    check_point_dipole(d, particle)
     if T <= 0.0:
         raise ConfigError("mutual_torque requires T > 0")
     o1, o2 = spins.omega01, spins.omega02
@@ -344,6 +354,16 @@ def mutual_torque(
     return coupling_scale * 4.0 * np.pi * CONSTANTS.hbar * value
 
 
+def _scaled(res: IntegrationResult, scale: float) -> IntegrationResult:
+    return IntegrationResult(
+        value=scale * res.value,
+        error_estimate=abs(scale) * res.error_estimate,
+        panels=res.panels,
+        evaluations=res.evaluations,
+        peak_kernel=res.peak_kernel,
+    )
+
+
 def _gamma_s_result(
     particle: ParticleSpec,
     thermal: ThermalState,
@@ -365,14 +385,7 @@ def _gamma_s_result(
         return 2.0 * w * w * im_g_self_transverse_sum(w) * expanded
 
     res = integrate_with_diagnostics(kernel, q)
-    scale = -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2))
-    return IntegrationResult(
-        value=scale * res.value,
-        error_estimate=abs(scale) * res.error_estimate,
-        panels=res.panels,
-        evaluations=res.evaluations,
-        peak_kernel=res.peak_kernel,
-    )
+    return _scaled(res, -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2)))
 
 
 def gamma_s(
@@ -390,39 +403,43 @@ def gamma_s(
     return _gamma_s_result(particle, thermal, quad, coth_half_argument).value
 
 
-def _gamma_b_result(
-    d: float,
+def _gamma_b_results(
+    distances: Sequence[float],
     particle: ParticleSpec,
     T: float,
     quad: QuadratureConfig,
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
     thermal_weight: str = "symmetrized",
-) -> IntegrationResult:
-    if d < 10.0 * particle.radius:
-        raise ConfigError(
-            f"d = {d:.3e} m violates the point-dipole regime (require d >= 10*radius = {10 * particle.radius:.3e} m)"
-        )
+) -> list[IntegrationResult | NanospinError]:
+    """gamma_b at each distance: its IntegrationResult, or the error that
+    distance raised. All integrals run in lockstep, one kernel call per
+    round, each with the bits it has alone."""
+    results: list[IntegrationResult | NanospinError | None] = []
+    for d in distances:
+        try:
+            check_point_dipole(d, particle)
+        except ConfigError as exc:
+            results.append(exc)
+        else:
+            results.append(None)
     if T <= 0.0:
         raise ConfigError("gamma_b requires T > 0")
     q = resolved(quad, default_omega_max(ThermalState(T, T), particle), _thermal_breakpoints(particle, T))
+    pending = [i for i, r in enumerate(results) if r is None]
+    column = np.array([distances[i] for i in pending])
 
-    def kernel(w):
+    def kernel(w, owners):
         return (
             4.0
-            * abs2_transverse_sum(d, w)
+            * abs2_transverse_sum(column[owners, None], w)
             * _d_weight(w, particle, T, thermal_weight)
             * im_polarizability(w, particle)
         )
 
-    res = integrate_with_diagnostics(kernel, q)
     scale = coupling_scale * 4.0 * np.pi * CONSTANTS.hbar
-    return IntegrationResult(
-        value=scale * res.value,
-        error_estimate=abs(scale) * res.error_estimate,
-        panels=res.panels,
-        evaluations=res.evaluations,
-        peak_kernel=res.peak_kernel,
-    )
+    for i, res in zip(pending, integrate_with_diagnostics(kernel, q, len(pending))):
+        results[i] = res if isinstance(res, NanospinError) else _scaled(res, scale)
+    return results
 
 
 def gamma_b(
@@ -436,7 +453,47 @@ def gamma_b(
 ) -> float:
     """Mutual drag per unit spin difference (N*m*s): the slope of
     mutual_torque in (omega01 - omega02) at zero spins."""
-    return _gamma_b_result(d, particle, T, quad, coupling_scale, thermal_weight).value
+    (res,) = _gamma_b_results([d], particle, T, quad, coupling_scale, thermal_weight)
+    if isinstance(res, NanospinError):
+        raise res
+    return res.value
+
+
+def _diagnostics(res: IntegrationResult) -> dict:
+    return {"error_estimate_Nms": res.error_estimate, "panels": res.panels, "evaluations": res.evaluations}
+
+
+def sweep_friction_coefficients(
+    particle: ParticleSpec,
+    distances: Sequence[float],
+    thermal: ThermalState,
+    quad: QuadratureConfig,
+    *,
+    coupling_scale: float = DEFAULT_COUPLING_SCALE,
+    thermal_weight: str = "symmetrized",
+    coth_half_argument: bool = False,
+) -> list[tuple[FrictionCoefficients, dict] | NanospinError]:
+    """friction_coefficients at each distance in one pass.
+
+    gamma_s, which does not depend on distance, is integrated once; the
+    gamma_b integrals run in lockstep. Each entry is the pair
+    friction_coefficients returns for that distance, bit for bit, or the
+    NanospinError it raises there.
+    """
+    try:
+        rs = _gamma_s_result(particle, thermal, quad, coth_half_argument)
+        rbs = _gamma_b_results(distances, particle, thermal.T, quad, coupling_scale, thermal_weight)
+    except NanospinError as exc:
+        return [exc] * len(distances)
+    return [
+        rb
+        if isinstance(rb, NanospinError)
+        else (
+            FrictionCoefficients(gamma_s=rs.value, gamma_b=rb.value),
+            {"gamma_s": _diagnostics(rs), "gamma_b": _diagnostics(rb)},
+        )
+        for rb in rbs
+    ]
 
 
 def friction_coefficients(
@@ -450,19 +507,15 @@ def friction_coefficients(
     coth_half_argument: bool = False,
 ) -> tuple[FrictionCoefficients, dict]:
     """Both linearized coefficients plus quadrature diagnostics."""
-    rs = _gamma_s_result(particle, thermal, quad, coth_half_argument)
-    rb = _gamma_b_result(d, particle, thermal.T, quad, coupling_scale, thermal_weight)
-    coeffs = FrictionCoefficients(gamma_s=rs.value, gamma_b=rb.value)
-    diagnostics = {
-        "gamma_s": {
-            "error_estimate_Nms": rs.error_estimate,
-            "panels": rs.panels,
-            "evaluations": rs.evaluations,
-        },
-        "gamma_b": {
-            "error_estimate_Nms": rb.error_estimate,
-            "panels": rb.panels,
-            "evaluations": rb.evaluations,
-        },
-    }
-    return coeffs, diagnostics
+    (result,) = sweep_friction_coefficients(
+        particle,
+        [d],
+        thermal,
+        quad,
+        coupling_scale=coupling_scale,
+        thermal_weight=thermal_weight,
+        coth_half_argument=coth_half_argument,
+    )
+    if isinstance(result, NanospinError):
+        raise result
+    return result

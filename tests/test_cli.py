@@ -118,44 +118,25 @@ class TestNonlinearRun:
 
 
 class TestSweep:
-    def test_single_distance_sweep_matches_run(self, bundle, tmp_path):
-        sweep = parse_config(json.dumps({"distances_m": [1e-7], "out_dir": str(tmp_path)}))
-        doc = run_sweep(sweep)
-        sub = tmp_path / "d_1e-07"
-        assert (sub / "trajectory.csv").read_bytes() == bundle.trajectory_csv.read_bytes()
-        assert (sub / "summary.json").read_bytes() == bundle.summary_json.read_bytes()
-        assert doc["failed_distances_m"] == []
-        assert len(doc["runs"]) == 1
-        assert doc["runs"][0]["distance_m"] == 1e-7
-
-    def test_parallelism_does_not_change_bytes(self, tmp_path):
+    def test_sweep_matches_run_at_every_distance(self, tmp_path):
+        # the sweep's one-pass coefficients must give each distance the
+        # bytes a run of that distance alone writes
         distances = [5e-8, 1e-7, 2e-7]
-        outs = []
-        for jobs, name in ((1, "serial"), (3, "parallel")):
-            root = tmp_path / name
-            sweep = parse_config(json.dumps({"distances_m": distances, "out_dir": str(root)}))
-            run_sweep(sweep, jobs=jobs)
-            outs.append(root)
-        serial, parallel = outs
-        names = ["sweep.csv"]
-        names += [f"d_{d:.6g}/{f}" for d in distances for f in ("trajectory.csv", "summary.json")]
-        for rel in names:
-            assert (serial / rel).read_bytes() == (parallel / rel).read_bytes(), rel
-        # the combined summary embeds each run's output path, so compare it
-        # with those stripped
-        docs = []
-        for root in outs:
-            doc = json.loads((root / "sweep_summary.json").read_text(encoding="utf-8"))
-            for entry in doc["runs"]:
-                entry.pop("out_dir")
-            docs.append(doc)
-        assert docs[0] == docs[1]
+        doc = run_sweep(parse_config(json.dumps({"distances_m": distances, "out_dir": str(tmp_path / "sweep")})))
+        for d in distances:
+            alone = run(parse_config(json.dumps({"distance_m": d, "out_dir": str(tmp_path / f"run_{d:.6g}")})))
+            sub = tmp_path / "sweep" / f"d_{d:.6g}"
+            assert (sub / "trajectory.csv").read_bytes() == alone.trajectory_csv.read_bytes(), d
+            assert (sub / "summary.json").read_bytes() == alone.summary_json.read_bytes(), d
+        assert doc["failed_distances_m"] == []
+        assert "failures" not in doc
+        assert [r["distance_m"] for r in doc["runs"]] == distances
 
     def test_same_root_rerun_is_byte_identical(self, tmp_path):
         sweep = parse_config(json.dumps({"distances_m": [5e-8, 1e-7], "out_dir": str(tmp_path)}))
-        run_sweep(sweep, jobs=2)
+        run_sweep(sweep)
         first = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        run_sweep(sweep, jobs=1)
+        run_sweep(sweep)
         for p, data in first.items():
             assert p.read_bytes() == data, p
 
@@ -172,14 +153,14 @@ class TestSweep:
     def test_partial_failure_completes_then_raises(self, tmp_path, monkeypatch):
         import nanospin.cli as cli_mod
 
-        real_run = cli_mod.run
+        real_write_run = cli_mod._write_run
 
-        def flaky(cfg):
+        def flaky(cfg, *coefficients):
             if cfg.distance == 2e-7:
                 raise ConvergenceError("synthetic failure for this distance")
-            return real_run(cfg)
+            return real_write_run(cfg, *coefficients)
 
-        monkeypatch.setattr(cli_mod, "run", flaky)
+        monkeypatch.setattr(cli_mod, "_write_run", flaky)
         sweep = parse_config(
             json.dumps({"distances_m": [5e-8, 1e-7, 2e-7], "out_dir": str(tmp_path)})
         )
@@ -187,6 +168,9 @@ class TestSweep:
             run_sweep(sweep)
         table = json.loads((tmp_path / "sweep_summary.json").read_text(encoding="utf-8"))
         assert table["failed_distances_m"] == [2e-7]
+        assert table["failures"] == [
+            {"distance_m": 2e-7, "error": "ConvergenceError", "message": "synthetic failure for this distance"}
+        ]
         assert [r["distance_m"] for r in table["runs"]] == [5e-8, 1e-7]
         _, rows = read_rows(tmp_path / "sweep.csv")
         assert [r[0] for r in rows] == [5e-8, 1e-7]
@@ -251,8 +235,17 @@ class TestMain:
         cfg = write_config(
             tmp_path / "c.json", {"distances_m": [5e-8, 1e-7], "out_dir": str(tmp_path / "o")}
         )
+        # --jobs is accepted and ignored
         assert main(["sweep", "--config", cfg, "--jobs", "2"]) == 0
         assert "swept 2 distances" in capsys.readouterr().out
+
+    def test_cli_import_leaves_scipy_out(self):
+        code = "import sys, nanospin.cli; print('scipy' in sys.modules)"
+        src_root = str(Path(nanospin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,11 +1,62 @@
 """Engine checks: rule-pair exactness, a resonant oracle integral,
-failure diagnostics, and determinism."""
+failure diagnostics, determinism, and lockstep batches against a
+one-panel-at-a-time reference."""
+
+import heapq
 
 import numpy as np
 import pytest
 
 from nanospin import ConfigError, ConvergenceError, QuadratureConfig, TailNotNegligibleError, integrate
-from nanospin.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K, integrate_with_diagnostics, resolved
+from nanospin.quadrature import (
+    _NODES,
+    _WEIGHTS_G,
+    _WEIGHTS_K,
+    IntegrationResult,
+    integrate_with_diagnostics,
+    resolved,
+)
+
+
+def reference_integrate(kernel, quad):
+    """The engine as a plain loop: one 15-point panel per kernel call,
+    split the worst panel until the error budget is met. The lockstep
+    engine must reproduce its every bit."""
+    lo, hi = quad.omega_min, quad.omega_max
+
+    def panel(a, b):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        y = np.asarray(kernel(mid + half * _NODES), dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise ConvergenceError("not finite", worst_panel=(a, b))
+        i15 = half * float(_WEIGHTS_K @ y)
+        return i15, abs(i15 - half * float(_WEIGHTS_G @ y)), float(np.max(np.abs(y)))
+
+    heap, total, err_total, peak, evals = [], 0.0, 0.0, 0.0, 0
+    edges = [lo] + [b for b in quad.breakpoints if lo < b < hi] + [hi]
+    splits = 0
+    pending = list(zip(edges[:-1], edges[1:]))
+    while True:
+        for a, b in pending:
+            i15, err, pk = panel(a, b)
+            total, err_total, peak, evals = total + i15, err_total + err, max(peak, pk), evals + 15
+            heapq.heappush(heap, (-err, evals, a, b, i15))
+        if err_total <= max(quad.abs_tol, quad.rel_tol * abs(total)):
+            break
+        if splits >= quad.max_subdivisions:
+            raise ConvergenceError("no convergence", worst_panel=heap[0][2:4])
+        neg_err, _, a, b, i_old = heapq.heappop(heap)
+        total -= i_old
+        err_total += neg_err
+        pending = [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+        splits += 1
+    if quad.certify_tail:
+        tail = float(np.abs(np.asarray(kernel(np.array([hi])), dtype=float))[0])
+        evals += 1
+        peak = max(peak, tail)
+        if tail > 1e-12 * peak:
+            raise TailNotNegligibleError("tail")
+    return IntegrationResult(total, err_total, len(heap), evals, peak)
 
 
 def test_rule_pair_polynomial_exactness():
@@ -106,3 +157,53 @@ def test_resolved_fills_and_clips():
 def test_unresolved_omega_max_rejected():
     with pytest.raises(ConfigError):
         integrate(lambda w: w, QuadratureConfig())
+
+
+def resonance(w, width):
+    return w * np.exp(-(((w - 1.492e14) / width) ** 2)) + 1e-3 * np.sqrt(w / (1.0 + (w / 3e14) ** 8))
+
+
+def test_single_integral_matches_reference():
+    quads = [
+        QuadratureConfig(omega_min=1e13, omega_max=9e14, breakpoints=(1.492e14,), certify_tail=False),
+        QuadratureConfig(omega_min=1e13, omega_max=9e14, rel_tol=1e-11, certify_tail=False),
+    ]
+    for q in quads:
+        for width in (2e11, 1.8e13, 3e14):
+            kernel = lambda w: resonance(w, width)  # noqa: E731
+            assert integrate_with_diagnostics(kernel, q) == reference_integrate(kernel, q)
+
+
+def test_lockstep_batch_matches_reference_per_integrand():
+    # widths over three decades converge after very different numbers of
+    # rounds; each must get the bits it gets alone
+    rng = np.random.default_rng(7)
+    widths = np.exp(rng.uniform(np.log(1e11), np.log(1e14), 40))
+    q = QuadratureConfig(omega_min=1e13, omega_max=9e14, breakpoints=(1.492e14, 1.823e14), certify_tail=False)
+    batch = integrate_with_diagnostics(lambda w, owners: resonance(w, widths[owners, None]), q, len(widths))
+    for width, got in zip(widths.tolist(), batch):
+        assert got == reference_integrate(lambda w: resonance(w, width), q)
+
+
+def test_lockstep_failures_stay_per_integrand():
+    # integrand 1 runs out of subdivisions, integrand 2 is not finite and
+    # integrand 3 has not decayed at the cutoff; 0 and 4 converge as alone
+    q = QuadratureConfig(omega_min=0.0, omega_max=1.0, max_subdivisions=30)
+    shifts = np.array([0.0, 0.0, 0.5, 0.0, 1.0])
+
+    def kernel(w, owners):
+        y = np.exp(-80.0 * w) * (1.0 + shifts[owners, None])
+        y = np.where(owners[:, None] == 1, y / np.sqrt(np.abs(w - 0.03141)), y)
+        y = np.where((owners[:, None] == 2) & (np.abs(w - 0.5) < 0.01), np.inf, y)
+        return np.where(owners[:, None] == 3, 1.0 + 0.0 * w, y)
+
+    results = integrate_with_diagnostics(kernel, q, len(shifts))
+    assert isinstance(results[1], ConvergenceError) and results[1].worst_panel is not None
+    assert isinstance(results[2], ConvergenceError) and "not finite" in str(results[2])
+    assert isinstance(results[3], TailNotNegligibleError)
+    for j in (0, 4):
+        assert results[j] == reference_integrate(lambda w: np.exp(-80.0 * w) * (1.0 + shifts[j]), q)
+
+
+def test_lockstep_of_nothing():
+    assert integrate_with_diagnostics(lambda w, owners: w, QuadratureConfig(omega_max=1e15), 0) == []

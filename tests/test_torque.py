@@ -30,11 +30,21 @@ from nanospin import (
     friction_coefficients,
     gamma_b,
     gamma_s,
+    im_polarizability,
     mutual_torque,
     occupation,
     vacuum_torque,
 )
 from nanospin.material import CONSTANTS
+from nanospin.quadrature import resolved
+from nanospin.torque import (
+    _d_weight,
+    _gamma_b_results,
+    _thermal_breakpoints,
+    sweep_friction_coefficients,
+)
+
+from test_quadrature import reference_integrate
 
 
 def beta_omega(x, T=300.0):
@@ -252,3 +262,45 @@ class TestCoefficients:
     def test_unequal_temperatures_supported(self, particle, quad):
         # hot particle in a cold vacuum still yields a positive drag slope
         assert gamma_s(particle, ThermalState(T=600.0, T0=300.0), quad) > 0.0
+
+
+def abs2_one_distance(d, w):
+    """2|g_t|^2 for one float distance, with d**6 in Python's float power."""
+    k = w / CONSTANTS.c
+    u = (k * d) ** 2
+    return 2.0 * (u * u - u + 1.0) / (k**4 * d**6)
+
+
+class TestSweepCoefficients:
+    # seeded log-uniform separations plus the two frozen-trajectory ones;
+    # numpy's array power rounds d**6 differently for a few percent of them
+    DISTANCES = np.exp(np.random.default_rng(20).uniform(np.log(5e-8), np.log(1e-6), 62)).tolist() + [1e-7, 9.49e-7]
+
+    def test_batched_gamma_b_is_bit_identical_to_one_distance(self, particle, quad):
+        batch = _gamma_b_results(self.DISTANCES, particle, 300.0, quad)
+        q = resolved(quad, default_omega_max(ThermalState(), particle), _thermal_breakpoints(particle, 300.0))
+        scale = DEFAULT_COUPLING_SCALE * 4.0 * np.pi * CONSTANTS.hbar
+        for d, got in zip(self.DISTANCES, batch):
+            assert [got] == _gamma_b_results([d], particle, 300.0, quad), d
+            # and to the one-panel-at-a-time engine on the scalar-distance kernel
+            ref = reference_integrate(
+                lambda w: 4.0
+                * abs2_one_distance(d, w)
+                * _d_weight(w, particle, 300.0, "symmetrized")
+                * im_polarizability(w, particle),
+                q,
+            )
+            assert (got.value, got.error_estimate) == (scale * ref.value, scale * ref.error_estimate), d
+            assert (got.panels, got.evaluations) == (ref.panels, ref.evaluations), d
+
+    def test_sweep_matches_friction_coefficients(self, particle, thermal, quad):
+        distances = [5e-8, 1e-7, 4e-8, 9.49e-7]  # 40 nm is below 10*radius
+        results = sweep_friction_coefficients(particle, distances, thermal, quad)
+        assert isinstance(results[2], ConfigError) and "point-dipole" in str(results[2])
+        for i in (0, 1, 3):
+            assert results[i] == friction_coefficients(particle, distances[i], thermal, quad)
+
+    def test_gamma_s_failure_fails_every_distance(self, particle, thermal):
+        low_cutoff = QuadratureConfig(omega_max=2e14)
+        results = sweep_friction_coefficients(particle, [5e-8, 1e-7], thermal, low_cutoff)
+        assert all(isinstance(r, ConfigError) and "omega_max" in str(r) for r in results)
