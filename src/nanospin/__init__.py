@@ -35,8 +35,6 @@ from .errors import (
 from .greens import (
     Geometry,
     abs2_transverse_sum,
-    g_longitudinal,
-    g_transverse,
     im_g_self_transverse_sum,
     im_g_transverse_scaled,
 )

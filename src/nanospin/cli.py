@@ -81,7 +81,7 @@ def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict
     inertia = moment_of_inertia(config.particle)
     denom = coeffs.gamma_s + coeffs.gamma_b
     if config.mode == "nonlinear":
-        traj = solve_nonlinear(config)
+        traj = solve_nonlinear(config, coeffs)
     else:
         if denom > 0.0:
             grid = default_time_grid(inertia / denom, config.samples)

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .errors import ConfigError, ConvergenceError, NanospinError
 from .material import ParticleSpec
 from .torque import (
     FrictionCoefficients,
     SpinPair,
+    _mutual_torques,
+    _vacuum_torques,
     friction_coefficients,
     mutual_torque,
     sweep_friction_coefficients,
@@ -93,11 +94,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ChebyshevInterpolant:
-    """Polynomial on [lo, hi] given by its Chebyshev coefficients."""
+    """Polynomial on [lo, hi] given by its Chebyshev coefficients (at
+    least three)."""
 
     lo: float
     hi: float
-    coeffs: np.ndarray
+    coeffs: tuple[float, ...]
 
     @property
     def nodes(self) -> int:
@@ -108,7 +110,16 @@ class ChebyshevInterpolant:
         return self.lo <= w <= self.hi
 
     def __call__(self, w: float) -> float:
-        return float(chebval((2.0 * w - (self.lo + self.hi)) / (self.hi - self.lo), self.coeffs))
+        # Clenshaw's recurrence on Python floats, operation for operation
+        # the one numpy.polynomial.chebyshev.chebval runs, at a third of
+        # its cost on a scalar
+        x = (2.0 * w - (self.lo + self.hi)) / (self.hi - self.lo)
+        x2 = 2.0 * x
+        c = self.coeffs
+        c0, c1 = c[-2], c[-1]
+        for ci in c[-3::-1]:
+            c0, c1 = ci - c1, c0 + c1 * x2
+        return c0 + c1 * x
 
 
 def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
@@ -123,26 +134,29 @@ def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def chebyshev_interpolant(f: Callable[[float], float], lo: float, hi: float, tol: float) -> ChebyshevInterpolant:
+def chebyshev_interpolant(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float
+) -> ChebyshevInterpolant:
     """Interpolate f on [lo, hi] at Chebyshev-Lobatto nodes, certified
     by coefficient decay.
 
-    The degree starts at 8 and doubles, so every earlier node is reused,
-    until the last three coefficients are at most tol in magnitude. A
-    function that needs more than SURROGATE_MAX_DEGREE raises
-    ConvergenceError.
+    f maps an array of nodes to the array of its values there; each
+    degree calls it once, on the nodes that degree adds. The degree
+    starts at 8 and doubles, so every earlier node is reused, until the
+    last three coefficients are at most tol in magnitude. A function
+    that needs more than SURROGATE_MAX_DEGREE raises ConvergenceError.
     """
 
-    def sample(j: np.ndarray, n: int) -> list[float]:
-        return [f(lo + 0.5 * (hi - lo) * (1.0 + x)) for x in np.cos(np.pi * j / n)]
+    def sample(j: np.ndarray, n: int) -> np.ndarray:
+        return np.asarray(f(lo + 0.5 * (hi - lo) * (1.0 + np.cos(np.pi * j / n))), dtype=float)
 
     n = 8
-    values = np.array(sample(np.arange(n + 1), n))
+    values = sample(np.arange(n + 1), n)
     while True:
         coeffs = _lobatto_coefficients(values)
         tail = float(np.max(np.abs(coeffs[-3:])))
         if tail <= tol:
-            return ChebyshevInterpolant(lo, hi, coeffs)
+            return ChebyshevInterpolant(lo, hi, tuple(coeffs.tolist()))
         if 2 * n > SURROGATE_MAX_DEGREE:
             raise ConvergenceError(
                 f"Chebyshev surrogate on [{lo:.6e}, {hi:.6e}] not certified at degree {n}: "
@@ -238,21 +252,23 @@ def solve_linear(
     return Trajectory(times=t, omega2=w2, delta=delta_measure(omega1, w2), meta=meta)
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
+def _rk4_step(f, t, y, h, k1):
+    """One classical RK4 step of size h from (t, y), given k1 = f(t, y)."""
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _pair_scale(o1: float, o2: float) -> float:
-    """Smallest nonzero scale among the spins and their difference."""
-    scales = [abs(x) for x in (o1, o2, o1 - o2) if x != 0.0]
-    return min(scales) if scales else 0.0
+def _values(torques: list[float | NanospinError]) -> np.ndarray:
+    """The values of a batch of torques, or the first error among them."""
+    for torque in torques:
+        if isinstance(torque, NanospinError):
+            raise torque
+    return np.array(torques)
 
 
-def solve_nonlinear(config: "RunConfig") -> Trajectory:
+def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = None) -> Trajectory:
     """Adaptive step-doubling RK4 on the full torque balance.
 
     Each channel's torque is its linearized form plus a residual,
@@ -261,23 +277,32 @@ def solve_nonlinear(config: "RunConfig") -> Trajectory:
     becomes a chebyshev_interpolant of direct kernel values, certified to
     quad.rel_tol * (gamma_s + gamma_b) * omega1, on the spins where that
     kernel is used: [F, omega1 - F] for the mutual channel and
-    [F, omega1] for the vacuum channel, F = DIRECT_EVAL_FLOOR. An empty
-    interval builds nothing, so runs with omega1 <= F evaluate no direct
-    kernel.
+    [F, omega1] for the vacuum channel, F = DIRECT_EVAL_FLOOR. All nodes
+    a degree adds are integrated in one lockstep call per channel. An
+    empty interval builds nothing, so runs with omega1 <= F build no
+    interpolant.
 
     Per stage, a channel whose spin scales sit below F uses its
     linearized coefficient (the two agree to better than the integrator
     tolerance there), else its interpolant, else, for a spin outside the
     interpolant's interval such as the mutual channel at omega2 = 0, the
-    direct kernel.
+    direct kernel. The mutual channel's scales are omega1, |omega2| and
+    |omega1 - omega2|, zeros excluded, the vacuum channel's is |omega2|.
+    So at omega1 = F, where no interpolant exists, the gap torque at
+    omega2 = 0 (scale omega1, not below F) is direct, and so is the
+    vacuum torque at any stage spin that overshoots F; below F only such
+    an overshoot evaluates a direct kernel.
 
-    Trajectory.solver counts the work: surrogate nodes per channel (0
-    where none was built), direct torque calls (nodes included), and
-    accepted and rejected steps.
+    coeffs, when given, must be coefficients_for(config); a caller that
+    already holds them saves the two integrals. Trajectory.solver counts
+    the work: surrogate nodes per channel (0 where none was built),
+    direct torque calls (nodes included), and accepted and rejected
+    steps.
     """
     particle = config.particle
     inertia = moment_of_inertia(particle)
-    coeffs, _ = coefficients_for(config)
+    if coeffs is None:
+        coeffs, _ = coefficients_for(config)
     denom = coeffs.gamma_s + coeffs.gamma_b
     omega1 = config.omega1
     stats = {
@@ -317,32 +342,55 @@ def solve_nonlinear(config: "RunConfig") -> Trajectory:
             coth_half_argument=config.coth_half_argument,
         )
 
-    def drive_linear(w2: float) -> float:
-        return coeffs.gamma_b * (omega1 - w2)
+    gamma_b, gamma_s = coeffs.gamma_b, coeffs.gamma_s
 
-    def drag_linear(w2: float) -> float:
-        return coeffs.gamma_s * w2
+    def drive_residuals(ws: np.ndarray) -> np.ndarray:
+        stats["direct_torque_calls"] += len(ws)
+        torques = _mutual_torques(
+            [(omega1, w2) for w2 in ws.tolist()],
+            config.distance,
+            particle,
+            config.thermal.T,
+            config.quad,
+            config.coupling_scale,
+            config.thermal_weight,
+        )
+        return _values(torques) - gamma_b * (omega1 - ws)
+
+    def drag_residuals(ws: np.ndarray) -> np.ndarray:
+        stats["direct_torque_calls"] += len(ws)
+        torques = _vacuum_torques(
+            ws.tolist(), particle, config.thermal, config.quad, coth_half_argument=config.coth_half_argument
+        )
+        return _values(torques) - gamma_s * ws
 
     fit_tol = config.quad.rel_tol * denom * omega1
     floor = DIRECT_EVAL_FLOOR
     drive_fit = drag_fit = None
     if omega1 - floor > floor:
-        drive_fit = chebyshev_interpolant(lambda w: drive_direct(w) - drive_linear(w), floor, omega1 - floor, fit_tol)
+        drive_fit = chebyshev_interpolant(drive_residuals, floor, omega1 - floor, fit_tol)
         stats["surrogate_nodes"]["mutual"] = drive_fit.nodes
     if omega1 > floor:
-        drag_fit = chebyshev_interpolant(lambda w: drag_direct(w) - drag_linear(w), floor, omega1, fit_tol)
+        drag_fit = chebyshev_interpolant(drag_residuals, floor, omega1, fit_tol)
         stats["surrogate_nodes"]["vacuum"] = drag_fit.nodes
 
-    def channel(w2, scale, linear, fit, direct) -> float:
-        if scale < floor:
-            return linear(w2)
-        if fit is not None and w2 in fit:
-            return linear(w2) + fit(w2)
-        return direct(w2)
-
     def acc(_t: float, w2: float) -> float:
-        drive = channel(w2, _pair_scale(omega1, w2), drive_linear, drive_fit, drive_direct)
-        drag = channel(w2, abs(w2), drag_linear, drag_fit, drag_direct)
+        # per channel: linearized below the floor, else the interpolant
+        # on its interval, else the direct kernel (omega1 > 0, so the
+        # mutual scale is below the floor iff one nonzero scale is)
+        gap = omega1 - w2
+        if omega1 < floor or 0.0 < abs(w2) < floor or 0.0 < abs(gap) < floor:
+            drive = gamma_b * gap
+        elif drive_fit is not None and w2 in drive_fit:
+            drive = gamma_b * gap + drive_fit(w2)
+        else:
+            drive = drive_direct(w2)
+        if abs(w2) < floor:
+            drag = gamma_s * w2
+        elif drag_fit is not None and w2 in drag_fit:
+            drag = gamma_s * w2 + drag_fit(w2)
+        else:
+            drag = drag_direct(w2)
         return (drive - drag) / inertia
 
     rtol = 1e-6
@@ -360,9 +408,11 @@ def solve_nonlinear(config: "RunConfig") -> Trajectory:
             h = min(h, t_target - t_now, h_max)
             if h < h_min:
                 raise ConvergenceError(f"step size underflow at t = {t_now:.6e} s (h = {h:.3e})")
-            y_full = _rk4_step(acc, t_now, y, h)
-            y_half = _rk4_step(acc, t_now, y, 0.5 * h)
-            y_two = _rk4_step(acc, t_now + 0.5 * h, y_half, 0.5 * h)
+            k1 = acc(t_now, y)  # shared by the full step and the first half step
+            y_full = _rk4_step(acc, t_now, y, h, k1)
+            y_half = _rk4_step(acc, t_now, y, 0.5 * h, k1)
+            t_half = t_now + 0.5 * h
+            y_two = _rk4_step(acc, t_half, y_half, 0.5 * h, acc(t_half, y_half))
             err = abs(y_two - y_full) / 15.0
             if err <= tol:
                 # local extrapolation: fifth-order combination

@@ -11,7 +11,8 @@ and the longitudinal one
 
 Torque integrands only ever need 2|g_t|^2, which has the closed form
 2 (x^4 - x^2 + 1) / (k^4 d^6); that path avoids the complex exponential
-and the small-x cancellation entirely.
+and the small-x cancellation entirely, so the complex components
+themselves are not part of the library.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .material import CONSTANTS
 
 __all__ = [
     "Geometry",
-    "g_transverse",
-    "g_longitudinal",
     "abs2_transverse_sum",
     "im_g_transverse_scaled",
     "im_g_self_transverse_sum",
@@ -48,24 +47,6 @@ def _wavenumber(omega):
     if np.any(w <= 0.0):
         raise ValueError("require omega > 0 (k^2 division)")
     return w / CONSTANTS.c
-
-
-def g_transverse(d: float, omega):
-    """Transverse component (equal for xx and yy)."""
-    if d <= 0.0:
-        raise ValueError("require d > 0")
-    k = _wavenumber(omega)
-    kd = k * d
-    return np.exp(1j * kd) * (kd * kd + 1j * kd - 1.0) / (d**3 * k * k)
-
-
-def g_longitudinal(d: float, omega):
-    """zz component. Not used by the torque kernels; exposed for completeness."""
-    if d <= 0.0:
-        raise ValueError("require d > 0")
-    k = _wavenumber(omega)
-    kd = k * d
-    return 2.0 * np.exp(1j * kd) * (1.0 - 1j * kd) / (d**3 * k * k)
 
 
 def abs2_transverse_sum(d, omega):

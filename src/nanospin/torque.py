@@ -26,7 +26,7 @@ synchronization time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -263,6 +263,80 @@ def _check_spin_in_band(quad: QuadratureConfig, *spins: float) -> None:
             )
 
 
+def _spin_results(
+    spins: Sequence,
+    check: Callable[..., None],
+    resolve: Callable[[], QuadratureConfig],
+    kernel_at: Callable[[np.ndarray], Callable],
+    scale: float,
+) -> list[float | NanospinError]:
+    """scale times the integral at each spin tuple, or the error that spin
+    raises: check(*spin), then the quadrature resolve() gives, then the
+    band check, in the order a lone call makes them. The spins that pass
+    are integrated in lockstep; kernel_at(columns) is the kernel whose
+    row owned by pending spin i reads its spin from columns[i]."""
+    results: list[float | NanospinError | None] = []
+    q = None
+    for spin in spins:
+        try:
+            check(*spin)
+            if q is None:
+                q = resolve()
+            _check_spin_in_band(q, *spin)
+        except NanospinError as exc:
+            results.append(exc)
+        else:
+            results.append(None)
+    pending = [i for i, r in enumerate(results) if r is None]
+    if pending:
+        columns = np.array([spins[i] for i in pending], dtype=float)
+        for i, res in zip(pending, integrate_with_diagnostics(kernel_at(columns), q, len(pending))):
+            results[i] = res if isinstance(res, NanospinError) else scale * res.value
+    return results
+
+
+def _vacuum_torques(
+    spins: Sequence[float],
+    particle: ParticleSpec,
+    thermal: ThermalState,
+    quad: QuadratureConfig,
+    allow_small_spins: bool = False,
+    coth_half_argument: bool = False,
+) -> list[float | NanospinError]:
+    """vacuum_torque at each spin: its value, bit for bit, or the error it
+    raises there. One lockstep integral for all spins."""
+
+    def check(omega0: float) -> None:
+        if not np.isfinite(omega0):
+            raise ConfigError("omega0 must be finite")
+        if 0.0 < abs(omega0) < SPIN_DIRECT_FLOOR and not allow_small_spins:
+            raise SmallSpinError(
+                f"|omega0| = {abs(omega0):.3e} is below the direct-evaluation "
+                f"floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_s or pass allow_small_spins=True"
+            )
+
+    def resolve() -> QuadratureConfig:
+        return resolved(quad, default_omega_max(thermal, particle), _thermal_breakpoints(particle, thermal.T, thermal.T0))
+
+    T, T0 = thermal.T, thermal.T0
+
+    def kernel_at(columns: np.ndarray):
+        def kernel(w, owners):
+            omega0 = columns[owners]  # (rows, 1)
+            a0 = coth_factor(w, T0, coth_half_argument)
+            wp = w + omega0
+            wm = w - omega0
+            bracket = im_polarizability(wp, particle) * (
+                coth_factor(wp, T, coth_half_argument) - a0
+            ) - im_polarizability(wm, particle) * (coth_factor(wm, T, coth_half_argument) - a0)
+            return w * w * im_g_self_transverse_sum(w) * bracket
+
+        return kernel
+
+    scale = -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2))
+    return _spin_results([(s,) for s in spins], check, resolve, kernel_at, scale)
+
+
 def vacuum_torque(
     omega0: float,
     particle: ParticleSpec,
@@ -278,32 +352,55 @@ def vacuum_torque(
     zero at omega0 = 0 with T = T0. Refuses 0 < |omega0| <
     SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_s there).
     """
-    if not np.isfinite(omega0):
-        raise ConfigError("omega0 must be finite")
-    if 0.0 < abs(omega0) < SPIN_DIRECT_FLOOR and not allow_small_spins:
-        raise SmallSpinError(
-            f"|omega0| = {abs(omega0):.3e} is below the direct-evaluation "
-            f"floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_s or pass allow_small_spins=True"
-        )
-    q = resolved(
-        quad,
-        default_omega_max(thermal, particle),
-        _thermal_breakpoints(particle, thermal.T, thermal.T0) + [abs(omega0)],
-    )
-    _check_spin_in_band(q, omega0)
-    T, T0 = thermal.T, thermal.T0
+    (res,) = _vacuum_torques([omega0], particle, thermal, quad, allow_small_spins, coth_half_argument)
+    if isinstance(res, NanospinError):
+        raise res
+    return res
 
-    def kernel(w):
-        a0 = coth_factor(w, T0, coth_half_argument)
-        wp = w + omega0
-        wm = w - omega0
-        bracket = im_polarizability(wp, particle) * (coth_factor(wp, T, coth_half_argument) - a0) - im_polarizability(
-            wm, particle
-        ) * (coth_factor(wm, T, coth_half_argument) - a0)
-        return w * w * im_g_self_transverse_sum(w) * bracket
 
-    value = integrate(kernel, q)
-    return -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2)) * value
+def _mutual_torques(
+    spins: Sequence[tuple[float, float]],
+    d: float,
+    particle: ParticleSpec,
+    T: float,
+    quad: QuadratureConfig,
+    coupling_scale: float = DEFAULT_COUPLING_SCALE,
+    thermal_weight: str = "symmetrized",
+    allow_small_spins: bool = False,
+) -> list[float | NanospinError]:
+    """mutual_torque at each (omega01, omega02): its value, bit for bit,
+    or the error it raises there. One lockstep integral for all pairs."""
+
+    def check(o1: float, o2: float) -> None:
+        SpinPair(o1, o2)
+        check_point_dipole(d, particle)
+        if T <= 0.0:
+            raise ConfigError("mutual_torque requires T > 0")
+        if o1 != o2 and not allow_small_spins:
+            scales = [abs(x) for x in (o1, o2, o1 - o2) if x != 0.0]
+            if min(scales) < SPIN_DIRECT_FLOOR:
+                raise SmallSpinError(
+                    f"smallest nonzero spin scale {min(scales):.3e} is below the "
+                    f"direct-evaluation floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_b "
+                    "or pass allow_small_spins=True"
+                )
+
+    def resolve() -> QuadratureConfig:
+        return resolved(quad, default_omega_max(ThermalState(T, T), particle), _thermal_breakpoints(particle, T))
+
+    def kernel_at(columns: np.ndarray):
+        def kernel(w, owners):
+            o1, o2 = columns[owners, 0, None], columns[owners, 1, None]  # (rows, 1) each
+            f2 = _weight(w - o2, particle, T, thermal_weight) - _weight(w + o2, particle, T, thermal_weight)
+            g1 = im_polarizability(w + o1, particle) + im_polarizability(w - o1, particle)
+            h1 = _weight(w - o1, particle, T, thermal_weight) - _weight(w + o1, particle, T, thermal_weight)
+            k2 = im_polarizability(w + o2, particle) + im_polarizability(w - o2, particle)
+            return abs2_transverse_sum(d, w) * (f2 * g1 - h1 * k2)
+
+        return kernel
+
+    scale = coupling_scale * 4.0 * np.pi * CONSTANTS.hbar
+    return _spin_results(spins, check, resolve, kernel_at, scale)
 
 
 def mutual_torque(
@@ -324,34 +421,12 @@ def mutual_torque(
     Refuses unequal spins whose nonzero scales sit below
     SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_b there).
     """
-    check_point_dipole(d, particle)
-    if T <= 0.0:
-        raise ConfigError("mutual_torque requires T > 0")
-    o1, o2 = spins.omega01, spins.omega02
-    if o1 != o2 and not allow_small_spins:
-        scales = [abs(x) for x in (o1, o2, o1 - o2) if x != 0.0]
-        if min(scales) < SPIN_DIRECT_FLOOR:
-            raise SmallSpinError(
-                f"smallest nonzero spin scale {min(scales):.3e} is below the "
-                f"direct-evaluation floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_b "
-                "or pass allow_small_spins=True"
-            )
-    q = resolved(
-        quad,
-        default_omega_max(ThermalState(T, T), particle),
-        _thermal_breakpoints(particle, T) + [abs(o1), abs(o2)],
+    (res,) = _mutual_torques(
+        [(spins.omega01, spins.omega02)], d, particle, T, quad, coupling_scale, thermal_weight, allow_small_spins
     )
-    _check_spin_in_band(q, o1, o2)
-
-    def kernel(w):
-        f2 = _weight(w - o2, particle, T, thermal_weight) - _weight(w + o2, particle, T, thermal_weight)
-        g1 = im_polarizability(w + o1, particle) + im_polarizability(w - o1, particle)
-        h1 = _weight(w - o1, particle, T, thermal_weight) - _weight(w + o1, particle, T, thermal_weight)
-        k2 = im_polarizability(w + o2, particle) + im_polarizability(w - o2, particle)
-        return abs2_transverse_sum(d, w) * (f2 * g1 - h1 * k2)
-
-    value = integrate(kernel, q)
-    return coupling_scale * 4.0 * np.pi * CONSTANTS.hbar * value
+    if isinstance(res, NanospinError):
+        raise res
+    return res
 
 
 def _scaled(res: IntegrationResult, scale: float) -> IntegrationResult:

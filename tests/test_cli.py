@@ -106,15 +106,26 @@ class TestNonlinearRun:
 
         # a residual with a kink cannot certify: the run must fail, not
         # fall back to direct kernels at every stage
-        real = dynamics_mod.mutual_torque
+        real = dynamics_mod._mutual_torques
 
         def kinked(spins, *args, **kwargs):
-            return real(spins, *args, **kwargs) * (1.0 + abs(spins.omega02 - 4.4e9) / 1e10)
+            torques = real(spins, *args, **kwargs)
+            return [t * (1.0 + abs(o2 - 4.4e9) / 1e10) for (_, o2), t in zip(spins, torques)]
 
-        monkeypatch.setattr(dynamics_mod, "mutual_torque", kinked)
+        monkeypatch.setattr(dynamics_mod, "_mutual_torques", kinked)
         cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, "omega1_rad_per_s": 1e10, "mode": "nonlinear"})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "not certified" in capsys.readouterr().err
+
+
+    def test_failing_node_exits_3(self, tmp_path, capsys):
+        # the bose weight at 300 nm does not converge at a surrogate node
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"distance_m": 3e-7, "omega1_rad_per_s": 1e10, "mode": "nonlinear", "thermal_weight": "bose"},
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "no convergence after 200 subdivisions" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -131,6 +142,29 @@ class TestSweep:
         assert doc["failed_distances_m"] == []
         assert "failures" not in doc
         assert [r["distance_m"] for r in doc["runs"]] == distances
+
+    def test_nonlinear_sweep_integrates_gamma_s_once(self, tmp_path, monkeypatch):
+        # the solver reuses the sweep's coefficients instead of integrating
+        # gamma_s again per distance, and writes the bytes of a lone run
+        import nanospin.torque as torque_mod
+
+        distances = [5e-8, 1e-7, 2e-7]
+        base = {"omega1_rad_per_s": 1e10, "mode": "nonlinear"}
+        real = torque_mod._gamma_s_result
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(torque_mod, "_gamma_s_result", counted)
+        run_sweep(parse_config(json.dumps(dict(base, distances_m=distances, out_dir=str(tmp_path / "sweep")))))
+        assert len(calls) == 1
+        for d in distances:
+            alone = run(parse_config(json.dumps(dict(base, distance_m=d, out_dir=str(tmp_path / f"run_{d:.6g}")))))
+            sub = tmp_path / "sweep" / f"d_{d:.6g}"
+            assert (sub / "trajectory.csv").read_bytes() == alone.trajectory_csv.read_bytes(), d
+            assert (sub / "summary.json").read_bytes() == alone.summary_json.read_bytes(), d
 
     def test_same_root_rerun_is_byte_identical(self, tmp_path):
         sweep = parse_config(json.dumps({"distances_m": [5e-8, 1e-7], "out_dir": str(tmp_path)}))
@@ -246,6 +280,14 @@ class TestMain:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_numpy_polynomial_out(self):
+        code = "import sys, nanospin.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        src_root = str(Path(nanospin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -32,7 +32,7 @@ from nanospin import (
     sync_time,
     vacuum_torque,
 )
-from nanospin.dynamics import chebyshev_interpolant
+from nanospin.dynamics import ChebyshevInterpolant, chebyshev_interpolant
 
 DATA = Path(__file__).parent / "data"
 
@@ -276,11 +276,51 @@ class TestNonlinearDirectKernels:
         def vacuum(w):
             return vacuum_torque(w, particle, thermal, quad)
 
-        drive = chebyshev_interpolant(lambda w: mutual(w) - coeffs.gamma_b * (omega1 - w), floor, omega1 - floor, tol)
-        drag = chebyshev_interpolant(lambda w: vacuum(w) - coeffs.gamma_s * w, floor, omega1, tol)
+        drive = chebyshev_interpolant(
+            lambda ws: np.array([mutual(w) for w in ws]) - coeffs.gamma_b * (omega1 - ws), floor, omega1 - floor, tol
+        )
+        drag = chebyshev_interpolant(lambda ws: np.array([vacuum(w) for w in ws]) - coeffs.gamma_s * ws, floor, omega1, tol)
         for w in (1.7e9, 3.3e9, 5.55e9, 8.1e9, 8.95e9):
             assert abs(coeffs.gamma_b * (omega1 - w) + drive(w) - mutual(w)) <= tol
             assert abs(coeffs.gamma_s * w + drag(w) - vacuum(w)) <= tol
+
+    def test_direct_calls_are_nodes_plus_rest_torque(self, particle, thermal, quad):
+        # every node once, plus the gap torque at omega2 = 0, which the
+        # full step and the first half step share
+        traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
+        nodes = traj.solver["surrogate_nodes"]
+        assert traj.solver["direct_torque_calls"] == nodes["mutual"] + nodes["vacuum"] + 1
+
+    def test_given_coefficients_change_nothing(self, particle, thermal, quad, coeffs):
+        config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10, samples=50)
+        given, computed = solve_nonlinear(config, coeffs), solve_nonlinear(config)
+        assert np.array_equal(given.times, computed.times)
+        assert np.array_equal(given.omega2, computed.omega2)
+        assert given.solver == computed.solver
+
+    def test_switch_spin_evaluates_only_the_rest_torque(self, particle, thermal, quad):
+        # at omega1 = DIRECT_EVAL_FLOOR both surrogate intervals are empty,
+        # but the gap channel's scale at omega2 = 0 is omega1 itself, not
+        # below the floor: that one torque is direct (on the default grid
+        # no stage spin overshoots the floor into the direct vacuum kernel)
+        config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=DIRECT_EVAL_FLOOR)
+        traj = solve_nonlinear(config)
+        assert traj.solver["surrogate_nodes"] == {"mutual": 0, "vacuum": 0}
+        assert traj.solver["direct_torque_calls"] == 1
+
+    def test_first_failing_node_raises(self, particle, thermal, quad, monkeypatch):
+        # a batch with several failing nodes raises the error of the first
+        # in node order, the one the node-by-node build met first
+        import nanospin.dynamics as dynamics_mod
+
+        def failing(spins, *args, **kwargs):
+            out = [0.0] * len(spins)
+            out[5], out[2] = ConvergenceError("node 5"), ConvergenceError("node 2")
+            return out
+
+        monkeypatch.setattr(dynamics_mod, "_mutual_torques", failing)
+        with pytest.raises(ConvergenceError, match="node 2"):
+            solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
 
     def test_low_spin_builds_no_surrogate(self, particle, thermal, quad):
         traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, samples=50))
@@ -294,7 +334,7 @@ class TestChebyshevInterpolant:
         calls = []
 
         def f(x):
-            calls.append(x)
+            calls.extend(x.tolist())
             return np.exp(x)
 
         fit = chebyshev_interpolant(f, -0.5, 0.5, 1e-13)
@@ -308,9 +348,21 @@ class TestChebyshevInterpolant:
         calls = []
 
         def kink(x):
-            calls.append(x)
-            return abs(x - 0.3)
+            calls.extend(x.tolist())
+            return np.abs(x - 0.3)
 
         with pytest.raises(ConvergenceError, match="not certified at degree 64"):
             chebyshev_interpolant(kink, -1.0, 1.0, 1e-12)
         assert len(calls) == 65
+
+    def test_clenshaw_matches_chebval_bit_for_bit(self):
+        from numpy.polynomial.chebyshev import chebval
+
+        rng = np.random.default_rng(5)
+        lo, hi = DIRECT_EVAL_FLOOR, 9e9
+        points = [lo, hi] + rng.uniform(lo, hi, 1000).tolist()
+        for n in (3, 9, 17, 65):
+            coeffs = (rng.standard_normal(n) * 1e-20 * 0.5 ** np.arange(n)).tolist()
+            fit = ChebyshevInterpolant(lo, hi, tuple(coeffs))
+            for w in points:
+                assert fit(w) == float(chebval((2.0 * w - (lo + hi)) / (hi - lo), np.array(coeffs))), (n, w)

@@ -9,11 +9,34 @@ from nanospin import (
     CONSTANTS,
     Geometry,
     abs2_transverse_sum,
-    g_longitudinal,
-    g_transverse,
     im_g_self_transverse_sum,
     im_g_transverse_scaled,
 )
+
+
+def _wavenumber(omega):
+    w = np.asarray(omega, dtype=float)
+    if np.any(w <= 0.0):
+        raise ValueError("require omega > 0")
+    return w / CONSTANTS.c
+
+
+def g_transverse(d, omega):
+    """Oracle: complex transverse component g_t (equal for xx and yy)."""
+    if d <= 0.0:
+        raise ValueError("require d > 0")
+    k = _wavenumber(omega)
+    kd = k * d
+    return np.exp(1j * kd) * (kd * kd + 1j * kd - 1.0) / (d**3 * k * k)
+
+
+def g_longitudinal(d, omega):
+    """Oracle: complex longitudinal (zz) component g_z."""
+    if d <= 0.0:
+        raise ValueError("require d > 0")
+    k = _wavenumber(omega)
+    kd = k * d
+    return 2.0 * np.exp(1j * kd) * (1.0 - 1j * kd) / (d**3 * k * k)
 
 
 def test_geometry_validation():

@@ -37,10 +37,15 @@ from nanospin import (
 )
 from nanospin.material import CONSTANTS
 from nanospin.quadrature import resolved
+from nanospin.greens import abs2_transverse_sum, im_g_self_transverse_sum
 from nanospin.torque import (
+    SPIN_DIRECT_FLOOR,
     _d_weight,
     _gamma_b_results,
+    _mutual_torques,
     _thermal_breakpoints,
+    _vacuum_torques,
+    _weight,
     sweep_friction_coefficients,
 )
 
@@ -304,3 +309,92 @@ class TestSweepCoefficients:
         low_cutoff = QuadratureConfig(omega_max=2e14)
         results = sweep_friction_coefficients(particle, [5e-8, 1e-7], thermal, low_cutoff)
         assert all(isinstance(r, ConfigError) and "omega_max" in str(r) for r in results)
+
+
+def lobatto_nodes(lo, hi, n=8):
+    """The n + 1 Chebyshev-Lobatto spins a degree-n torque surrogate on
+    [lo, hi] is built from."""
+    return (lo + 0.5 * (hi - lo) * (1.0 + np.cos(np.pi * np.arange(n + 1) / n))).tolist()
+
+
+class TestSpinBatches:
+    """The batched torque cores give each spin the bits of a lone call,
+    and those are the bits of the one-panel-at-a-time engine on a
+    scalar-spin kernel whose panel edges include the spin itself (a
+    breakpoint the lone calls once added; the band check keeps it below
+    omega_min, so it never becomes an edge)."""
+
+    OMEGA1 = 1e10
+    FLOOR = 1e9  # nanospin.dynamics.DIRECT_EVAL_FLOOR
+
+    def test_vacuum_batch_is_bit_identical_to_lone_calls(self, particle, thermal, quad):
+        spins = lobatto_nodes(self.FLOOR, self.OMEGA1)
+        batch = _vacuum_torques(spins, particle, thermal, quad)
+        scale = -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2))
+        for w0, got in zip(spins, batch):
+            assert got == vacuum_torque(w0, particle, thermal, quad), w0
+
+            def kernel(w, w0=w0):
+                a0 = coth_factor(w, 300.0)
+                wp, wm = w + w0, w - w0
+                bracket = im_polarizability(wp, particle) * (coth_factor(wp, 300.0) - a0) - im_polarizability(
+                    wm, particle
+                ) * (coth_factor(wm, 300.0) - a0)
+                return w * w * im_g_self_transverse_sum(w) * bracket
+
+            q = resolved(quad, default_omega_max(thermal, particle), _thermal_breakpoints(particle, 300.0, 300.0) + [w0])
+            assert got == scale * reference_integrate(kernel, q).value, w0
+
+    def test_mutual_batch_is_bit_identical_to_lone_calls(self, particle, quad):
+        o1 = self.OMEGA1
+        spins = lobatto_nodes(self.FLOOR, o1 - self.FLOOR)
+        batch = _mutual_torques([(o1, w2) for w2 in spins], 1e-7, particle, 300.0, quad)
+        scale = DEFAULT_COUPLING_SCALE * 4.0 * np.pi * CONSTANTS.hbar
+        for o2, got in zip(spins, batch):
+            assert got == mutual_torque(SpinPair(o1, o2), 1e-7, particle, 300.0, quad), o2
+
+            def weight(w):
+                return _weight(w, particle, 300.0, "symmetrized")
+
+            def kernel(w, o2=o2):
+                f2 = weight(w - o2) - weight(w + o2)
+                g1 = im_polarizability(w + o1, particle) + im_polarizability(w - o1, particle)
+                h1 = weight(w - o1) - weight(w + o1)
+                k2 = im_polarizability(w + o2, particle) + im_polarizability(w - o2, particle)
+                return abs2_transverse_sum(1e-7, w) * (f2 * g1 - h1 * k2)
+
+            q = resolved(
+                quad, default_omega_max(ThermalState(), particle), _thermal_breakpoints(particle, 300.0) + [o1, o2]
+            )
+            assert got == scale * reference_integrate(kernel, q).value, o2
+
+    def test_small_spin_fails_its_entry_alone(self, particle, thermal, quad):
+        small = 0.5 * SPIN_DIRECT_FLOOR
+        spins = [3e9, small, 7e9]
+        batch = _vacuum_torques(spins, particle, thermal, quad)
+        with pytest.raises(SmallSpinError) as lone:
+            vacuum_torque(small, particle, thermal, quad)
+        assert type(batch[1]) is SmallSpinError and str(batch[1]) == str(lone.value)
+        assert [batch[0], batch[2]] == [vacuum_torque(w, particle, thermal, quad) for w in (3e9, 7e9)]
+
+        o1 = self.OMEGA1
+        pairs = [(o1, 3e9), (o1, o1 - small), (o1, 7e9)]
+        batch = _mutual_torques(pairs, 1e-7, particle, 300.0, quad)
+        with pytest.raises(SmallSpinError) as lone:
+            mutual_torque(SpinPair(*pairs[1]), 1e-7, particle, 300.0, quad)
+        assert type(batch[1]) is SmallSpinError and str(batch[1]) == str(lone.value)
+        assert [batch[0], batch[2]] == [mutual_torque(SpinPair(*p), 1e-7, particle, 300.0, quad) for p in pairs[::2]]
+
+    def test_each_entry_keeps_the_lone_error(self, particle, quad):
+        # non-finite spin, spin beyond the band: each fails as a lone call
+        # would, the valid pair still integrates
+        pairs = [(1e10, float("nan")), (1e10, 6e12), (1e10, 2e9)]
+        batch = _mutual_torques(pairs, 1e-7, particle, 300.0, quad)
+        for pair, got in zip(pairs[:2], batch):
+            with pytest.raises(ConfigError) as lone:
+                mutual_torque(SpinPair(*pair), 1e-7, particle, 300.0, quad)
+            assert type(got) is ConfigError and str(got) == str(lone.value)
+        assert batch[2] == mutual_torque(SpinPair(*pairs[2]), 1e-7, particle, 300.0, quad)
+        # the point-dipole guard fails every entry
+        too_close = _mutual_torques(pairs[2:], 4e-8, particle, 300.0, quad)
+        assert isinstance(too_close[0], ConfigError) and "point-dipole" in str(too_close[0])
