@@ -32,12 +32,7 @@ from .errors import (
     SmallSpinError,
     TailNotNegligibleError,
 )
-from .greens import (
-    Geometry,
-    abs2_transverse_sum,
-    im_g_self_transverse_sum,
-    im_g_transverse_scaled,
-)
+from .greens import abs2_transverse_sum, im_g_self_transverse_sum
 from .material import (
     CONSTANTS,
     SIC,

@@ -76,18 +76,25 @@ def run(config: RunConfig) -> OutputBundle:
 
 def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict) -> OutputBundle:
     """Solve one run's trajectory from its coefficients and write its
-    artifacts under config.out_dir."""
+    artifacts under config.out_dir.
+
+    Coefficients outside the model's domain, gamma_s <= 0 or gamma_b < 0,
+    raise ConfigError before anything is solved or written.
+    """
+    if not (coeffs.gamma_s > 0.0 and coeffs.gamma_b >= 0.0):
+        raise ConfigError(
+            f"gamma_s = {coeffs.gamma_s:.6g} N m s and gamma_b = {coeffs.gamma_b:.6g} N m s at distance "
+            f"{config.distance:.6g} m: a run needs gamma_s > 0 and gamma_b >= 0. gamma_b changes sign at the "
+            "near-field edge (about 2.69e-6 m for the default particle at 300 K), past which the point-dipole "
+            'coupling no longer pulls the follower toward co-rotation; thermal_weight "literal" flips its sign'
+        )
     out_dir = Path(config.out_dir or _DEFAULT_OUT)
     inertia = moment_of_inertia(config.particle)
-    denom = coeffs.gamma_s + coeffs.gamma_b
+    tau = inertia / (coeffs.gamma_s + coeffs.gamma_b)
     if config.mode == "nonlinear":
         traj = solve_nonlinear(config, coeffs)
     else:
-        if denom > 0.0:
-            grid = default_time_grid(inertia / denom, config.samples)
-        else:
-            grid = [0.0, 1.0]
-        traj = solve_linear(config.omega1, inertia, coeffs, grid, meta=config)
+        traj = solve_linear(config.omega1, inertia, coeffs, default_time_grid(tau, config.samples), meta=config)
     t_sync = sync_time(traj, config.sync_threshold)
 
     summary = {
@@ -100,7 +107,7 @@ def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict
         "inputs": config.canonical_dict(),
         "quadrature": quad_diags,
         "sync_time_s": t_sync,
-        "tau_s": (inertia / denom) if denom > 0.0 else None,
+        "tau_s": tau,
         "zero_coupling": traj.zero_coupling,
     }
     if traj.solver is not None:

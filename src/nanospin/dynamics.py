@@ -14,6 +14,7 @@ long-time value delta_inf = gamma_s/(gamma_b+gamma_s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -252,12 +253,108 @@ def solve_linear(
     return Trajectory(times=t, omega2=w2, delta=delta_measure(omega1, w2), meta=meta)
 
 
-def _rk4_step(f, t, y, h, k1):
-    """One classical RK4 step of size h from (t, y), given k1 = f(t, y)."""
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# Taylor coefficients 1/16! .. 1/3! of phi_3, highest order first; for
+# |z| < 0.5 the first omitted term is below 1e-17 of phi_3
+_PHI3_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(16, 2, -1))
+
+
+def _phi(z: float) -> tuple[float, float, float]:
+    """phi_1, phi_2 and phi_3 at z, phi_k(z) = sum_j z^j / (j + k)!.
+
+    Below |z| = 0.5, phi_3 is its Taylor series summed by Horner's rule,
+    and phi_2 = 1/2 + z*phi_3, phi_1 = 1 + z*phi_2. Elsewhere the expm1
+    forms are used; their cancellation costs at most a few dozen ulp.
+    """
+    if abs(z) < 0.5:
+        p3 = 0.0
+        for c in _PHI3_TAYLOR:
+            p3 = p3 * z + c
+        p2 = 0.5 + z * p3
+        return 1.0 + z * p2, p2, p3
+    em1 = math.expm1(z)
+    return em1 / z, (em1 - z) / (z * z), (em1 - z - 0.5 * z * z) / (z * z * z)
+
+
+def _etd_weights(lam: float, h: float) -> tuple[float, float, float, float, float, float]:
+    """Cox-Matthews ETD-RK4 weights for du/dt = -lam*u + N(u) over a step h.
+
+    With z = -lam*h: e^(z/2), (h/2)*phi_1(z/2), e^z, and h times the stage
+    weights phi_1 - 3*phi_2 + 4*phi_3 (first), 2*phi_2 - 4*phi_3 (second
+    and third) and 4*phi_3 - phi_2 (fourth).
+    """
+    z = -lam * h
+    p1, p2, p3 = _phi(z)
+    return (
+        math.exp(0.5 * z),
+        0.5 * h * _phi(0.5 * z)[0],
+        math.exp(z),
+        h * (p1 - 3.0 * p2 + 4.0 * p3),
+        h * (2.0 * p2 - 4.0 * p3),
+        h * (4.0 * p3 - p2),
+    )
+
+
+def _etd_rk4_step(n: Callable[[float], float], u: float, n0: float, weights: tuple[float, ...]) -> float:
+    """One ETD-RK4 step from u, given n0 = n(u) and the step's
+    _etd_weights. The linear part is exact; n is sampled at three
+    stages."""
+    e_half, a, e, b1, b23, b4 = weights
+    ua = e_half * u + a * n0
+    na = n(ua)
+    ub = e_half * u + a * na
+    nb = n(ub)
+    uc = e_half * ua + a * (2.0 * nb - n0)
+    return e * u + b1 * n0 + b23 * (na + nb) + b4 * n(uc)
+
+
+def _etd_rk4(
+    n: Callable[[float], float],
+    lam: float,
+    u: float,
+    times: Sequence[float],
+    tol: float,
+    h: float,
+    h_min: float,
+    switches: Sequence[tuple[float, float]] = (),
+) -> tuple[list[float], int, int]:
+    """Adaptive step-doubling ETD-RK4 for du/dt = -lam*u + n(u).
+
+    Starts from u at times[0] with step h and returns u at every time,
+    with the accepted and rejected step counts. A step is accepted when
+    a fifteenth of the full-step/two-half-step difference is at most
+    tol, and then advances to the locally extrapolated value. Step
+    doubling cannot see a jump in n, so a step that carries u across a
+    switch (u_s, jump), where n jumps by jump, is accepted only if
+    h*jump <= tol. Steps do not land on the sample times: each time
+    inside an accepted step [t, t + h] gets one ETD-RK4 sub-step of size
+    time - t from u(t). A step halved below h_min raises
+    ConvergenceError.
+    """
+    out = [u]
+    t, i = times[0], 1
+    accepted = rejected = 0
+    while i < len(times):
+        n0 = n(u)  # shared by both step sizes, every attempt and the samples
+        while True:
+            half = _etd_weights(lam, 0.5 * h)
+            y_full = _etd_rk4_step(n, u, n0, _etd_weights(lam, h))
+            y_half = _etd_rk4_step(n, u, n0, half)
+            y_two = _etd_rk4_step(n, y_half, n(y_half), half)
+            err = abs(y_two - y_full) / 15.0
+            y = y_two + (y_two - y_full) / 15.0  # local extrapolation: fifth order
+            if err <= tol and all(h * jump <= tol or (u < s) == (y < s) for s, jump in switches):
+                break
+            rejected += 1
+            h *= 0.5
+            if h < h_min:
+                raise ConvergenceError(f"step size underflow at t = {t:.6e} s (h = {h:.3e})")
+        while i < len(times) and times[i] <= t + h:
+            out.append(_etd_rk4_step(n, u, n0, _etd_weights(lam, times[i] - t)))
+            i += 1
+        t, u = t + h, y
+        accepted += 1
+        h *= 2.0 if err == 0.0 else min(2.0, 0.9 * (tol / err) ** 0.2)
+    return out, accepted, rejected
 
 
 def _values(torques: list[float | NanospinError]) -> np.ndarray:
@@ -269,12 +366,19 @@ def _values(torques: list[float | NanospinError]) -> np.ndarray:
 
 
 def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = None) -> Trajectory:
-    """Adaptive step-doubling RK4 on the full torque balance.
+    """Adaptive step-doubling ETD-RK4 on the full torque balance.
 
     Each channel's torque is its linearized form plus a residual,
     R_b(w) = mutual_torque(omega1, w) - gamma_b*(omega1 - w) and
-    R_s(w) = vacuum_torque(w) - gamma_s*w. Before stepping, each residual
-    becomes a chebyshev_interpolant of direct kernel values, certified to
+    R_s(w) = vacuum_torque(w) - gamma_s*w, so with u = omega2 - p the
+    follower obeys du/dt = -lam*u + N, lam = (gamma_s + gamma_b)/I,
+    p = omega1*gamma_b/(gamma_s + gamma_b) and N = (R_b - R_s)/I. The
+    exponential integrator treats -lam*u exactly (Cox & Matthews, J.
+    Comput. Phys. 176, 430 (2002)), so the step size follows the
+    accuracy of N alone, and samples come from dense output.
+
+    Before stepping, each residual becomes a chebyshev_interpolant of
+    direct kernel values, certified to
     quad.rel_tol * (gamma_s + gamma_b) * omega1, on the spins where that
     kernel is used: [F, omega1 - F] for the mutual channel and
     [F, omega1] for the vacuum channel, F = DIRECT_EVAL_FLOOR. All nodes
@@ -287,11 +391,13 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     tolerance there), else its interpolant, else, for a spin outside the
     interpolant's interval such as the mutual channel at omega2 = 0, the
     direct kernel. The mutual channel's scales are omega1, |omega2| and
-    |omega1 - omega2|, zeros excluded, the vacuum channel's is |omega2|.
-    So at omega1 = F, where no interpolant exists, the gap torque at
-    omega2 = 0 (scale omega1, not below F) is direct, and so is the
-    vacuum torque at any stage spin that overshoots F; below F only such
-    an overshoot evaluates a direct kernel.
+    |omega1 - omega2|, zeros excluded; the vacuum channel's is |omega2|.
+    With omega1 <= F the follower stays below F, so the vacuum channel
+    is linear at every spin there, a stage that overshoots F included.
+    At omega1 = F the gap torque at omega2 = 0 (scale omega1, not below
+    F) is the run's one direct torque; below F there is none. N jumps where a channel switches form, at omega2 = F and
+    omega2 = omega1 - F; each jump is measured once per run, from N on
+    either side of the switch, and bounds the steps that cross it.
 
     coeffs, when given, must be coefficients_for(config); a caller that
     already holds them saves the two integrals. Trajectory.solver counts
@@ -374,59 +480,37 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
         drag_fit = chebyshev_interpolant(drag_residuals, floor, omega1, fit_tol)
         stats["surrogate_nodes"]["vacuum"] = drag_fit.nodes
 
-    def acc(_t: float, w2: float) -> float:
-        # per channel: linearized below the floor, else the interpolant
-        # on its interval, else the direct kernel (omega1 > 0, so the
-        # mutual scale is below the floor iff one nonzero scale is)
+    def residual(w2: float) -> float:
+        # N per channel: zero where linearized, else the interpolant on
+        # its interval, else the direct kernel less its linear part
+        # (omega1 > 0, so the mutual scale is below the floor iff one
+        # nonzero scale is)
         gap = omega1 - w2
         if omega1 < floor or 0.0 < abs(w2) < floor or 0.0 < abs(gap) < floor:
-            drive = gamma_b * gap
+            r_b = 0.0
         elif drive_fit is not None and w2 in drive_fit:
-            drive = gamma_b * gap + drive_fit(w2)
+            r_b = drive_fit(w2)
         else:
-            drive = drive_direct(w2)
-        if abs(w2) < floor:
-            drag = gamma_s * w2
-        elif drag_fit is not None and w2 in drag_fit:
-            drag = gamma_s * w2 + drag_fit(w2)
+            r_b = drive_direct(w2) - gamma_b * gap
+        if drag_fit is None or abs(w2) < floor:
+            r_s = 0.0
+        elif w2 in drag_fit:
+            r_s = drag_fit(w2)
         else:
-            drag = drag_direct(w2)
-        return (drive - drag) / inertia
+            r_s = drag_direct(w2) - gamma_s * w2
+        return (r_b - r_s) / inertia
 
-    rtol = 1e-6
-    tol = rtol * abs(omega1)
-    # 2.5*tau keeps h inside the real stability interval of RK4 for the
-    # linearized flow, so the approach to the plateau stays monotone.
-    h_max = 2.5 * tau
-    h_min = 1e-12 * tau
-
-    samples = [0.0]
-    t_now, y = 0.0, 0.0
-    h = min(1e-3 * tau, h_max)
-    for t_target in grid[1:]:
-        while t_now < t_target:
-            h = min(h, t_target - t_now, h_max)
-            if h < h_min:
-                raise ConvergenceError(f"step size underflow at t = {t_now:.6e} s (h = {h:.3e})")
-            k1 = acc(t_now, y)  # shared by the full step and the first half step
-            y_full = _rk4_step(acc, t_now, y, h, k1)
-            y_half = _rk4_step(acc, t_now, y, 0.5 * h, k1)
-            t_half = t_now + 0.5 * h
-            y_two = _rk4_step(acc, t_half, y_half, 0.5 * h, acc(t_half, y_half))
-            err = abs(y_two - y_full) / 15.0
-            if err <= tol:
-                # local extrapolation: fifth-order combination
-                y = y_two + (y_two - y_full) / 15.0
-                t_now += h
-                grow = 2.0 if err == 0.0 else min(2.0, 0.9 * (tol / err) ** 0.2)
-                h = min(h_max, h * grow)
-                stats["accepted_steps"] += 1
-            else:
-                h = max(h_min, 0.5 * h)
-                stats["rejected_steps"] += 1
-        samples.append(y)
-
-    w2 = np.asarray(samples)
+    lam, plateau = denom / inertia, omega1 * gamma_b / denom
+    tol = 1e-6 * abs(omega1)
+    switches = [
+        (s - plateau, abs(residual(math.nextafter(s, math.inf)) - residual(math.nextafter(s, -math.inf))))
+        for s, fit in ((floor, drag_fit), (omega1 - floor, drive_fit))
+        if fit is not None
+    ]
+    u, stats["accepted_steps"], stats["rejected_steps"] = _etd_rk4(
+        lambda u: residual(plateau + u), lam, -plateau, grid.tolist(), tol, 1e-3 * tau, 1e-12 * tau, switches
+    )
+    w2 = plateau + np.asarray(u)
     return Trajectory(times=grid, omega2=w2, delta=delta_measure(omega1, w2), meta=config, solver=stats)
 
 

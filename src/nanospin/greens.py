@@ -17,29 +17,14 @@ themselves are not part of the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .material import CONSTANTS
 
 __all__ = [
-    "Geometry",
     "abs2_transverse_sum",
-    "im_g_transverse_scaled",
     "im_g_self_transverse_sum",
 ]
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Separation d > 0 of the two particles along the z axis."""
-
-    distance: float
-
-    def __post_init__(self) -> None:
-        if not self.distance > 0.0:
-            raise ValueError("require distance > 0")
 
 
 def _wavenumber(omega):
@@ -69,30 +54,9 @@ def abs2_transverse_sum(d, omega):
     return 2.0 * (u * u - u + 1.0) / (k**4 * d6)
 
 
-def im_g_transverse_scaled(x):
-    """Im g_t at kd = x in units of k, i.e. Im[g_t]/k, cancellation-safe.
-
-    Algebraically Im[e^{ix}(x^2 + ix - 1)]/x^3 = sin(x)/x - (sin(x)/x^2
-    - cos(x)/x)/x = sinc(x) - j1(x)/x. That closed form loses about
-    eps/x^2 to cancellation, so below |x| = 0.1 the Taylor series
-    sum_k (-1)^k 2(k+1) x^2k / ((2k+3)(2k+1)!) takes over, through x^8
-    (the next term is below 1e-17 there). Limit 2/3 as x -> 0,
-    approached like (2/3) - (2/15)x^2.
-    """
-    x = np.asarray(x, dtype=float)
-    t = x * x
-    series = 2.0 / 3.0 + t * (-2.0 / 15.0 + t * (1.0 / 140.0 + t * (-1.0 / 5670.0 + t / 399168.0)))
-    small = np.abs(x) < 0.1
-    xs = np.where(small, 1.0, x)
-    sinc = np.sin(xs) / xs
-    closed = sinc - (sinc - np.cos(xs)) / (xs * xs)
-    out = np.where(small, series, closed)
-    return out if out.ndim else float(out)
-
-
 def im_g_self_transverse_sum(omega):
-    """Coincident-point Im[g_xx + g_yy] = 4 w / (3 c), the x -> 0 limit
-    of 2 k * im_g_transverse_scaled(x)."""
+    """Coincident-point Im[g_xx + g_yy] = 4 w / (3 c): Im[g_t]/k tends to
+    2/3 as kd -> 0."""
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
         raise ValueError("require omega > 0")

@@ -22,7 +22,6 @@ from nanospin import (
     friction_coefficients,
     gamma_b,
     gamma_s,
-    im_g_transverse_scaled,
     moment_of_inertia,
     mutual_torque,
     parse_config,
@@ -32,6 +31,8 @@ from nanospin import (
     vacuum_torque,
 )
 from nanospin.cli import run_sweep
+
+from test_greens import im_g_transverse_scaled
 
 PARTICLE = ParticleSpec()
 THERMAL = ThermalState()

@@ -1,5 +1,6 @@
 """Artifact emission, byte-level determinism, and exit codes."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import nanospin
-from nanospin import ConvergenceError, parse_config
+from nanospin import ConfigError, ConvergenceError, parse_config
 from nanospin.cli import main, run, run_sweep
 
 from test_config import load_schema
@@ -209,6 +210,19 @@ class TestSweep:
         _, rows = read_rows(tmp_path / "sweep.csv")
         assert [r[0] for r in rows] == [5e-8, 1e-7]
 
+    def test_sweep_refuses_a_distance_past_the_near_field_edge(self, tmp_path):
+        # gamma_b < 0 at 4 um: that distance fails with ConfigError, the
+        # others are written
+        sweep = parse_config(json.dumps({"distances_m": [1e-7, 4e-6], "out_dir": str(tmp_path)}))
+        with pytest.raises(ConfigError, match="near-field edge"):
+            run_sweep(sweep)
+        table = json.loads((tmp_path / "sweep_summary.json").read_text(encoding="utf-8"))
+        assert table["failed_distances_m"] == [4e-6]
+        assert [f["error"] for f in table["failures"]] == ["ConfigError"]
+        assert [r["distance_m"] for r in table["runs"]] == [1e-7]
+        assert (tmp_path / "d_1e-07" / "summary.json").is_file()
+        assert not (tmp_path / "d_4e-06").exists()
+
 
 class TestMain:
     def test_run_ok(self, tmp_path, capsys):
@@ -255,6 +269,18 @@ class TestMain:
         )
         assert main(["run", "--config", cfg]) == 2
         assert "omega_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"distance_m": 4e-6}, {"distance_m": 1e-7, "thermal_weight": "literal"}],
+        ids=["past_near_field_edge", "literal_weight"],
+    )
+    def test_negative_gamma_b_is_config_error(self, tmp_path, capsys, doc):
+        # both exited 0 with a summary outside the schema's delta ranges
+        cfg = write_config(tmp_path / "c.json", dict(doc, out_dir=str(tmp_path / "o")))
+        assert main(["run", "--config", cfg]) == 2
+        assert "near-field edge" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_coeffs_prints_three_values(self, capsys):
         assert main(["coeffs", "--distance", "1e-7"]) == 0
@@ -338,3 +364,16 @@ def test_installed_console_script(tmp_path):
     proc = run_console_script(tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "gamma_s_Nms" in proc.stdout
+
+
+def test_tracing_targets_exist():
+    # bench/tracing.py wraps these module attributes by name; a missing one
+    # breaks the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attrs in tracing.TARGETS.items():
+        module = importlib.import_module(module_name)
+        missing = [a for a in attrs if not hasattr(module, a)]
+        assert not missing, (module_name, missing)

@@ -1,12 +1,14 @@
-"""Follower dynamics: closed-form linear solution, adaptive RK4, sync time.
+"""Follower dynamics: closed-form linear solution, adaptive ETD-RK4, sync time.
 
 The linear trajectory is a single exponential with
 tau = I/(gamma_b + gamma_s) and plateau omega1 * gamma_b/(gamma_b + gamma_s),
 so most checks here compare against that closed form directly.
 """
 
+import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,7 +34,14 @@ from nanospin import (
     sync_time,
     vacuum_torque,
 )
-from nanospin.dynamics import ChebyshevInterpolant, chebyshev_interpolant
+from nanospin.dynamics import (
+    ChebyshevInterpolant,
+    _etd_rk4,
+    _etd_rk4_step,
+    _etd_weights,
+    _phi,
+    chebyshev_interpolant,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -242,6 +251,17 @@ class TestSolveNonlinear:
         )
         assert rel.max() <= 1e-6
 
+    @pytest.mark.parametrize("omega1", [1e4, 5e8])
+    def test_linear_flow_is_exact_below_the_floor(self, particle, thermal, quad, coeffs, omega1):
+        # below DIRECT_EVAL_FLOOR both channels are linear (N = 0), so the
+        # exponential integrator reproduces the closed form to rounding
+        config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=omega1)
+        traj = solve_nonlinear(config, coeffs)
+        assert traj.solver["direct_torque_calls"] == 0
+        lin = solve_linear(omega1, moment_of_inertia(particle), coeffs, traj.times)
+        rel = np.abs(traj.omega2 - lin.omega2) / np.maximum(np.abs(lin.omega2), 1e-9 * omega1)
+        assert rel.max() <= 1e-12
+
     def test_short_grid(self, particle, thermal, quad):
         config = RunConfig(particle, thermal, quad, distance=1e-7, samples=50)
         traj = solve_nonlinear(config)
@@ -291,6 +311,12 @@ class TestNonlinearDirectKernels:
         nodes = traj.solver["surrogate_nodes"]
         assert traj.solver["direct_torque_calls"] == nodes["mutual"] + nodes["vacuum"] + 1
 
+    def test_few_steps_without_a_stability_cap(self, particle, thermal, quad, coeffs):
+        # the linear part is exact and samples come from dense output, so
+        # neither stability nor the 400 sample times set the step count
+        traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10), coeffs)
+        assert traj.solver["accepted_steps"] < 100
+
     def test_given_coefficients_change_nothing(self, particle, thermal, quad, coeffs):
         config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10, samples=50)
         given, computed = solve_nonlinear(config, coeffs), solve_nonlinear(config)
@@ -301,12 +327,14 @@ class TestNonlinearDirectKernels:
     def test_switch_spin_evaluates_only_the_rest_torque(self, particle, thermal, quad):
         # at omega1 = DIRECT_EVAL_FLOOR both surrogate intervals are empty,
         # but the gap channel's scale at omega2 = 0 is omega1 itself, not
-        # below the floor: that one torque is direct (on the default grid
-        # no stage spin overshoots the floor into the direct vacuum kernel)
-        config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=DIRECT_EVAL_FLOOR)
-        traj = solve_nonlinear(config)
-        assert traj.solver["surrogate_nodes"] == {"mutual": 0, "vacuum": 0}
-        assert traj.solver["direct_torque_calls"] == 1
+        # below the floor: that one torque is direct. The vacuum channel is
+        # linear at every spin when omega1 <= the floor, so a stage spin
+        # past the floor evaluates no direct vacuum torque
+        for samples in (400, 50):
+            config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=DIRECT_EVAL_FLOOR, samples=samples)
+            traj = solve_nonlinear(config)
+            assert traj.solver["surrogate_nodes"] == {"mutual": 0, "vacuum": 0}
+            assert traj.solver["direct_torque_calls"] == 1, samples
 
     def test_first_failing_node_raises(self, particle, thermal, quad, monkeypatch):
         # a batch with several failing nodes raises the error of the first
@@ -366,3 +394,30 @@ class TestChebyshevInterpolant:
             fit = ChebyshevInterpolant(lo, hi, tuple(coeffs))
             for w in points:
                 assert fit(w) == float(chebval((2.0 * w - (lo + hi)) / (hi - lo), np.array(coeffs))), (n, w)
+
+
+class TestEtdRk4:
+    @pytest.mark.parametrize("z", [1e-8, 0.49, 0.51, 50.0, -1e-8, -0.49, -0.51, -50.0])
+    def test_phi_functions_match_mpmath(self, z):
+        # |z| = 0.49 and 0.51 sit on either side of the Taylor/expm1 switch
+        with mpmath.workdps(50):
+            x = mpmath.mpf(z)
+            em1 = mpmath.expm1(x)
+            exact = [em1 / x, (em1 - x) / x**2, (em1 - x - x**2 / 2) / x**3]
+            for got, want in zip(_phi(z), exact):
+                assert abs(got - float(want)) <= 1e-14 * abs(float(want)), (z, got, want)
+
+    def test_sample_inside_a_step_is_an_independent_sub_step(self):
+        lam, u0, h = 2.0, 1.0, 0.1
+
+        def n(u):
+            return 0.3 * math.sin(u) + 0.1
+
+        times = np.array([0.0, 0.013, 0.05, h, 3.0])
+        out, accepted, rejected = _etd_rk4(n, lam, u0, times, 1e-3, h, 1e-12)
+        assert rejected == 0  # the first step is [0, h] and holds three samples
+        for t, u in zip(times[1:4], out[1:4]):
+            assert u == _etd_rk4_step(n, u0, n(u0), _etd_weights(lam, t)), t
+        # and the dense output is as accurate as a step
+        exact = _etd_rk4(n, lam, u0, times[:4], 1e-14, 1e-4, 1e-12)[0]
+        assert np.max(np.abs(np.subtract(out[:4], exact))) <= 1e-3

@@ -5,13 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nanospin import (
-    CONSTANTS,
-    Geometry,
-    abs2_transverse_sum,
-    im_g_self_transverse_sum,
-    im_g_transverse_scaled,
-)
+from nanospin import CONSTANTS, abs2_transverse_sum, im_g_self_transverse_sum
 
 
 def _wavenumber(omega):
@@ -39,10 +33,25 @@ def g_longitudinal(d, omega):
     return 2.0 * np.exp(1j * kd) * (1.0 - 1j * kd) / (d**3 * k * k)
 
 
-def test_geometry_validation():
-    Geometry(distance=1e-7)
-    with pytest.raises(ValueError):
-        Geometry(distance=0.0)
+def im_g_transverse_scaled(x):
+    """Oracle: Im g_t at kd = x in units of k, i.e. Im[g_t]/k, cancellation-safe.
+
+    Algebraically Im[e^{ix}(x^2 + ix - 1)]/x^3 = sin(x)/x - (sin(x)/x^2
+    - cos(x)/x)/x = sinc(x) - j1(x)/x. That closed form loses about
+    eps/x^2 to cancellation, so below |x| = 0.1 the Taylor series
+    sum_k (-1)^k 2(k+1) x^2k / ((2k+3)(2k+1)!) takes over, through x^8
+    (the next term is below 1e-17 there). Limit 2/3 as x -> 0,
+    approached like (2/3) - (2/15)x^2.
+    """
+    x = np.asarray(x, dtype=float)
+    t = x * x
+    series = 2.0 / 3.0 + t * (-2.0 / 15.0 + t * (1.0 / 140.0 + t * (-1.0 / 5670.0 + t / 399168.0)))
+    small = np.abs(x) < 0.1
+    xs = np.where(small, 1.0, x)
+    sinc = np.sin(xs) / xs
+    closed = sinc - (sinc - np.cos(xs)) / (xs * xs)
+    out = np.where(small, series, closed)
+    return out if out.ndim else float(out)
 
 
 def test_rejects_nonpositive_frequency():
