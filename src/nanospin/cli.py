@@ -74,13 +74,9 @@ def run(config: RunConfig) -> OutputBundle:
     return _write_run(config, *coefficients_for(config))
 
 
-def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict) -> OutputBundle:
-    """Solve one run's trajectory from its coefficients and write its
-    artifacts under config.out_dir.
-
-    Coefficients outside the model's domain, gamma_s <= 0 or gamma_b < 0,
-    raise ConfigError before anything is solved or written.
-    """
+def _check_domain(config: RunConfig, coeffs: FrictionCoefficients) -> None:
+    """Raise ConfigError for coefficients outside the model's domain,
+    gamma_s <= 0 or gamma_b < 0."""
     if not (coeffs.gamma_s > 0.0 and coeffs.gamma_b >= 0.0):
         raise ConfigError(
             f"gamma_s = {coeffs.gamma_s:.6g} N m s and gamma_b = {coeffs.gamma_b:.6g} N m s at distance "
@@ -88,6 +84,16 @@ def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict
             "near-field edge (about 2.69e-6 m for the default particle at 300 K), past which the point-dipole "
             'coupling no longer pulls the follower toward co-rotation; thermal_weight "literal" flips its sign'
         )
+
+
+def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict) -> OutputBundle:
+    """Solve one run's trajectory from its coefficients and write its
+    artifacts under config.out_dir.
+
+    Coefficients outside the model's domain (_check_domain) raise
+    ConfigError before anything is solved or written.
+    """
+    _check_domain(config, coeffs)
     out_dir = Path(config.out_dir or _DEFAULT_OUT)
     inertia = moment_of_inertia(config.particle)
     tau = inertia / (coeffs.gamma_s + coeffs.gamma_b)
@@ -250,6 +256,7 @@ def _cmd_coeffs(args) -> int:
     else:
         cfg = parse_config(json.dumps({"distance_m": args.distance}))
     coeffs, _ = coefficients_for(cfg)
+    _check_domain(cfg, coeffs)
     print(f"gamma_s_Nms {_fmt(coeffs.gamma_s)}")
     print(f"gamma_b_Nms {_fmt(coeffs.gamma_b)}")
     print(f"delta_infinity {_fmt(delta_infinity(coeffs))}")

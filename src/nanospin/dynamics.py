@@ -394,16 +394,23 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     |omega1 - omega2|, zeros excluded; the vacuum channel's is |omega2|.
     With omega1 <= F the follower stays below F, so the vacuum channel
     is linear at every spin there, a stage that overshoots F included.
-    At omega1 = F the gap torque at omega2 = 0 (scale omega1, not below
-    F) is the run's one direct torque; below F there is none. N jumps where a channel switches form, at omega2 = F and
+
+    The gap torque at rest, M(omega1, 0), is read by the first step.
+    When a mutual interpolant is built (omega1 > 2F), that torque is
+    integrated with the degree-8 nodes, in the same lockstep call; its
+    value, or the error it raises, waits for the first step, so a failing
+    node of either channel is still raised first. For F <= omega1 <= 2F
+    it is a lone direct torque. Below F there is none.
+
+    N jumps where a channel switches form, at omega2 = F and
     omega2 = omega1 - F; each jump is measured once per run, from N on
     either side of the switch, and bounds the steps that cross it.
 
     coeffs, when given, must be coefficients_for(config); a caller that
     already holds them saves the two integrals. Trajectory.solver counts
     the work: surrogate nodes per channel (0 where none was built),
-    direct torque calls (nodes included), and accepted and rejected
-    steps.
+    direct torque calls (nodes and the gap torque at rest included), and
+    accepted and rejected steps.
     """
     particle = config.particle
     inertia = moment_of_inertia(particle)
@@ -426,7 +433,16 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     tau = inertia / denom
     grid = default_time_grid(tau, config.samples)
 
+    # M(omega1, 0) or its error, from the first mutual node batch until
+    # the first step reads it; None until a batch has carried it
+    rest: list[float | NanospinError] | None = None
+
     def drive_direct(w2: float) -> float:
+        if w2 == 0.0 and rest:
+            torque = rest.pop()
+            if isinstance(torque, NanospinError):
+                raise torque
+            return torque
         stats["direct_torque_calls"] += 1
         return mutual_torque(
             SpinPair(omega1, w2),
@@ -451,9 +467,11 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     gamma_b, gamma_s = coeffs.gamma_b, coeffs.gamma_s
 
     def drive_residuals(ws: np.ndarray) -> np.ndarray:
-        stats["direct_torque_calls"] += len(ws)
+        nonlocal rest
+        spins = ws.tolist() + ([0.0] if rest is None else [])
+        stats["direct_torque_calls"] += len(spins)
         torques = _mutual_torques(
-            [(omega1, w2) for w2 in ws.tolist()],
+            [(omega1, w2) for w2 in spins],
             config.distance,
             particle,
             config.thermal.T,
@@ -461,6 +479,8 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
             config.coupling_scale,
             config.thermal_weight,
         )
+        if rest is None:
+            rest = [torques.pop()]
         return _values(torques) - gamma_b * (omega1 - ws)
 
     def drag_residuals(ws: np.ndarray) -> np.ndarray:

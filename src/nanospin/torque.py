@@ -200,9 +200,9 @@ def d_occupation(omega, T: float):
     return out if out.ndim else float(out)
 
 
-def _weight(omega, particle: ParticleSpec, T: float, mode: str):
-    """Occupation-weighted Im alpha used by the mutual kernel."""
-    s = im_polarizability(omega, particle)
+def _weight(s, omega, T: float, mode: str):
+    """Occupation-weighted Im alpha used by the mutual kernel, given
+    s = im_polarizability(omega)."""
     if mode == "symmetrized":
         return s * (occupation(omega, T) + 0.5)
     if mode == "bose":
@@ -212,10 +212,9 @@ def _weight(omega, particle: ParticleSpec, T: float, mode: str):
     raise ConfigError(f"thermal_weight must be one of {THERMAL_WEIGHTS}")
 
 
-def _d_weight(omega, particle: ParticleSpec, T: float, mode: str):
-    """Analytic derivative of _weight."""
-    s = im_polarizability(omega, particle)
-    ds = d_im_polarizability(omega, particle)
+def _d_weight(s, ds, omega, T: float, mode: str):
+    """Analytic derivative of _weight, given s = im_polarizability(omega)
+    and ds = d_im_polarizability(omega)."""
     if mode == "symmetrized":
         return ds * (occupation(omega, T) + 0.5) + s * d_occupation(omega, T)
     if mode == "bose":
@@ -391,10 +390,12 @@ def _mutual_torques(
     def kernel_at(columns: np.ndarray):
         def kernel(w, owners):
             o1, o2 = columns[owners, 0, None], columns[owners, 1, None]  # (rows, 1) each
-            f2 = _weight(w - o2, particle, T, thermal_weight) - _weight(w + o2, particle, T, thermal_weight)
-            g1 = im_polarizability(w + o1, particle) + im_polarizability(w - o1, particle)
-            h1 = _weight(w - o1, particle, T, thermal_weight) - _weight(w + o1, particle, T, thermal_weight)
-            k2 = im_polarizability(w + o2, particle) + im_polarizability(w - o2, particle)
+            wm2, wp2, wp1, wm1 = w - o2, w + o2, w + o1, w - o1
+            sm2, sp2, sp1, sm1 = (im_polarizability(x, particle) for x in (wm2, wp2, wp1, wm1))
+            f2 = _weight(sm2, wm2, T, thermal_weight) - _weight(sp2, wp2, T, thermal_weight)
+            g1 = sp1 + sm1
+            h1 = _weight(sm1, wm1, T, thermal_weight) - _weight(sp1, wp1, T, thermal_weight)
+            k2 = sp2 + sm2
             return abs2_transverse_sum(d, w) * (f2 * g1 - h1 * k2)
 
         return kernel
@@ -504,12 +505,9 @@ def _gamma_b_results(
     column = np.array([distances[i] for i in pending])
 
     def kernel(w, owners):
-        return (
-            4.0
-            * abs2_transverse_sum(column[owners, None], w)
-            * _d_weight(w, particle, T, thermal_weight)
-            * im_polarizability(w, particle)
-        )
+        s = im_polarizability(w, particle)
+        ds = d_im_polarizability(w, particle)
+        return 4.0 * abs2_transverse_sum(column[owners, None], w) * _d_weight(s, ds, w, T, thermal_weight) * s
 
     scale = coupling_scale * 4.0 * np.pi * CONSTANTS.hbar
     for i, res in zip(pending, integrate_with_diagnostics(kernel, q, len(pending))):

@@ -282,6 +282,15 @@ class TestMain:
         assert "near-field edge" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_coeffs_refuses_coefficients_outside_the_domain(self, tmp_path, capsys):
+        # exited 0 printing a negative gamma_b and delta_infinity > 1
+        assert main(["coeffs", "--distance", "4e-6"]) == 2
+        coeffs = capsys.readouterr()
+        cfg = write_config(tmp_path / "c.json", {"distance_m": 4e-6, "out_dir": str(tmp_path / "o")})
+        assert main(["run", "--config", cfg]) == 2
+        assert coeffs.out == ""
+        assert "near-field edge" in coeffs.err and coeffs.err == capsys.readouterr().err
+
     def test_coeffs_prints_three_values(self, capsys):
         assert main(["coeffs", "--distance", "1e-7"]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -350,6 +350,60 @@ class TestNonlinearDirectKernels:
         with pytest.raises(ConvergenceError, match="node 2"):
             solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
 
+    def test_rest_torque_rides_the_mutual_node_batch(self, particle, thermal, quad, coeffs, monkeypatch):
+        # M(omega1, 0) is integrated with the degree-8 mutual nodes: the
+        # run is one lockstep integral per channel and no lone torque
+        import nanospin.dynamics as dynamics_mod
+        import nanospin.torque as torque_mod
+
+        integrals = []
+        real = torque_mod.integrate_with_diagnostics
+
+        def counting(kernel, q, n=None):
+            integrals.append(n)
+            return real(kernel, q, n)
+
+        def lone(*args, **kwargs):
+            raise AssertionError("scalar mutual_torque called")
+
+        monkeypatch.setattr(torque_mod, "integrate_with_diagnostics", counting)
+        monkeypatch.setattr(dynamics_mod, "mutual_torque", lone)
+        traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10), coeffs)
+        assert integrals == [10, 9]
+        assert traj.solver["direct_torque_calls"] == 19
+
+    @staticmethod
+    def _failing_rest(monkeypatch):
+        # every route to mutual_torques, the lone call's included, fails at
+        # the pair (omega1, 0) alone
+        import nanospin.dynamics as dynamics_mod
+        import nanospin.torque as torque_mod
+
+        real = torque_mod._mutual_torques
+
+        def failing(spins, *args, **kwargs):
+            out = real(spins, *args, **kwargs)
+            return [ConvergenceError("rest torque") if w2 == 0.0 else r for (_, w2), r in zip(spins, out)]
+
+        monkeypatch.setattr(torque_mod, "_mutual_torques", failing)
+        monkeypatch.setattr(dynamics_mod, "_mutual_torques", failing)
+
+    def test_failing_rest_torque_raises(self, particle, thermal, quad, coeffs, monkeypatch):
+        self._failing_rest(monkeypatch)
+        with pytest.raises(ConvergenceError, match="rest torque"):
+            solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10), coeffs)
+
+    def test_failing_vacuum_node_raises_before_the_rest_torque(self, particle, thermal, quad, coeffs, monkeypatch):
+        # the rest torque is read by the first step, after both node builds
+        import nanospin.dynamics as dynamics_mod
+
+        self._failing_rest(monkeypatch)
+        monkeypatch.setattr(
+            dynamics_mod, "_vacuum_torques", lambda spins, *args, **kwargs: [ConvergenceError("vacuum node")] * len(spins)
+        )
+        with pytest.raises(ConvergenceError, match="vacuum node"):
+            solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10), coeffs)
+
     def test_low_spin_builds_no_surrogate(self, particle, thermal, quad):
         traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, samples=50))
         assert traj.solver["surrogate_nodes"] == {"mutual": 0, "vacuum": 0}

@@ -35,17 +35,15 @@ from nanospin import (
     occupation,
     vacuum_torque,
 )
-from nanospin.material import CONSTANTS
+from nanospin.material import CONSTANTS, d_im_polarizability
 from nanospin.quadrature import resolved
 from nanospin.greens import abs2_transverse_sum, im_g_self_transverse_sum
 from nanospin.torque import (
     SPIN_DIRECT_FLOOR,
-    _d_weight,
     _gamma_b_results,
     _mutual_torques,
     _thermal_breakpoints,
     _vacuum_torques,
-    _weight,
     sweep_friction_coefficients,
 )
 
@@ -55,6 +53,29 @@ from test_quadrature import reference_integrate
 def beta_omega(x, T=300.0):
     """Frequency at which hbar*w/k_B T equals x."""
     return x * CONSTANTS.k_B * T / CONSTANTS.hbar
+
+
+def weight_oracle(omega, particle, T, mode):
+    """The mutual kernel's occupation-weighted Im alpha, evaluating its own
+    spectrum. The kernels share each spectrum between the weight and the
+    other factors; the bits they produce must be these."""
+    s = im_polarizability(omega, particle)
+    if mode == "symmetrized":
+        return s * (occupation(omega, T) + 0.5)
+    if mode == "bose":
+        return s * occupation(omega, T)
+    return s * occupation(omega, T, literal_sign=True)
+
+
+def d_weight_oracle(omega, particle, T, mode):
+    """d/d(omega) of weight_oracle, evaluating its own spectra."""
+    s = im_polarizability(omega, particle)
+    ds = d_im_polarizability(omega, particle)
+    if mode == "symmetrized":
+        return ds * (occupation(omega, T) + 0.5) + s * d_occupation(omega, T)
+    if mode == "bose":
+        return ds * occupation(omega, T) + s * d_occupation(omega, T)
+    return -(ds * (1.0 + occupation(omega, T)) + s * d_occupation(omega, T))
 
 
 class TestCothFactor:
@@ -291,7 +312,24 @@ class TestSweepCoefficients:
             ref = reference_integrate(
                 lambda w: 4.0
                 * abs2_one_distance(d, w)
-                * _d_weight(w, particle, 300.0, "symmetrized")
+                * d_weight_oracle(w, particle, 300.0, "symmetrized")
+                * im_polarizability(w, particle),
+                q,
+            )
+            assert (got.value, got.error_estimate) == (scale * ref.value, scale * ref.error_estimate), d
+            assert (got.panels, got.evaluations) == (ref.panels, ref.evaluations), d
+
+    @pytest.mark.parametrize("mode", ["bose", "literal"])
+    def test_batched_gamma_b_matches_the_oracle_under_other_weights(self, particle, quad, mode):
+        distances = self.DISTANCES[::8] + [1e-7, 9.49e-7]
+        batch = _gamma_b_results(distances, particle, 300.0, quad, thermal_weight=mode)
+        q = resolved(quad, default_omega_max(ThermalState(), particle), _thermal_breakpoints(particle, 300.0))
+        scale = DEFAULT_COUPLING_SCALE * 4.0 * np.pi * CONSTANTS.hbar
+        for d, got in zip(distances, batch):
+            ref = reference_integrate(
+                lambda w: 4.0
+                * abs2_one_distance(d, w)
+                * d_weight_oracle(w, particle, 300.0, mode)
                 * im_polarizability(w, particle),
                 q,
             )
@@ -354,7 +392,7 @@ class TestSpinBatches:
             assert got == mutual_torque(SpinPair(o1, o2), 1e-7, particle, 300.0, quad), o2
 
             def weight(w):
-                return _weight(w, particle, 300.0, "symmetrized")
+                return weight_oracle(w, particle, 300.0, "symmetrized")
 
             def kernel(w, o2=o2):
                 f2 = weight(w - o2) - weight(w + o2)
@@ -362,6 +400,30 @@ class TestSpinBatches:
                 h1 = weight(w - o1) - weight(w + o1)
                 k2 = im_polarizability(w + o2, particle) + im_polarizability(w - o2, particle)
                 return abs2_transverse_sum(1e-7, w) * (f2 * g1 - h1 * k2)
+
+            q = resolved(
+                quad, default_omega_max(ThermalState(), particle), _thermal_breakpoints(particle, 300.0) + [o1, o2]
+            )
+            assert got == scale * reference_integrate(kernel, q).value, o2
+
+    # "bose" does not converge at the node omega1 - FLOOR at 100 nm
+    @pytest.mark.parametrize("mode, d", [("bose", 9.49e-7), ("literal", 1e-7)])
+    def test_mutual_batch_matches_the_oracle_under_other_weights(self, particle, quad, mode, d):
+        o1 = self.OMEGA1
+        spins = lobatto_nodes(self.FLOOR, o1 - self.FLOOR)
+        batch = _mutual_torques([(o1, w2) for w2 in spins], d, particle, 300.0, quad, thermal_weight=mode)
+        scale = DEFAULT_COUPLING_SCALE * 4.0 * np.pi * CONSTANTS.hbar
+        for o2, got in zip(spins, batch):
+
+            def weight(w):
+                return weight_oracle(w, particle, 300.0, mode)
+
+            def kernel(w, o2=o2):
+                f2 = weight(w - o2) - weight(w + o2)
+                g1 = im_polarizability(w + o1, particle) + im_polarizability(w - o1, particle)
+                h1 = weight(w - o1) - weight(w + o1)
+                k2 = im_polarizability(w + o2, particle) + im_polarizability(w - o2, particle)
+                return abs2_transverse_sum(d, w) * (f2 * g1 - h1 * k2)
 
             q = resolved(
                 quad, default_omega_max(ThermalState(), particle), _thermal_breakpoints(particle, 300.0) + [o1, o2]
