@@ -66,16 +66,18 @@ SURROGATE_MAX_DEGREE = 64
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time series of the follower spin and the synchronization measure.
+    """Time series of the follower spin while particle 1 holds omega1.
 
-    zero_coupling marks the degenerate gamma_b + gamma_s = 0 case where
-    the follower never moves and the series is constant. solver holds
-    the nonlinear solver's work counts (None for the closed form).
+    delta, the synchronization measure, is derived from omega1 and
+    omega2 on each access rather than stored. zero_coupling marks the
+    degenerate gamma_b + gamma_s = 0 case where the follower never moves
+    and the series is constant. solver holds the nonlinear solver's work
+    counts (None for the closed form).
     """
 
     times: np.ndarray
     omega2: np.ndarray
-    delta: np.ndarray
+    omega1: float
     meta: "RunConfig | None" = None
     zero_coupling: bool = False
     solver: dict[str, Any] | None = None
@@ -86,6 +88,11 @@ class Trajectory:
             raise ConfigError("trajectory must contain at least one sample")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise ConfigError("trajectory times must be strictly increasing")
+
+    @property
+    def delta(self) -> np.ndarray:
+        """(omega1 - omega2)/omega1 at each sample."""
+        return delta_measure(self.omega1, self.omega2)
 
     @property
     def samples(self):
@@ -247,10 +254,10 @@ def solve_linear(
     denom = coeffs.gamma_s + coeffs.gamma_b
     if denom == 0.0:
         w2 = np.zeros_like(t)
-        return Trajectory(times=t, omega2=w2, delta=delta_measure(omega1, w2), meta=meta, zero_coupling=True)
+        return Trajectory(times=t, omega2=w2, omega1=omega1, meta=meta, zero_coupling=True)
     plateau = omega1 * coeffs.gamma_b / denom
     w2 = plateau * -np.expm1(-denom * t / inertia)
-    return Trajectory(times=t, omega2=w2, delta=delta_measure(omega1, w2), meta=meta)
+    return Trajectory(times=t, omega2=w2, omega1=omega1, meta=meta)
 
 
 # Taylor coefficients 1/16! .. 1/3! of phi_3, highest order first; for
@@ -428,7 +435,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
         t = np.array([0.0, 1.0])
         w2 = np.zeros_like(t)
         return Trajectory(
-            times=t, omega2=w2, delta=delta_measure(omega1, w2), meta=config, zero_coupling=True, solver=stats
+            times=t, omega2=w2, omega1=omega1, meta=config, zero_coupling=True, solver=stats
         )
     tau = inertia / denom
     grid = default_time_grid(tau, config.samples)
@@ -531,7 +538,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
         lambda u: residual(plateau + u), lam, -plateau, grid.tolist(), tol, 1e-3 * tau, 1e-12 * tau, switches
     )
     w2 = plateau + np.asarray(u)
-    return Trajectory(times=grid, omega2=w2, delta=delta_measure(omega1, w2), meta=config, solver=stats)
+    return Trajectory(times=grid, omega2=w2, omega1=omega1, meta=config, solver=stats)
 
 
 def sync_time(traj: Trajectory, threshold: float = 0.01) -> float | None:

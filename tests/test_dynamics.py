@@ -122,18 +122,18 @@ class TestTrajectoryValidation:
             Trajectory(
                 times=np.array([0.0, 1.0, 1.0]),
                 omega2=np.zeros(3),
-                delta=np.ones(3),
+                omega1=1e4,
             )
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            Trajectory(times=np.array([]), omega2=np.array([]), delta=np.array([]))
+            Trajectory(times=np.array([]), omega2=np.array([]), omega1=1e4)
 
     def test_samples_roundtrip(self):
         traj = Trajectory(
             times=np.array([0.0, 1.0]),
             omega2=np.array([0.0, 2.0]),
-            delta=np.array([1.0, 0.5]),
+            omega1=4.0,
         )
         assert list(traj.samples) == [(0.0, 0.0, 1.0), (1.0, 2.0, 0.5)]
 
@@ -213,7 +213,7 @@ class TestSyncTime:
         traj = Trajectory(
             times=np.array([0.0, 1.0]),
             omega2=np.array([9.8e3, 1e4]),
-            delta=np.array([0.02, 0.0]),
+            omega1=1e4,
         )
         assert sync_time(traj, 0.01) == 0.5
 
@@ -221,7 +221,7 @@ class TestSyncTime:
         traj = Trajectory(
             times=np.array([0.0, 1.0]),
             omega2=np.array([9.95e3, 9.99e3]),
-            delta=np.array([0.005, 0.001]),
+            omega1=1e4,
         )
         assert sync_time(traj, 0.01) == 0.0
 
