@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -123,10 +124,22 @@ def _expect(value, kinds, key: str, constraint: str):
     return value
 
 
+def _finite(value, key: str, constraint: str) -> float:
+    # json.loads accepts NaN, Infinity and -Infinity, and an integer too
+    # large for a float; all four are refused here
+    try:
+        number = float(_expect(value, (int, float), key, constraint))
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"key '{key}': must be finite")
+    return number
+
+
 def _number(doc: dict, key: str, default: float) -> float:
     if key not in doc:
         return default
-    return float(_expect(doc[key], (int, float), key, "must be a number"))
+    return _finite(doc[key], key, "must be a number")
 
 
 def _integer(doc: dict, key: str, default: int) -> int:
@@ -218,7 +231,7 @@ def parse_config(text: str) -> RunConfig | SweepConfig:
 
     omega_max = doc.get("omega_max_rad_per_s", None)
     if omega_max is not None:
-        omega_max = float(_expect(omega_max, (int, float), "omega_max_rad_per_s", "must be a number or null"))
+        omega_max = _finite(omega_max, "omega_max_rad_per_s", "must be a number or null")
     quad = QuadratureConfig(
         rel_tol=_number(doc, "rel_tol", 1e-9),
         abs_tol=_number(doc, "abs_tol_Nm", 0.0),
@@ -246,10 +259,9 @@ def parse_config(text: str) -> RunConfig | SweepConfig:
     )
 
     if has_single:
-        distance = float(_expect(doc["distance_m"], (int, float), "distance_m", "must be a number"))
-        return RunConfig(distance=distance, **common)
+        return RunConfig(distance=_finite(doc["distance_m"], "distance_m", "must be a number"), **common)
 
     raw_list = _expect(doc["distances_m"], list, "distances_m", "must be a list of numbers")
-    distances = tuple(float(_expect(d, (int, float), "distances_m", "must be a list of numbers")) for d in raw_list)
+    distances = tuple(_finite(d, "distances_m", "must be a list of numbers") for d in raw_list)
     base = RunConfig(distance=distances[0] if distances else 1.0, **common)
     return SweepConfig(base=base, distances=distances)

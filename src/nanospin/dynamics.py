@@ -24,14 +24,12 @@ from .errors import ConfigError, ConvergenceError, NanospinError
 from .material import ParticleSpec
 from .torque import (
     FrictionCoefficients,
-    SpinPair,
     _mutual_torques,
     _vacuum_torques,
     friction_coefficients,
-    mutual_torque,
     sweep_friction_coefficients,
-    vacuum_torque,
 )
+from .torque import mutual_torque, vacuum_torque  # noqa: F401 -- bench/tracing.py wraps both in nanospin.dynamics
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -386,28 +384,22 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
 
     Before stepping, each residual becomes a chebyshev_interpolant of
     direct kernel values, certified to
-    quad.rel_tol * (gamma_s + gamma_b) * omega1, on the spins where that
-    kernel is used: [F, omega1 - F] for the mutual channel and
-    [F, omega1] for the vacuum channel, F = DIRECT_EVAL_FLOOR. All nodes
-    a degree adds are integrated in one lockstep call per channel. An
-    empty interval builds nothing, so runs with omega1 <= F build no
-    interpolant.
+    quad.rel_tol * (gamma_s + gamma_b) * omega1, on its own interval:
+    [F, omega1 - F] for the mutual channel and [F, omega1] for the vacuum
+    channel, F = DIRECT_EVAL_FLOOR. All nodes a degree adds are
+    integrated in one lockstep call per channel. An empty interval builds
+    nothing, so runs with omega1 <= F build no interpolant.
 
-    Per stage, a channel whose spin scales sit below F uses its
-    linearized coefficient (the two agree to better than the integrator
-    tolerance there), else its interpolant, else, for a spin outside the
-    interpolant's interval such as the mutual channel at omega2 = 0, the
-    direct kernel. The mutual channel's scales are omega1, |omega2| and
-    |omega1 - omega2|, zeros excluded; the vacuum channel's is |omega2|.
-    With omega1 <= F the follower stays below F, so the vacuum channel
-    is linear at every spin there, a stage that overshoots F included.
-
-    The gap torque at rest, M(omega1, 0), is read by the first step.
-    When a mutual interpolant is built (omega1 > 2F), that torque is
-    integrated with the degree-8 nodes, in the same lockstep call; its
-    value, or the error it raises, waits for the first step, so a failing
-    node of either channel is still raised first. For F <= omega1 <= 2F
-    it is a lone direct torque. Below F there is none.
+    At every stage spin, each channel's residual is its interpolant on
+    that interval, else zero: the linearized form, which agrees with the
+    kernel to better than the integrator tolerance below F and is what a
+    stage spin outside [0, omega1] gets. The one exception is the exact
+    gap torque at rest, M(omega1, 0), at omega2 = 0 when omega1 >= F.
+    It is integrated with the mutual channel's degree-8 nodes, in the
+    same lockstep call, when an interpolant is built (omega1 > 2F), and
+    as a batch of one for F <= omega1 <= 2F; either way it is read after
+    both node builds, so a failing node of either channel is raised
+    first.
 
     N jumps where a channel switches form, at omega2 = F and
     omega2 = omega1 - F; each jump is measured once per run, from N on
@@ -416,7 +408,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     coeffs, when given, must be coefficients_for(config); a caller that
     already holds them saves the two integrals. Trajectory.solver counts
     the work: surrogate nodes per channel (0 where none was built),
-    direct torque calls (nodes and the gap torque at rest included), and
+    direct torque calls (nodes and the gap torque at rest), and
     accepted and rejected steps.
     """
     particle = config.particle
@@ -440,44 +432,12 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     tau = inertia / denom
     grid = default_time_grid(tau, config.samples)
 
-    # M(omega1, 0) or its error, from the first mutual node batch until
-    # the first step reads it; None until a batch has carried it
-    rest: list[float | NanospinError] | None = None
-
-    def drive_direct(w2: float) -> float:
-        if w2 == 0.0 and rest:
-            torque = rest.pop()
-            if isinstance(torque, NanospinError):
-                raise torque
-            return torque
-        stats["direct_torque_calls"] += 1
-        return mutual_torque(
-            SpinPair(omega1, w2),
-            config.distance,
-            particle,
-            config.thermal.T,
-            config.quad,
-            coupling_scale=config.coupling_scale,
-            thermal_weight=config.thermal_weight,
-        )
-
-    def drag_direct(w2: float) -> float:
-        stats["direct_torque_calls"] += 1
-        return vacuum_torque(
-            w2,
-            particle,
-            config.thermal,
-            config.quad,
-            coth_half_argument=config.coth_half_argument,
-        )
-
     gamma_b, gamma_s = coeffs.gamma_b, coeffs.gamma_s
+    rest: float | NanospinError | None = None  # M(omega1, 0), from the first mutual node batch
 
-    def drive_residuals(ws: np.ndarray) -> np.ndarray:
-        nonlocal rest
-        spins = ws.tolist() + ([0.0] if rest is None else [])
+    def mutual_torques(spins: list[float]) -> list[float | NanospinError]:
         stats["direct_torque_calls"] += len(spins)
-        torques = _mutual_torques(
+        return _mutual_torques(
             [(omega1, w2) for w2 in spins],
             config.distance,
             particle,
@@ -486,8 +446,12 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
             config.coupling_scale,
             config.thermal_weight,
         )
+
+    def drive_residuals(ws: np.ndarray) -> np.ndarray:
+        nonlocal rest
+        torques = mutual_torques(ws.tolist() + ([0.0] if rest is None else []))
         if rest is None:
-            rest = [torques.pop()]
+            rest = torques.pop()
         return _values(torques) - gamma_b * (omega1 - ws)
 
     def drag_residuals(ws: np.ndarray) -> np.ndarray:
@@ -506,25 +470,22 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     if omega1 > floor:
         drag_fit = chebyshev_interpolant(drag_residuals, floor, omega1, fit_tol)
         stats["surrogate_nodes"]["vacuum"] = drag_fit.nodes
+    rest_residual = 0.0
+    if omega1 >= floor:
+        if rest is None:
+            (rest,) = mutual_torques([0.0])
+        if isinstance(rest, NanospinError):
+            raise rest
+        rest_residual = float(rest) - gamma_b * omega1
 
     def residual(w2: float) -> float:
-        # N per channel: zero where linearized, else the interpolant on
-        # its interval, else the direct kernel less its linear part
-        # (omega1 > 0, so the mutual scale is below the floor iff one
-        # nonzero scale is)
-        gap = omega1 - w2
-        if omega1 < floor or 0.0 < abs(w2) < floor or 0.0 < abs(gap) < floor:
-            r_b = 0.0
-        elif drive_fit is not None and w2 in drive_fit:
+        # N per channel: the interpolant on its interval, the exact gap
+        # torque at rest, else zero (the linearized form)
+        if drive_fit is not None and w2 in drive_fit:
             r_b = drive_fit(w2)
         else:
-            r_b = drive_direct(w2) - gamma_b * gap
-        if drag_fit is None or abs(w2) < floor:
-            r_s = 0.0
-        elif w2 in drag_fit:
-            r_s = drag_fit(w2)
-        else:
-            r_s = drag_direct(w2) - gamma_s * w2
+            r_b = rest_residual if w2 == 0.0 else 0.0
+        r_s = drag_fit(w2) if drag_fit is not None and w2 in drag_fit else 0.0
         return (r_b - r_s) / inertia
 
     lam, plateau = denom / inertia, omega1 * gamma_b / denom
@@ -548,8 +509,6 @@ def sync_time(traj: Trajectory, threshold: float = 0.01) -> float | None:
         raise ConfigError("threshold must lie in (0, 1)")
     t = traj.times
     delta = traj.delta
-    if t.size == 0:
-        raise ConfigError("empty trajectory")
     hits = np.nonzero(delta <= threshold)[0]
     if hits.size == 0:
         return None

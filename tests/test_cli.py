@@ -249,6 +249,13 @@ class TestMain:
         assert main(["run", "--config", cfg]) == 2
         assert "separation_m" in capsys.readouterr().err
 
+    def test_infinite_spin_is_config_error(self, tmp_path, capsys):
+        # exited 0 with "delta_final": NaN
+        doc = {"distance_m": 1e-7, "omega1_rad_per_s": float("inf"), "out_dir": str(tmp_path / "o")}
+        assert main(["run", "--config", write_config(tmp_path / "c.json", doc)]) == 2
+        assert "omega1_rad_per_s" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_run_rejects_sweep_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"distances_m": [1e-7]})
         assert main(["run", "--config", cfg]) == 2

@@ -1,6 +1,7 @@
 """Configuration parsing, validation, and the canonical fingerprint."""
 
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +15,9 @@ from nanospin import (
     fingerprint,
     parse_config,
 )
+from nanospin.config import _KNOWN_KEYS
+
+NUMERIC_KEYS = sorted(_KNOWN_KEYS - {"polarizability_model", "thermal_weight", "coth_half_argument", "mode", "out_dir"})
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs"
 
@@ -155,6 +159,22 @@ class TestRejection:
     def test_domain_errors(self, key, value):
         with pytest.raises(ConfigError):
             parse_config(json.dumps({"distance_m": 1e-7, key: value}))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_non_finite_numbers(self, key, value):
+        # json.loads reads NaN and +-Infinity: omega1 Infinity ran to a NaN
+        # delta_final, and abs_tol NaN gave a different gamma_b
+        if key == "distances_m":
+            doc = {"distances_m": [1e-7, value]}
+        else:
+            doc = {"distance_m": 1e-7, key: value}
+        with pytest.raises(ConfigError, match=key):
+            parse_config(json.dumps(doc))
+
+    def test_integer_beyond_float_range(self):
+        with pytest.raises(ConfigError, match="radius_m"):
+            parse_config(json.dumps({"distance_m": 1e-7, "radius_m": 10**400}))
 
 
 class TestFingerprint:

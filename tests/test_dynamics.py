@@ -311,6 +311,14 @@ class TestNonlinearDirectKernels:
         nodes = traj.solver["surrogate_nodes"]
         assert traj.solver["direct_torque_calls"] == nodes["mutual"] + nodes["vacuum"] + 1
 
+    def test_stages_outside_the_spin_range_are_linear(self, particle, thermal, quad):
+        # at 300 nm and 1e12 some rejected steps put stage spins outside
+        # [0, omega1]; there both channels use their linearized forms, so
+        # the run integrates its nodes and the gap torque at rest only
+        traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=3e-7, omega1=1e12))
+        nodes = traj.solver["surrogate_nodes"]
+        assert traj.solver["direct_torque_calls"] == nodes["mutual"] + nodes["vacuum"] + 1
+
     def test_few_steps_without_a_stability_cap(self, particle, thermal, quad, coeffs):
         # the linear part is exact and samples come from dense output, so
         # neither stability nor the 400 sample times set the step count
