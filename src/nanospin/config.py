@@ -25,6 +25,10 @@ __all__ = ["RunConfig", "SweepConfig", "parse_config", "fingerprint"]
 
 _MODES = ("linear", "nonlinear")
 
+# Largest trajectory sample count: a million rows make about 65 MB of
+# trajectory.csv
+MAX_SAMPLES = 1_000_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -53,6 +57,8 @@ class RunConfig:
             raise ConfigError("sync_threshold must lie in (0, 1)")
         if self.samples < 2:
             raise ConfigError("samples must be >= 2")
+        if self.samples > MAX_SAMPLES:
+            raise ConfigError(f"samples must be <= {MAX_SAMPLES}")
         if self.coupling_scale < 0.0:
             raise ConfigError("coupling_scale must be >= 0")
         if self.thermal_weight not in THERMAL_WEIGHTS:

@@ -405,11 +405,18 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     omega2 = omega1 - F; each jump is measured once per run, from N on
     either side of the switch, and bounds the steps that cross it.
 
+    gamma_s and the vacuum node torques do not depend on the distance,
+    and nanospin.torque keeps them for the life of the process: a run
+    after one with the same particle, thermal state, quadrature and
+    omega1 integrates only gamma_b and the mutual node batch, and
+    returns the bits a first run returns.
+
     coeffs, when given, must be coefficients_for(config); a caller that
-    already holds them saves the two integrals. Trajectory.solver counts
-    the work: surrogate nodes per channel (0 where none was built),
-    direct torque calls (nodes and the gap torque at rest), and
-    accepted and rejected steps.
+    already holds them saves the gamma_b integral and, on a first run,
+    the gamma_s integral. Trajectory.solver counts the work: surrogate
+    nodes per channel (0 where none was built), direct torque calls
+    (nodes and the gap torque at rest, whether or not the memo holds a
+    node), and accepted and rejected steps.
     """
     particle = config.particle
     inertia = moment_of_inertia(particle)

@@ -21,10 +21,19 @@ The mutual channel carries an overall coupling_scale multiplier (the
 absolute cross-prefactor between the two channels is calibration-grade;
 DEFAULT_COUPLING_SCALE pins the 100 nm default run to a 0.030 s
 synchronization time).
+
+The vacuum channel does not depend on the distance, so its integrals,
+gamma_s and the vacuum torque at each spin, are kept for the life of the
+process in one memo keyed on every input of the integral. A kept value
+is immutable and has the bits a fresh integral returns (each lockstep
+integrand gets the bits it has alone). Errors are not kept, nothing that
+depends on the distance is kept, and the memo holds at most MEMO_ENTRIES
+values, dropping the oldest first; clear_memo empties it.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,6 +71,8 @@ __all__ = [
     "friction_coefficients",
     "sweep_friction_coefficients",
     "check_point_dipole",
+    "MEMO_ENTRIES",
+    "clear_memo",
 ]
 
 # Direct kernel evaluation is refused for 0 < |spin| < this (rad/s):
@@ -72,6 +83,26 @@ SPIN_DIRECT_FLOOR = 1e6
 DEFAULT_COUPLING_SCALE = 3.81e22
 
 THERMAL_WEIGHTS = ("symmetrized", "bose", "literal")
+
+# Bound of the vacuum-channel memo: a spin-up keeps at most 65 node
+# torques and one gamma_s per omega1 and setting
+MEMO_ENTRIES = 4096
+
+_memo: dict[tuple, IntegrationResult | float] = {}
+_memo_lock = threading.Lock()
+
+
+def _remember(key: tuple, value: IntegrationResult | float) -> None:
+    with _memo_lock:
+        while key not in _memo and len(_memo) >= MEMO_ENTRIES:
+            del _memo[next(iter(_memo))]  # the oldest entry
+        _memo[key] = value
+
+
+def clear_memo() -> None:
+    """Forget every kept gamma_s and vacuum torque."""
+    with _memo_lock:
+        _memo.clear()
 
 
 @dataclass(frozen=True)
@@ -303,7 +334,32 @@ def _vacuum_torques(
     coth_half_argument: bool = False,
 ) -> list[float | NanospinError]:
     """vacuum_torque at each spin: its value, bit for bit, or the error it
-    raises there. One lockstep integral for all spins."""
+    raises there. Values come from the memo; one lockstep integral covers
+    the spins it lacks, and their values are kept."""
+    keys = [("vacuum", spin, particle, thermal, quad, allow_small_spins, coth_half_argument) for spin in spins]
+    results = [_memo.get(key) for key in keys]
+    missing = [i for i, r in enumerate(results) if r is None]
+    if missing:
+        fresh = _integrate_vacuum_torques(
+            [spins[i] for i in missing], particle, thermal, quad, allow_small_spins, coth_half_argument
+        )
+        for i, res in zip(missing, fresh):
+            results[i] = res
+            if not isinstance(res, NanospinError):
+                _remember(keys[i], res)
+    return results
+
+
+def _integrate_vacuum_torques(
+    spins: Sequence[float],
+    particle: ParticleSpec,
+    thermal: ThermalState,
+    quad: QuadratureConfig,
+    allow_small_spins: bool,
+    coth_half_argument: bool,
+) -> list[float | NanospinError]:
+    """_vacuum_torques without the memo: one lockstep integral for all
+    spins."""
 
     def check(omega0: float) -> None:
         if not np.isfinite(omega0):
@@ -445,6 +501,21 @@ def _gamma_s_result(
     thermal: ThermalState,
     quad: QuadratureConfig,
     coth_half_argument: bool = False,
+) -> IntegrationResult:
+    """gamma_s with its diagnostics, from the memo when it holds them."""
+    key = ("gamma_s", particle, thermal, quad, coth_half_argument)
+    res = _memo.get(key)
+    if res is None:
+        res = _integrate_gamma_s(particle, thermal, quad, coth_half_argument)
+        _remember(key, res)
+    return res
+
+
+def _integrate_gamma_s(
+    particle: ParticleSpec,
+    thermal: ThermalState,
+    quad: QuadratureConfig,
+    coth_half_argument: bool,
 ) -> IntegrationResult:
     if thermal.T <= 0.0 or thermal.T0 <= 0.0:
         raise ConfigError("gamma_s requires T > 0 and T0 > 0")

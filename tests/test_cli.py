@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 try:
@@ -17,8 +18,8 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import nanospin
-from nanospin import ConfigError, ConvergenceError, parse_config
-from nanospin.cli import main, run, run_sweep
+from nanospin import ConfigError, ConvergenceError, Trajectory, parse_config
+from nanospin.cli import _write_trajectory_csv, main, run, run_sweep
 
 from test_config import load_schema
 
@@ -87,6 +88,22 @@ class TestRunArtifacts:
         assert again.summary_json.read_bytes() == bundle.summary_json.read_bytes()
 
 
+def test_trajectory_csv_is_per_value_format(tmp_path):
+    # the writer formats the whole file in one call; its text must be
+    # format(x, ".17g") of every value, signed zero, subnormal, the largest
+    # double and whole numbers past 2**53 included
+    times = [-0.0, 5e-324, 1.0 / 3.0, 2.0**53 + 2.0, 2.0**60, 1e22, 1.7976931348623157e308]
+    omega2 = [0.0, -0.0, 5e-324, 1.0, 2.0**53 + 2.0, 123456789012345680.0, 1.7976931348623157e308]
+    traj = Trajectory(times=np.array(times), omega2=np.array(omega2), omega1=1.0)
+    path = tmp_path / "trajectory.csv"
+    _write_trajectory_csv(path, traj)
+    expected = "time_s,omega2_rad_per_s,delta\n" + "".join(
+        ",".join(format(x, ".17g") for x in row) + "\n" for row in traj.samples
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert "-0," in expected and "4.9406564584124654e-324" in expected and "9007199254740994," in expected
+
+
 class TestNonlinearRun:
     def test_direct_kernel_run_repeats_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, "omega1_rad_per_s": 1e10})
@@ -101,6 +118,18 @@ class TestNonlinearRun:
         assert solver["surrogate_nodes"] == {"mutual": 9, "vacuum": 9}
         assert 18 <= solver["direct_torque_calls"] <= 64
         assert solver["accepted_steps"] > 0
+
+    def test_warm_run_writes_the_cold_bytes(self, tmp_path):
+        # the second run reads gamma_s and the vacuum node torques from the
+        # memo and must write what the first wrote
+        cfg = parse_config(
+            json.dumps({"distance_m": 1e-7, "omega1_rad_per_s": 1e10, "mode": "nonlinear", "out_dir": str(tmp_path)})
+        )
+        cold = run(cfg)
+        written = [p.read_bytes() for p in (cold.trajectory_csv, cold.summary_json)]
+        warm = run(cfg)
+        assert [p.read_bytes() for p in (warm.trajectory_csv, warm.summary_json)] == written
+        assert warm.summary == cold.summary
 
     def test_uncertifiable_surrogate_exits_3(self, tmp_path, capsys, monkeypatch):
         import nanospin.dynamics as dynamics_mod
@@ -144,9 +173,11 @@ class TestSweep:
         assert "failures" not in doc
         assert [r["distance_m"] for r in doc["runs"]] == distances
 
-    def test_nonlinear_sweep_integrates_gamma_s_once(self, tmp_path, monkeypatch):
+    def test_nonlinear_sweep_integrates_gamma_s_once(self, tmp_path, monkeypatch, integrals):
         # the solver reuses the sweep's coefficients instead of integrating
-        # gamma_s again per distance, and writes the bytes of a lone run
+        # gamma_s again per distance, and writes the bytes of a lone run.
+        # The vacuum node batch does not depend on distance either: one for
+        # the sweep, next to one gamma_b batch and one gap batch per distance
         import nanospin.torque as torque_mod
 
         distances = [5e-8, 1e-7, 2e-7]
@@ -161,6 +192,9 @@ class TestSweep:
         monkeypatch.setattr(torque_mod, "_gamma_s_result", counted)
         run_sweep(parse_config(json.dumps(dict(base, distances_m=distances, out_dir=str(tmp_path / "sweep")))))
         assert len(calls) == 1
+        assert sorted(name for name, _ in integrals) == sorted(
+            ["_integrate_gamma_s", "_gamma_b_results", "_integrate_vacuum_torques"] + ["_mutual_torques"] * 3
+        )
         for d in distances:
             alone = run(parse_config(json.dumps(dict(base, distance_m=d, out_dir=str(tmp_path / f"run_{d:.6g}")))))
             sub = tmp_path / "sweep" / f"d_{d:.6g}"
@@ -254,6 +288,14 @@ class TestMain:
         doc = {"distance_m": 1e-7, "omega1_rad_per_s": float("inf"), "out_dir": str(tmp_path / "o")}
         assert main(["run", "--config", write_config(tmp_path / "c.json", doc)]) == 2
         assert "omega1_rad_per_s" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("samples", [10**30, 10**6 + 1])
+    def test_too_many_samples_is_config_error(self, tmp_path, capsys, samples):
+        # 10**30 once reached np.geomspace and exited 1 with a bare ValueError
+        cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, "samples": samples, "out_dir": str(tmp_path / "o")})
+        assert main(["run", "--config", cfg]) == 2
+        assert "samples must be <= 1000000" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_run_rejects_sweep_config(self, tmp_path, capsys):

@@ -76,6 +76,11 @@ class TestParseRun:
         assert cfg.coth_half_argument is True
         assert cfg.out_dir == "custom"
 
+    def test_samples_bound_is_inclusive(self, schema):
+        doc = {"distance_m": 1e-7, "samples": 10**6}
+        assert parse_config(json.dumps(doc)).samples == 10**6
+        jsonschema.validate(doc, schema)
+
     def test_point_dipole_guard(self):
         with pytest.raises(ConfigError, match="point-dipole"):
             parse_config('{"distance_m": 2e-9}')
@@ -150,6 +155,8 @@ class TestRejection:
             ("rel_tol", 0.0),
             ("sync_threshold", 1.5),
             ("samples", 1),
+            ("samples", 10**6 + 1),
+            ("samples", 10**30),
             ("omega1_rad_per_s", -1e4),
             ("eps_inf", 0.5),
             ("omega_T_rad_per_s", 2e14),
@@ -277,6 +284,7 @@ class TestConfigSchema:
             {"distance_m": 1e-7, "thermal_weight": "fancy"},
             {"distance_m": 1e-7, "rel_tol": 0.5},
             {"distance_m": 1e-7, "samples": 1},
+            {"distance_m": 1e-7, "samples": 10**6 + 1},
             {"distances_m": []},
         ],
     )

@@ -332,6 +332,29 @@ class TestNonlinearDirectKernels:
         assert np.array_equal(given.omega2, computed.omega2)
         assert given.solver == computed.solver
 
+    def test_warm_run_returns_the_cold_bits(self, particle, thermal, quad):
+        # the second run reads gamma_s and the vacuum node torques from the
+        # memo; direct_torque_calls still counts every node it asks for
+        config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10)
+        cold, warm = solve_nonlinear(config), solve_nonlinear(config)
+        assert warm.times.tobytes() == cold.times.tobytes()
+        assert warm.omega2.tobytes() == cold.omega2.tobytes()
+        assert warm.solver == cold.solver
+
+    def test_another_distance_integrates_only_the_gap_channel(self, particle, thermal, quad, integrals):
+        import nanospin.torque as torque_mod
+
+        solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
+        assert len(integrals) == 4
+        config = RunConfig(particle, thermal, quad, distance=3e-7, omega1=1e10)
+        warm = solve_nonlinear(config)
+        assert [name for name, _ in integrals[4:]] == ["_gamma_b_results", "_mutual_torques"]
+        torque_mod.clear_memo()
+        cold = solve_nonlinear(config)
+        assert len(integrals) == 10
+        assert warm.omega2.tobytes() == cold.omega2.tobytes()
+        assert warm.solver == cold.solver
+
     def test_switch_spin_evaluates_only_the_rest_torque(self, particle, thermal, quad):
         # at omega1 = DIRECT_EVAL_FLOOR both surrogate intervals are empty,
         # but the gap channel's scale at omega2 = 0 is omega1 itself, not

@@ -44,6 +44,7 @@ from nanospin.torque import (
     _mutual_torques,
     _thermal_breakpoints,
     _vacuum_torques,
+    clear_memo,
     sweep_friction_coefficients,
 )
 
@@ -370,6 +371,7 @@ class TestSpinBatches:
         batch = _vacuum_torques(spins, particle, thermal, quad)
         scale = -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2))
         for w0, got in zip(spins, batch):
+            clear_memo()  # a lone call that integrates, not one that reads the batch's value
             assert got == vacuum_torque(w0, particle, thermal, quad), w0
 
             def kernel(w, w0=w0):
@@ -437,6 +439,7 @@ class TestSpinBatches:
         with pytest.raises(SmallSpinError) as lone:
             vacuum_torque(small, particle, thermal, quad)
         assert type(batch[1]) is SmallSpinError and str(batch[1]) == str(lone.value)
+        clear_memo()
         assert [batch[0], batch[2]] == [vacuum_torque(w, particle, thermal, quad) for w in (3e9, 7e9)]
 
         o1 = self.OMEGA1
@@ -460,3 +463,127 @@ class TestSpinBatches:
         # the point-dipole guard fails every entry
         too_close = _mutual_torques(pairs[2:], 4e-8, particle, 300.0, quad)
         assert isinstance(too_close[0], ConfigError) and "point-dipole" in str(too_close[0])
+
+
+class TestMemo:
+    """gamma_s and the vacuum torques are kept for the life of the
+    process, keyed on every input of their integrals; a kept value has
+    the bits of a fresh integral, and errors are not kept."""
+
+    def test_warm_calls_return_the_cold_bits(self, particle, thermal, quad, integrals):
+        def calls():
+            return [
+                gamma_s(particle, thermal, quad),
+                friction_coefficients(particle, 1e-7, thermal, quad)[1]["gamma_s"],
+                vacuum_torque(5e9, particle, thermal, quad),
+                _vacuum_torques([3e9, 5e9, 7e9], particle, thermal, quad),
+            ]
+
+        cold = calls()
+        # one gamma_s; the batch integrates only the two spins not yet kept
+        assert integrals == [
+            ("_integrate_gamma_s", None),
+            ("_gamma_b_results", 1),
+            ("_integrate_vacuum_torques", 1),
+            ("_integrate_vacuum_torques", 2),
+        ]
+        warm = calls()
+        assert integrals[4:] == [("_gamma_b_results", 1)]
+        assert repr(warm) == repr(cold)
+        clear_memo()
+        assert repr(calls()) == repr(cold)
+        assert len(integrals) == 9
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("thermal", ThermalState(T=310.0)),
+            ("thermal", ThermalState(T0=310.0)),
+            ("quad", QuadratureConfig(rel_tol=2e-9)),
+            ("quad", QuadratureConfig(max_subdivisions=150)),
+            ("particle", ParticleSpec(radius=6e-9)),
+            ("coth_half_argument", True),
+        ],
+    )
+    def test_every_key_field_is_keyed(self, particle, thermal, quad, integrals, field, value):
+        base = {"particle": particle, "thermal": thermal, "quad": quad, "coth_half_argument": False}
+        for args in (base, dict(base, **{field: value})) * 2:
+            inputs, half = (args["particle"], args["thermal"], args["quad"]), args["coth_half_argument"]
+            gamma_s(*inputs, coth_half_argument=half)
+            vacuum_torque(5e9, *inputs, coth_half_argument=half)
+        assert integrals == [("_integrate_gamma_s", None), ("_integrate_vacuum_torques", 1)] * 2
+
+    def test_allow_small_spins_is_keyed(self, particle, thermal, quad, integrals):
+        for allow in (False, True, False, True):
+            vacuum_torque(5e9, particle, thermal, quad, allow_small_spins=allow)
+        assert integrals == [("_integrate_vacuum_torques", 1)] * 2
+
+    def test_failures_are_not_kept(self, particle, thermal, integrals):
+        import nanospin.torque as torque_mod
+
+        starved = QuadratureConfig(max_subdivisions=1)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ConvergenceError) as exc:
+                gamma_s(particle, thermal, starved)
+            errors.append(exc.value)
+            (res,) = _vacuum_torques([5e9], particle, thermal, starved)
+            assert isinstance(res, ConvergenceError)
+            errors.append(res)
+        assert integrals == [("_integrate_gamma_s", None), ("_integrate_vacuum_torques", 1)] * 2
+        assert len({id(e) for e in errors}) == 4  # each call raised a fresh error
+        assert torque_mod._memo == {}
+
+        # a spin refused before integration fails again; its batch mate is kept
+        small = 0.5 * SPIN_DIRECT_FLOOR
+        first = _vacuum_torques([5e9, small], particle, thermal, QuadratureConfig())
+        second = _vacuum_torques([5e9, small], particle, thermal, QuadratureConfig())
+        assert isinstance(second[1], SmallSpinError) and second[1] is not first[1]
+        assert second[0] == first[0] and len(torque_mod._memo) == 1
+
+    def test_memo_never_grows_past_its_bound(self, particle, thermal, quad, monkeypatch):
+        import nanospin.torque as torque_mod
+
+        spins = [1e9 * k for k in range(2, 8)]
+        cold = _vacuum_torques(spins, particle, thermal, quad)
+        clear_memo()
+        monkeypatch.setattr(torque_mod, "MEMO_ENTRIES", 4)
+        assert _vacuum_torques(spins, particle, thermal, quad) == cold
+        assert [key[1] for key in torque_mod._memo] == spins[-4:]  # the oldest went first
+        gamma_s(particle, thermal, quad)
+        assert len(torque_mod._memo) == 4
+        assert [key[1] for key in torque_mod._memo if key[0] == "vacuum"] == spins[-3:]
+        assert _vacuum_torques(spins, particle, thermal, quad) == cold
+        assert len(torque_mod._memo) == 4
+
+    def test_concurrent_inserts_keep_the_bound(self, monkeypatch):
+        # eviction reads the oldest key and deletes it; without the lock two
+        # threads can pick the same key and one raises KeyError
+        import sys
+        import threading
+
+        import nanospin.torque as torque_mod
+
+        monkeypatch.setattr(torque_mod, "MEMO_ENTRIES", 8)
+        errors = []
+
+        def insert(worker):
+            try:
+                for k in range(2000):
+                    torque_mod._remember(("stress", worker, k), float(k))
+            except Exception as exc:  # any lost race fails the test below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=insert, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(torque_mod._memo) == 8
