@@ -81,11 +81,17 @@ class Trajectory:
     solver: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
+        # float arrays, stored as given when they already are
         t = np.asarray(self.times, dtype=float)
+        w2 = np.asarray(self.omega2, dtype=float)
         if t.size == 0:
             raise ConfigError("trajectory must contain at least one sample")
+        if w2.ndim != 1 or w2.shape != t.shape:
+            raise ConfigError(f"omega2 must be one spin per time: shape {w2.shape} for times {t.shape}")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise ConfigError("trajectory times must be strictly increasing")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "omega2", w2)
 
     @property
     def delta(self) -> np.ndarray:
@@ -115,10 +121,13 @@ class ChebyshevInterpolant:
     def __contains__(self, w: float) -> bool:
         return self.lo <= w <= self.hi
 
-    def __call__(self, w: float) -> float:
-        # Clenshaw's recurrence on Python floats, operation for operation
-        # the one numpy.polynomial.chebyshev.chebval runs, at a third of
-        # its cost on a scalar
+    def __call__(self, w):
+        """The polynomial at w, a float or an array of spins.
+
+        Clenshaw's recurrence, operation for operation the one
+        numpy.polynomial.chebyshev.chebval runs: each element of an array
+        gets the bits a float gets, and a float costs a third of chebval.
+        """
         x = (2.0 * w - (self.lo + self.hi)) / (self.hi - self.lo)
         x2 = 2.0 * x
         c = self.coeffs
@@ -263,25 +272,52 @@ def solve_linear(
 _PHI3_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(16, 2, -1))
 
 
-def _phi(z: float) -> tuple[float, float, float]:
-    """phi_1, phi_2 and phi_3 at z, phi_k(z) = sum_j z^j / (j + k)!.
+def _elementwise(f: Callable[[float], float], x):
+    """f at x, a float, or at each element of an array of floats.
+
+    The math module's exp and expm1 are used per element because numpy's
+    vectorized forms may round differently, and a sample must get the
+    bits one scalar sub-step gives it.
+    """
+    if isinstance(x, float):
+        return f(x)
+    return np.array([f(v) for v in x.tolist()])
+
+
+def _phi(z):
+    """phi_1, phi_2 and phi_3 at z, phi_k(z) = sum_j z^j / (j + k)!, for
+    z a float or an array of floats.
 
     Below |z| = 0.5, phi_3 is its Taylor series summed by Horner's rule,
     and phi_2 = 1/2 + z*phi_3, phi_1 = 1 + z*phi_2. Elsewhere the expm1
     forms are used; their cancellation costs at most a few dozen ulp.
+    Each element of an array gets the bits a float gets.
     """
-    if abs(z) < 0.5:
-        p3 = 0.0
-        for c in _PHI3_TAYLOR:
-            p3 = p3 * z + c
-        p2 = 0.5 + z * p3
-        return 1.0 + z * p2, p2, p3
-    em1 = math.expm1(z)
+    if isinstance(z, float):
+        return _phi_taylor(z) if abs(z) < 0.5 else _phi_expm1(z)
+    out = np.empty((3, z.size))
+    small = np.abs(z) < 0.5
+    out[:, small] = _phi_taylor(z[small])
+    out[:, ~small] = _phi_expm1(z[~small])
+    return out[0], out[1], out[2]
+
+
+def _phi_taylor(z):
+    p3 = 0.0
+    for c in _PHI3_TAYLOR:
+        p3 = p3 * z + c
+    p2 = 0.5 + z * p3
+    return 1.0 + z * p2, p2, p3
+
+
+def _phi_expm1(z):
+    em1 = _elementwise(math.expm1, z)
     return em1 / z, (em1 - z) / (z * z), (em1 - z - 0.5 * z * z) / (z * z * z)
 
 
-def _etd_weights(lam: float, h: float) -> tuple[float, float, float, float, float, float]:
-    """Cox-Matthews ETD-RK4 weights for du/dt = -lam*u + N(u) over a step h.
+def _etd_weights(lam: float, h):
+    """Cox-Matthews ETD-RK4 weights for du/dt = -lam*u + N(u) over a step
+    h, a float or an array of step sizes.
 
     With z = -lam*h: e^(z/2), (h/2)*phi_1(z/2), e^z, and h times the stage
     weights phi_1 - 3*phi_2 + 4*phi_3 (first), 2*phi_2 - 4*phi_3 (second
@@ -290,19 +326,20 @@ def _etd_weights(lam: float, h: float) -> tuple[float, float, float, float, floa
     z = -lam * h
     p1, p2, p3 = _phi(z)
     return (
-        math.exp(0.5 * z),
+        _elementwise(math.exp, 0.5 * z),
         0.5 * h * _phi(0.5 * z)[0],
-        math.exp(z),
+        _elementwise(math.exp, z),
         h * (p1 - 3.0 * p2 + 4.0 * p3),
         h * (2.0 * p2 - 4.0 * p3),
         h * (4.0 * p3 - p2),
     )
 
 
-def _etd_rk4_step(n: Callable[[float], float], u: float, n0: float, weights: tuple[float, ...]) -> float:
+def _etd_rk4_step(n: Callable, u, n0, weights: tuple):
     """One ETD-RK4 step from u, given n0 = n(u) and the step's
     _etd_weights. The linear part is exact; n is sampled at three
-    stages."""
+    stages. With arrays for u, n0 and the weights it takes one step per
+    element, in three calls of n."""
     e_half, a, e, b1, b23, b4 = weights
     ua = e_half * u + a * n0
     na = n(ua)
@@ -313,7 +350,7 @@ def _etd_rk4_step(n: Callable[[float], float], u: float, n0: float, weights: tup
 
 
 def _etd_rk4(
-    n: Callable[[float], float],
+    n: Callable,
     lam: float,
     u: float,
     times: Sequence[float],
@@ -321,7 +358,7 @@ def _etd_rk4(
     h: float,
     h_min: float,
     switches: Sequence[tuple[float, float]] = (),
-) -> tuple[list[float], int, int]:
+) -> tuple[np.ndarray, int, int]:
     """Adaptive step-doubling ETD-RK4 for du/dt = -lam*u + n(u).
 
     Starts from u at times[0] with step h and returns u at every time,
@@ -330,12 +367,17 @@ def _etd_rk4(
     tol, and then advances to the locally extrapolated value. Step
     doubling cannot see a jump in n, so a step that carries u across a
     switch (u_s, jump), where n jumps by jump, is accepted only if
-    h*jump <= tol. Steps do not land on the sample times: each time
-    inside an accepted step [t, t + h] gets one ETD-RK4 sub-step of size
-    time - t from u(t). A step halved below h_min raises
-    ConvergenceError.
+    h*jump <= tol. A step halved below h_min raises ConvergenceError.
+
+    Steps do not land on the sample times: each time inside an accepted
+    step [t, t + h] gets one ETD-RK4 sub-step of size time - t from
+    u(t) (dense output). Stepping only records (time - t, u(t), n(u(t)))
+    per sample; after the last step every sub-step is taken at once, on
+    arrays, so n must accept an array of u as well as a float, and give
+    each element the bits it gives that float.
     """
-    out = [u]
+    start = u
+    dense = []
     t, i = times[0], 1
     accepted = rejected = 0
     while i < len(times):
@@ -354,12 +396,14 @@ def _etd_rk4(
             if h < h_min:
                 raise ConvergenceError(f"step size underflow at t = {t:.6e} s (h = {h:.3e})")
         while i < len(times) and times[i] <= t + h:
-            out.append(_etd_rk4_step(n, u, n0, _etd_weights(lam, times[i] - t)))
+            dense.append((times[i] - t, u, n0))
             i += 1
         t, u = t + h, y
         accepted += 1
         h *= 2.0 if err == 0.0 else min(2.0, 0.9 * (tol / err) ** 0.2)
-    return out, accepted, rejected
+    dt, u0, n0 = np.array(dense, dtype=float).reshape(-1, 3).T
+    samples = _etd_rk4_step(n, u0, n0, _etd_weights(lam, dt))
+    return np.concatenate(([start], samples)), accepted, rejected
 
 
 def _values(torques: list[float | NanospinError]) -> np.ndarray:
@@ -368,6 +412,34 @@ def _values(torques: list[float | NanospinError]) -> np.ndarray:
         if isinstance(torque, NanospinError):
             raise torque
     return np.array(torques)
+
+
+def _channel(fit: ChebyshevInterpolant | None, at_rest: float, w):
+    """One channel's residual at w, a float or an array of spins: its
+    interpolant on its interval, at_rest at w == 0, else zero (the
+    linearized form). Each element of an array gets the bits a float
+    gets."""
+    if isinstance(w, float):
+        if fit is not None and w in fit:
+            return fit(w)
+        return at_rest if w == 0.0 else 0.0
+    r = np.where(w == 0.0, at_rest, 0.0)
+    if fit is not None:
+        inside = (fit.lo <= w) & (w <= fit.hi)
+        r[inside] = fit(w[inside])
+    return r
+
+
+def _residual(
+    drive_fit: ChebyshevInterpolant | None, drag_fit: ChebyshevInterpolant | None, rest_residual: float, inertia: float
+) -> Callable:
+    """N(omega2) = (R_b - R_s)/I, on a float or an array of spins, with
+    the gap channel's residual at rest (the vacuum channel's is zero)."""
+
+    def residual(w2):
+        return (_channel(drive_fit, rest_residual, w2) - _channel(drag_fit, 0.0, w2)) / inertia
+
+    return residual
 
 
 def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = None) -> Trajectory:
@@ -380,7 +452,8 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     p = omega1*gamma_b/(gamma_s + gamma_b) and N = (R_b - R_s)/I. The
     exponential integrator treats -lam*u exactly (Cox & Matthews, J.
     Comput. Phys. 176, 430 (2002)), so the step size follows the
-    accuracy of N alone, and samples come from dense output.
+    accuracy of N alone, and samples come from dense output, taken in
+    one array pass after the last step.
 
     Before stepping, each residual becomes a chebyshev_interpolant of
     direct kernel values, certified to
@@ -485,16 +558,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
             raise rest
         rest_residual = float(rest) - gamma_b * omega1
 
-    def residual(w2: float) -> float:
-        # N per channel: the interpolant on its interval, the exact gap
-        # torque at rest, else zero (the linearized form)
-        if drive_fit is not None and w2 in drive_fit:
-            r_b = drive_fit(w2)
-        else:
-            r_b = rest_residual if w2 == 0.0 else 0.0
-        r_s = drag_fit(w2) if drag_fit is not None and w2 in drag_fit else 0.0
-        return (r_b - r_s) / inertia
-
+    residual = _residual(drive_fit, drag_fit, rest_residual, inertia)
     lam, plateau = denom / inertia, omega1 * gamma_b / denom
     tol = 1e-6 * abs(omega1)
     switches = [
@@ -505,7 +569,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     u, stats["accepted_steps"], stats["rejected_steps"] = _etd_rk4(
         lambda u: residual(plateau + u), lam, -plateau, grid.tolist(), tol, 1e-3 * tau, 1e-12 * tau, switches
     )
-    w2 = plateau + np.asarray(u)
+    w2 = plateau + u
     return Trajectory(times=grid, omega2=w2, omega1=omega1, meta=config, solver=stats)
 
 

@@ -137,6 +137,31 @@ class TestTrajectoryValidation:
         )
         assert list(traj.samples) == [(0.0, 0.0, 1.0), (1.0, 2.0, 0.5)]
 
+    def test_lists_are_stored_as_float_arrays(self):
+        traj = Trajectory(times=[0.0, 1.0], omega2=[0, 1], omega1=2.0)
+        assert traj.times.dtype == traj.omega2.dtype == np.float64
+        assert list(traj.samples) == [(0.0, 0.0, 1.0), (1.0, 1.0, 0.5)]
+        assert sync_time(traj, 0.6) == 0.8
+
+    def test_float_arrays_are_stored_without_a_copy(self):
+        t, w2 = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+        traj = Trajectory(times=t, omega2=w2, omega1=2.0)
+        assert traj.times is t and traj.omega2 is w2
+
+    @pytest.mark.parametrize(
+        "times, omega2",
+        [
+            ([0.0, 1.0, 2.0], [0.0, 1.0]),  # one spin short
+            ([0.0, 1.0], [0.0, 1.0, 2.0]),
+            ([0.0, 1.0], [[0.0, 1.0]]),  # right size, wrong shape
+            ([[0.0, 1.0]], [[0.0, 1.0]]),
+            ([0.0], 0.0),
+        ],
+    )
+    def test_one_spin_per_time(self, times, omega2):
+        with pytest.raises(ConfigError, match="one spin per time"):
+            Trajectory(times=times, omega2=omega2, omega1=2.0)
+
 
 class TestSolveLinear:
     def test_starts_at_rest(self, coeffs):
@@ -496,7 +521,9 @@ class TestEtdRk4:
         lam, u0, h = 2.0, 1.0, 0.1
 
         def n(u):
-            return 0.3 * math.sin(u) + 0.1
+            # the same operations on a float and on an array, as the
+            # batched dense output requires
+            return (0.1 - 0.05 * u) * u * u + 0.1
 
         times = np.array([0.0, 0.013, 0.05, h, 3.0])
         out, accepted, rejected = _etd_rk4(n, lam, u0, times, 1e-3, h, 1e-12)
