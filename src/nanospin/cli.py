@@ -12,7 +12,9 @@ non-convergence, 4 I/O failure.
 
 A sweep computes the coefficients of all its distances in one pass
 (gamma_s once, every gamma_b integral in lockstep), then writes each
-distance exactly as `run` would. `--jobs N` is accepted and ignored.
+distance exactly as `run` would, into d_<distance to 6 significant
+digits>; distances that would share a directory are a configuration
+error.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def _check_domain(config: RunConfig, coeffs: FrictionCoefficients) -> None:
             f"gamma_s = {coeffs.gamma_s:.6g} N m s and gamma_b = {coeffs.gamma_b:.6g} N m s at distance "
             f"{config.distance:.6g} m: a run needs gamma_s > 0 and gamma_b >= 0. gamma_b changes sign at the "
             "near-field edge (about 2.69e-6 m for the default particle at 300 K), past which the point-dipole "
-            'coupling no longer pulls the follower toward co-rotation; thermal_weight "literal" flips its sign'
+            "coupling no longer pulls the follower toward co-rotation"
         )
 
 
@@ -101,7 +103,7 @@ def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict
     if config.mode == "nonlinear":
         traj = solve_nonlinear(config, coeffs)
     else:
-        traj = solve_linear(config.omega1, inertia, coeffs, default_time_grid(tau, config.samples), meta=config)
+        traj = solve_linear(config.omega1, inertia, coeffs, default_time_grid(tau, config.samples))
     t_sync = sync_time(traj, config.sync_threshold)
 
     summary = {
@@ -128,23 +130,36 @@ def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict
     return OutputBundle(out_dir=out_dir, trajectory_csv=csv_path, summary_json=summary_path, summary=summary)
 
 
+def _run_dir_name(d: float) -> str:
+    """The directory, under a sweep's out_dir, of its run at distance d."""
+    return f"d_{d:.6g}"
+
+
 def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
     """Run every distance, then write the combined table.
 
-    The coefficients of all distances come from one pass; each distance
-    then gets the artifacts `run` writes for it. A failing distance does
-    not stop the others; the first failure is re-raised after the tables
-    are written, and sweep_summary.json names each failure's error.
+    Distinct distances that share a run directory raise ConfigError
+    before anything is solved or written. The coefficients of all
+    distances come from one pass; each distance then gets the artifacts
+    `run` writes for it. A failing distance does not stop the others;
+    the first failure is re-raised after the tables are written, and
+    sweep_summary.json names each failure's error.
     """
     root = Path(sweep.base.out_dir or _DEFAULT_OUT)
     ordered = sorted(set(sweep.distances))
+    for a, b in zip(ordered, ordered[1:]):  # rounding keeps order, so a shared name is adjacent
+        if _run_dir_name(a) == _run_dir_name(b):
+            raise ConfigError(
+                f"distances {a} m and {b} m would share the run directory {_run_dir_name(a)}; "
+                "sweep distances must differ in their first 6 significant digits"
+            )
     results: dict[float, OutputBundle | Exception] = {}
     for d, coefficients in zip(ordered, sweep_coefficients_for(sweep.base, ordered)):
         if isinstance(coefficients, NanospinError):
             results[d] = coefficients
             continue
         try:
-            results[d] = _write_run(sweep.base.with_distance(d, out_dir=str(root / f"d_{d:.6g}")), *coefficients)
+            results[d] = _write_run(sweep.base.with_distance(d, out_dir=str(root / _run_dir_name(d))), *coefficients)
         except Exception as exc:  # re-raised after the sweep completes
             results[d] = exc
 
@@ -209,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run every distance in distances_m")
     p_sweep.add_argument("--config", required=True, help="path to JSON configuration")
-    p_sweep.add_argument("--jobs", type=int, default=None, help="accepted and ignored: a sweep runs in one pass")
 
     p_coeffs = sub.add_parser("coeffs", help="print gamma_s, gamma_b, delta_infinity")
     p_coeffs.add_argument("--distance", type=float, required=True, help="separation in meters")

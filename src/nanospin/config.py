@@ -14,12 +14,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, ClassVar
 
 from .errors import ConfigError
 from .material import DielectricParams, ParticleSpec
 from .quadrature import QuadratureConfig
-from .torque import DEFAULT_COUPLING_SCALE, THERMAL_WEIGHTS, ThermalState, check_point_dipole
+from .torque import DEFAULT_COUPLING_SCALE, ThermalState, check_point_dipole
 
 __all__ = ["RunConfig", "SweepConfig", "parse_config", "fingerprint"]
 
@@ -43,9 +43,12 @@ class RunConfig:
     sync_threshold: float = 0.01
     samples: int = 400
     coupling_scale: float = DEFAULT_COUPLING_SCALE
-    thermal_weight: str = "symmetrized"
-    coth_half_argument: bool = False
     out_dir: str | None = None
+
+    # Kept for the benchmark harness, which passes both to
+    # friction_coefficients; each channel has this one convention.
+    thermal_weight: ClassVar[str] = "symmetrized"
+    coth_half_argument: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         check_point_dipole(self.distance, self.particle)
@@ -61,14 +64,11 @@ class RunConfig:
             raise ConfigError(f"samples must be <= {MAX_SAMPLES}")
         if self.coupling_scale < 0.0:
             raise ConfigError("coupling_scale must be >= 0")
-        if self.thermal_weight not in THERMAL_WEIGHTS:
-            raise ConfigError(f"thermal_weight must be one of {THERMAL_WEIGHTS}")
 
     def canonical_dict(self) -> dict[str, Any]:
         """Resolved physics inputs as a flat, JSON-ready mapping."""
         return {
             "abs_tol_Nm": self.quad.abs_tol,
-            "coth_half_argument": self.coth_half_argument,
             "coupling_scale": self.coupling_scale,
             "damping_rad_per_s": self.particle.dielectric.gamma,
             "distance_m": self.distance,
@@ -87,7 +87,6 @@ class RunConfig:
             "samples": self.samples,
             "sync_threshold": self.sync_threshold,
             "temperature_K": self.thermal.T,
-            "thermal_weight": self.thermal_weight,
             "vacuum_temperature_K": self.thermal.T0,
         }
 
@@ -160,12 +159,6 @@ def _string(doc: dict, key: str, default: str) -> str:
     return _expect(doc[key], str, key, "must be a string")
 
 
-def _boolean(doc: dict, key: str, default: bool) -> bool:
-    if key not in doc:
-        return default
-    return _expect(doc[key], bool, key, "must be a boolean")
-
-
 _KNOWN_KEYS = {
     "distance_m",
     "distances_m",
@@ -185,8 +178,6 @@ _KNOWN_KEYS = {
     "omega_min_rad_per_s",
     "omega_max_rad_per_s",
     "coupling_scale",
-    "thermal_weight",
-    "coth_half_argument",
     "mode",
     "sync_threshold",
     "samples",
@@ -259,8 +250,6 @@ def parse_config(text: str) -> RunConfig | SweepConfig:
         sync_threshold=_number(doc, "sync_threshold", 0.01),
         samples=_integer(doc, "samples", 400),
         coupling_scale=_number(doc, "coupling_scale", DEFAULT_COUPLING_SCALE),
-        thermal_weight=_string(doc, "thermal_weight", "symmetrized"),
-        coth_half_argument=_boolean(doc, "coth_half_argument", False),
         out_dir=out_dir,
     )
 

@@ -76,7 +76,6 @@ class Trajectory:
     times: np.ndarray
     omega2: np.ndarray
     omega1: float
-    meta: "RunConfig | None" = None
     zero_coupling: bool = False
     solver: dict[str, Any] | None = None
 
@@ -185,15 +184,9 @@ def chebyshev_interpolant(
 
 def coefficients_for(config: "RunConfig") -> tuple[FrictionCoefficients, dict]:
     """friction_coefficients for the particle, distance, thermal state,
-    quadrature and kernel conventions of one run configuration."""
+    quadrature and coupling scale of one run configuration."""
     return friction_coefficients(
-        config.particle,
-        config.distance,
-        config.thermal,
-        config.quad,
-        coupling_scale=config.coupling_scale,
-        thermal_weight=config.thermal_weight,
-        coth_half_argument=config.coth_half_argument,
+        config.particle, config.distance, config.thermal, config.quad, coupling_scale=config.coupling_scale
     )
 
 
@@ -201,15 +194,9 @@ def sweep_coefficients_for(
     config: "RunConfig", distances: Sequence[float]
 ) -> list[tuple[FrictionCoefficients, dict] | NanospinError]:
     """sweep_friction_coefficients for one run configuration's particle,
-    thermal state, quadrature and kernel conventions at each distance."""
+    thermal state, quadrature and coupling scale at each distance."""
     return sweep_friction_coefficients(
-        config.particle,
-        distances,
-        config.thermal,
-        config.quad,
-        coupling_scale=config.coupling_scale,
-        thermal_weight=config.thermal_weight,
-        coth_half_argument=config.coth_half_argument,
+        config.particle, distances, config.thermal, config.quad, coupling_scale=config.coupling_scale
     )
 
 
@@ -245,13 +232,7 @@ def default_time_grid(tau: float, samples: int = 400) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(1e-3 * tau, 1e3 * tau, samples)])
 
 
-def solve_linear(
-    omega1: float,
-    inertia: float,
-    coeffs: FrictionCoefficients,
-    t_grid,
-    meta: "RunConfig | None" = None,
-) -> Trajectory:
+def solve_linear(omega1: float, inertia: float, coeffs: FrictionCoefficients, t_grid) -> Trajectory:
     """Closed-form solution of the linearized follower equation on t_grid."""
     if inertia <= 0.0:
         raise ConfigError("inertia must be > 0")
@@ -261,10 +242,10 @@ def solve_linear(
     denom = coeffs.gamma_s + coeffs.gamma_b
     if denom == 0.0:
         w2 = np.zeros_like(t)
-        return Trajectory(times=t, omega2=w2, omega1=omega1, meta=meta, zero_coupling=True)
+        return Trajectory(times=t, omega2=w2, omega1=omega1, zero_coupling=True)
     plateau = omega1 * coeffs.gamma_b / denom
     w2 = plateau * -np.expm1(-denom * t / inertia)
-    return Trajectory(times=t, omega2=w2, omega1=omega1, meta=meta)
+    return Trajectory(times=t, omega2=w2, omega1=omega1)
 
 
 # Taylor coefficients 1/16! .. 1/3! of phi_3, highest order first; for
@@ -506,9 +487,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     if denom == 0.0:
         t = np.array([0.0, 1.0])
         w2 = np.zeros_like(t)
-        return Trajectory(
-            times=t, omega2=w2, omega1=omega1, meta=config, zero_coupling=True, solver=stats
-        )
+        return Trajectory(times=t, omega2=w2, omega1=omega1, zero_coupling=True, solver=stats)
     tau = inertia / denom
     grid = default_time_grid(tau, config.samples)
 
@@ -517,15 +496,8 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
 
     def mutual_torques(spins: list[float]) -> list[float | NanospinError]:
         stats["direct_torque_calls"] += len(spins)
-        return _mutual_torques(
-            [(omega1, w2) for w2 in spins],
-            config.distance,
-            particle,
-            config.thermal.T,
-            config.quad,
-            config.coupling_scale,
-            config.thermal_weight,
-        )
+        pairs = [(omega1, w2) for w2 in spins]
+        return _mutual_torques(pairs, config.distance, particle, config.thermal.T, config.quad, config.coupling_scale)
 
     def drive_residuals(ws: np.ndarray) -> np.ndarray:
         nonlocal rest
@@ -536,9 +508,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
 
     def drag_residuals(ws: np.ndarray) -> np.ndarray:
         stats["direct_torque_calls"] += len(ws)
-        torques = _vacuum_torques(
-            ws.tolist(), particle, config.thermal, config.quad, coth_half_argument=config.coth_half_argument
-        )
+        torques = _vacuum_torques(ws.tolist(), particle, config.thermal, config.quad)
         return _values(torques) - gamma_s * ws
 
     fit_tol = config.quad.rel_tol * denom * omega1
@@ -570,7 +540,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
         lambda u: residual(plateau + u), lam, -plateau, grid.tolist(), tol, 1e-3 * tau, 1e-12 * tau, switches
     )
     w2 = plateau + u
-    return Trajectory(times=grid, omega2=w2, omega1=omega1, meta=config, solver=stats)
+    return Trajectory(times=grid, omega2=w2, omega1=omega1, solver=stats)
 
 
 def sync_time(traj: Trajectory, threshold: float = 0.01) -> float | None:

@@ -33,6 +33,7 @@ values, dropping the oldest first; clear_memo empties it.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,7 +59,6 @@ __all__ = [
     "integrate",
     "SPIN_DIRECT_FLOOR",
     "DEFAULT_COUPLING_SCALE",
-    "THERMAL_WEIGHTS",
     "coth_factor",
     "d_coth_factor",
     "occupation",
@@ -81,8 +81,6 @@ SPIN_DIRECT_FLOOR = 1e6
 
 # Mutual-channel magnitude calibration; see module docstring.
 DEFAULT_COUPLING_SCALE = 3.81e22
-
-THERMAL_WEIGHTS = ("symmetrized", "bose", "literal")
 
 # Bound of the vacuum-channel memo: a spin-up keeps at most 65 node
 # torques and one gamma_s per omega1 and setting
@@ -142,16 +140,17 @@ class FrictionCoefficients:
 
 
 def _beta_scale(T: float) -> float:
-    # hbar / k_B T, the inverse thermal frequency
-    return CONSTANTS.hbar / (CONSTANTS.k_B * T)
+    # hbar / k_B T, the inverse thermal frequency; inf where k_B T
+    # underflows to 0 (T below about 4e-301 K), the zero-temperature limit
+    kT = CONSTANTS.k_B * T
+    return CONSTANTS.hbar / kT if kT > 0.0 else math.inf
 
 
-def coth_factor(omega, T: float, half_argument: bool = False):
-    """coth(hbar*omega/k_B T), the symmetric thermal weight.
+def coth_factor(omega, T: float):
+    """coth(hbar*omega/k_B T), the vacuum channel's thermal weight.
 
     T = 0 degenerates to sign(omega). Evaluation at omega = 0 with T > 0
     is a pole and raises; integrators must keep 0 out of the grid.
-    half_argument switches to the coth(hbar*omega/2k_B T) convention.
     """
     w = np.asarray(omega, dtype=float)
     if T == 0.0:
@@ -159,7 +158,7 @@ def coth_factor(omega, T: float, half_argument: bool = False):
         return out if out.ndim else float(out)
     if np.any(w == 0.0):
         raise PoleError("coth_factor pole at omega = 0")
-    x = w * (_beta_scale(T) * (0.5 if half_argument else 1.0))
+    x = w * _beta_scale(T)
     small = np.abs(x) < 1e-6
     xs = np.where(small, 1.0, x)
     with np.errstate(over="ignore"):
@@ -167,16 +166,16 @@ def coth_factor(omega, T: float, half_argument: bool = False):
     return out if out.ndim else float(out)
 
 
-def d_coth_factor(omega, T: float, half_argument: bool = False):
-    """d/d(omega) of coth_factor: -b/sinh^2(b*omega), b = hbar/k_B T
-    (times 1/2 under half_argument). Zero for T = 0."""
+def d_coth_factor(omega, T: float):
+    """d/d(omega) of coth_factor: -b/sinh^2(b*omega), b = hbar/k_B T.
+    Zero for T = 0."""
     w = np.asarray(omega, dtype=float)
     if T == 0.0:
         out = np.zeros_like(w)
         return out if out.ndim else float(out)
     if np.any(w == 0.0):
         raise PoleError("d_coth_factor pole at omega = 0")
-    b = _beta_scale(T) * (0.5 if half_argument else 1.0)
+    b = _beta_scale(T)
     x = b * w
     ax = np.abs(x)
     small = ax < 1e-6
@@ -190,28 +189,23 @@ def d_coth_factor(omega, T: float, half_argument: bool = False):
     return out if out.ndim else float(out)
 
 
-def occupation(omega, T: float, literal_sign: bool = False):
-    """Thermal occupation number.
-
-    Default: 1/(e^{hbar w/k_B T} - 1), extended to negative frequencies
-    (n(-w) = -(1 + n(w)) falls out of expm1 automatically). literal_sign
-    evaluates 1/(e^{-hbar w/k_B T} - 1) verbatim, which is -(1 + n(w)).
-    """
+def occupation(omega, T: float):
+    """Thermal occupation number 1/(e^{hbar w/k_B T} - 1), extended to
+    negative frequencies (n(-w) = -(1 + n(w)) falls out of expm1
+    automatically)."""
     if T <= 0.0:
         raise ConfigError("occupation requires T > 0")
     w = np.asarray(omega, dtype=float)
     if np.any(w == 0.0):
         raise PoleError("occupation pole at omega = 0")
     x = _beta_scale(T) * w
-    if literal_sign:
-        x = -x
     with np.errstate(over="ignore"):
         out = 1.0 / np.expm1(x)
     return out if out.ndim else float(out)
 
 
 def d_occupation(omega, T: float):
-    """d/d(omega) of the default occupation: -b/(4 sinh^2(b*omega/2))."""
+    """d/d(omega) of occupation: -b/(4 sinh^2(b*omega/2))."""
     if T <= 0.0:
         raise ConfigError("d_occupation requires T > 0")
     w = np.asarray(omega, dtype=float)
@@ -231,28 +225,16 @@ def d_occupation(omega, T: float):
     return out if out.ndim else float(out)
 
 
-def _weight(s, omega, T: float, mode: str):
-    """Occupation-weighted Im alpha used by the mutual kernel, given
+def _weight(s, omega, T: float):
+    """The mutual kernel's symmetrized weight Im alpha * (n + 1/2), given
     s = im_polarizability(omega)."""
-    if mode == "symmetrized":
-        return s * (occupation(omega, T) + 0.5)
-    if mode == "bose":
-        return s * occupation(omega, T)
-    if mode == "literal":
-        return s * occupation(omega, T, literal_sign=True)
-    raise ConfigError(f"thermal_weight must be one of {THERMAL_WEIGHTS}")
+    return s * (occupation(omega, T) + 0.5)
 
 
-def _d_weight(s, ds, omega, T: float, mode: str):
+def _d_weight(s, ds, omega, T: float):
     """Analytic derivative of _weight, given s = im_polarizability(omega)
     and ds = d_im_polarizability(omega)."""
-    if mode == "symmetrized":
-        return ds * (occupation(omega, T) + 0.5) + s * d_occupation(omega, T)
-    if mode == "bose":
-        return ds * occupation(omega, T) + s * d_occupation(omega, T)
-    if mode == "literal":
-        return -(ds * (1.0 + occupation(omega, T)) + s * d_occupation(omega, T))
-    raise ConfigError(f"thermal_weight must be one of {THERMAL_WEIGHTS}")
+    return ds * (occupation(omega, T) + 0.5) + s * d_occupation(omega, T)
 
 
 def default_omega_max(thermal: ThermalState, particle: ParticleSpec) -> float:
@@ -331,18 +313,15 @@ def _vacuum_torques(
     thermal: ThermalState,
     quad: QuadratureConfig,
     allow_small_spins: bool = False,
-    coth_half_argument: bool = False,
 ) -> list[float | NanospinError]:
     """vacuum_torque at each spin: its value, bit for bit, or the error it
     raises there. Values come from the memo; one lockstep integral covers
     the spins it lacks, and their values are kept."""
-    keys = [("vacuum", spin, particle, thermal, quad, allow_small_spins, coth_half_argument) for spin in spins]
+    keys = [("vacuum", spin, particle, thermal, quad, allow_small_spins) for spin in spins]
     results = [_memo.get(key) for key in keys]
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:
-        fresh = _integrate_vacuum_torques(
-            [spins[i] for i in missing], particle, thermal, quad, allow_small_spins, coth_half_argument
-        )
+        fresh = _integrate_vacuum_torques([spins[i] for i in missing], particle, thermal, quad, allow_small_spins)
         for i, res in zip(missing, fresh):
             results[i] = res
             if not isinstance(res, NanospinError):
@@ -356,7 +335,6 @@ def _integrate_vacuum_torques(
     thermal: ThermalState,
     quad: QuadratureConfig,
     allow_small_spins: bool,
-    coth_half_argument: bool,
 ) -> list[float | NanospinError]:
     """_vacuum_torques without the memo: one lockstep integral for all
     spins."""
@@ -378,12 +356,13 @@ def _integrate_vacuum_torques(
     def kernel_at(columns: np.ndarray):
         def kernel(w, owners):
             omega0 = columns[owners]  # (rows, 1)
-            a0 = coth_factor(w, T0, coth_half_argument)
+            a0 = coth_factor(w, T0)
             wp = w + omega0
             wm = w - omega0
-            bracket = im_polarizability(wp, particle) * (
-                coth_factor(wp, T, coth_half_argument) - a0
-            ) - im_polarizability(wm, particle) * (coth_factor(wm, T, coth_half_argument) - a0)
+            bracket = (
+                im_polarizability(wp, particle) * (coth_factor(wp, T) - a0)
+                - im_polarizability(wm, particle) * (coth_factor(wm, T) - a0)
+            )
             return w * w * im_g_self_transverse_sum(w) * bracket
 
         return kernel
@@ -399,7 +378,6 @@ def vacuum_torque(
     quad: QuadratureConfig,
     *,
     allow_small_spins: bool = False,
-    coth_half_argument: bool = False,
 ) -> float:
     """Drag torque (N*m) on a particle spinning at omega0 in the vacuum.
 
@@ -407,7 +385,7 @@ def vacuum_torque(
     zero at omega0 = 0 with T = T0. Refuses 0 < |omega0| <
     SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_s there).
     """
-    (res,) = _vacuum_torques([omega0], particle, thermal, quad, allow_small_spins, coth_half_argument)
+    (res,) = _vacuum_torques([omega0], particle, thermal, quad, allow_small_spins)
     if isinstance(res, NanospinError):
         raise res
     return res
@@ -420,7 +398,6 @@ def _mutual_torques(
     T: float,
     quad: QuadratureConfig,
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
-    thermal_weight: str = "symmetrized",
     allow_small_spins: bool = False,
 ) -> list[float | NanospinError]:
     """mutual_torque at each (omega01, omega02): its value, bit for bit,
@@ -448,9 +425,9 @@ def _mutual_torques(
             o1, o2 = columns[owners, 0, None], columns[owners, 1, None]  # (rows, 1) each
             wm2, wp2, wp1, wm1 = w - o2, w + o2, w + o1, w - o1
             sm2, sp2, sp1, sm1 = (im_polarizability(x, particle) for x in (wm2, wp2, wp1, wm1))
-            f2 = _weight(sm2, wm2, T, thermal_weight) - _weight(sp2, wp2, T, thermal_weight)
+            f2 = _weight(sm2, wm2, T) - _weight(sp2, wp2, T)
             g1 = sp1 + sm1
-            h1 = _weight(sm1, wm1, T, thermal_weight) - _weight(sp1, wp1, T, thermal_weight)
+            h1 = _weight(sm1, wm1, T) - _weight(sp1, wp1, T)
             k2 = sp2 + sm2
             return abs2_transverse_sum(d, w) * (f2 * g1 - h1 * k2)
 
@@ -468,7 +445,6 @@ def mutual_torque(
     quad: QuadratureConfig,
     *,
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
-    thermal_weight: str = "symmetrized",
     allow_small_spins: bool = False,
 ) -> float:
     """Torque (N*m) on particle 2 mediated by the gap field.
@@ -478,9 +454,7 @@ def mutual_torque(
     Refuses unequal spins whose nonzero scales sit below
     SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_b there).
     """
-    (res,) = _mutual_torques(
-        [(spins.omega01, spins.omega02)], d, particle, T, quad, coupling_scale, thermal_weight, allow_small_spins
-    )
+    (res,) = _mutual_torques([(spins.omega01, spins.omega02)], d, particle, T, quad, coupling_scale, allow_small_spins)
     if isinstance(res, NanospinError):
         raise res
     return res
@@ -496,27 +470,17 @@ def _scaled(res: IntegrationResult, scale: float) -> IntegrationResult:
     )
 
 
-def _gamma_s_result(
-    particle: ParticleSpec,
-    thermal: ThermalState,
-    quad: QuadratureConfig,
-    coth_half_argument: bool = False,
-) -> IntegrationResult:
+def _gamma_s_result(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> IntegrationResult:
     """gamma_s with its diagnostics, from the memo when it holds them."""
-    key = ("gamma_s", particle, thermal, quad, coth_half_argument)
+    key = ("gamma_s", particle, thermal, quad)
     res = _memo.get(key)
     if res is None:
-        res = _integrate_gamma_s(particle, thermal, quad, coth_half_argument)
+        res = _integrate_gamma_s(particle, thermal, quad)
         _remember(key, res)
     return res
 
 
-def _integrate_gamma_s(
-    particle: ParticleSpec,
-    thermal: ThermalState,
-    quad: QuadratureConfig,
-    coth_half_argument: bool,
-) -> IntegrationResult:
+def _integrate_gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> IntegrationResult:
     if thermal.T <= 0.0 or thermal.T0 <= 0.0:
         raise ConfigError("gamma_s requires T > 0 and T0 > 0")
     q = resolved(quad, default_omega_max(thermal, particle), _thermal_breakpoints(particle, thermal.T, thermal.T0))
@@ -525,29 +489,23 @@ def _integrate_gamma_s(
     def kernel(w):
         s = im_polarizability(w, particle)
         ds = d_im_polarizability(w, particle)
-        da = d_coth_factor(w, T, coth_half_argument)
+        da = d_coth_factor(w, T)
         expanded = s * da
         if T != T0:
-            expanded = expanded + ds * (coth_factor(w, T, coth_half_argument) - coth_factor(w, T0, coth_half_argument))
+            expanded = expanded + ds * (coth_factor(w, T) - coth_factor(w, T0))
         return 2.0 * w * w * im_g_self_transverse_sum(w) * expanded
 
     res = integrate_with_diagnostics(kernel, q)
     return _scaled(res, -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2)))
 
 
-def gamma_s(
-    particle: ParticleSpec,
-    thermal: ThermalState,
-    quad: QuadratureConfig,
-    *,
-    coth_half_argument: bool = False,
-) -> float:
+def gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> float:
     """Vacuum drag per unit spin (N*m*s): d(vacuum_torque)/d(omega0) at 0.
 
     Uses the analytically expanded kernel, so it is exact at arbitrarily
     small spins where direct evaluation cancels away. Independent of d.
     """
-    return _gamma_s_result(particle, thermal, quad, coth_half_argument).value
+    return _gamma_s_result(particle, thermal, quad).value
 
 
 def _gamma_b_results(
@@ -556,7 +514,6 @@ def _gamma_b_results(
     T: float,
     quad: QuadratureConfig,
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
-    thermal_weight: str = "symmetrized",
 ) -> list[IntegrationResult | NanospinError]:
     """gamma_b at each distance: its IntegrationResult, or the error that
     distance raised. All integrals run in lockstep, one kernel call per
@@ -578,7 +535,7 @@ def _gamma_b_results(
     def kernel(w, owners):
         s = im_polarizability(w, particle)
         ds = d_im_polarizability(w, particle)
-        return 4.0 * abs2_transverse_sum(column[owners, None], w) * _d_weight(s, ds, w, T, thermal_weight) * s
+        return 4.0 * abs2_transverse_sum(column[owners, None], w) * _d_weight(s, ds, w, T) * s
 
     scale = coupling_scale * 4.0 * np.pi * CONSTANTS.hbar
     for i, res in zip(pending, integrate_with_diagnostics(kernel, q, len(pending))):
@@ -593,11 +550,10 @@ def gamma_b(
     quad: QuadratureConfig,
     *,
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
-    thermal_weight: str = "symmetrized",
 ) -> float:
     """Mutual drag per unit spin difference (N*m*s): the slope of
     mutual_torque in (omega01 - omega02) at zero spins."""
-    (res,) = _gamma_b_results([d], particle, T, quad, coupling_scale, thermal_weight)
+    (res,) = _gamma_b_results([d], particle, T, quad, coupling_scale)
     if isinstance(res, NanospinError):
         raise res
     return res.value
@@ -614,8 +570,6 @@ def sweep_friction_coefficients(
     quad: QuadratureConfig,
     *,
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
-    thermal_weight: str = "symmetrized",
-    coth_half_argument: bool = False,
 ) -> list[tuple[FrictionCoefficients, dict] | NanospinError]:
     """friction_coefficients at each distance in one pass.
 
@@ -625,8 +579,8 @@ def sweep_friction_coefficients(
     NanospinError it raises there.
     """
     try:
-        rs = _gamma_s_result(particle, thermal, quad, coth_half_argument)
-        rbs = _gamma_b_results(distances, particle, thermal.T, quad, coupling_scale, thermal_weight)
+        rs = _gamma_s_result(particle, thermal, quad)
+        rbs = _gamma_b_results(distances, particle, thermal.T, quad, coupling_scale)
     except NanospinError as exc:
         return [exc] * len(distances)
     return [
@@ -650,16 +604,15 @@ def friction_coefficients(
     thermal_weight: str = "symmetrized",
     coth_half_argument: bool = False,
 ) -> tuple[FrictionCoefficients, dict]:
-    """Both linearized coefficients plus quadrature diagnostics."""
-    (result,) = sweep_friction_coefficients(
-        particle,
-        [d],
-        thermal,
-        quad,
-        coupling_scale=coupling_scale,
-        thermal_weight=thermal_weight,
-        coth_half_argument=coth_half_argument,
-    )
+    """Both linearized coefficients plus quadrature diagnostics.
+
+    thermal_weight and coth_half_argument are kept for the benchmark
+    harness, which passes a RunConfig's constants of the same names; any
+    value but the one convention raises ConfigError.
+    """
+    if thermal_weight != "symmetrized" or coth_half_argument is not False:
+        raise ConfigError("the gap channel weighs by n + 1/2 and the vacuum channel by coth(hbar*omega/k_B T)")
+    (result,) = sweep_friction_coefficients(particle, [d], thermal, quad, coupling_scale=coupling_scale)
     if isinstance(result, NanospinError):
         raise result
     return result

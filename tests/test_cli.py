@@ -149,10 +149,10 @@ class TestNonlinearRun:
 
 
     def test_failing_node_exits_3(self, tmp_path, capsys):
-        # the bose weight at 300 nm does not converge at a surrogate node
+        # at gamma_b's sign change a node of M(omega1, omega2) runs out of
+        # splits above the roundoff floor
         cfg = write_config(
-            tmp_path / "c.json",
-            {"distance_m": 3e-7, "omega1_rad_per_s": 1e10, "mode": "nonlinear", "thermal_weight": "bose"},
+            tmp_path / "c.json", {"distance_m": 2.691e-6, "omega1_rad_per_s": 1e10, "mode": "nonlinear"}
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "no convergence after 200 subdivisions" in capsys.readouterr().err
@@ -257,6 +257,21 @@ class TestSweep:
         assert (tmp_path / "d_1e-07" / "summary.json").is_file()
         assert not (tmp_path / "d_4e-06").exists()
 
+    def test_distances_sharing_a_run_directory_are_refused(self, tmp_path, capsys, monkeypatch):
+        # both are d_1e-07: the second run overwrote the first, and
+        # sweep_summary.json pointed both at what was left
+        import nanospin.cli as cli_mod
+
+        solved = []
+        monkeypatch.setattr(cli_mod, "sweep_coefficients_for", lambda *args: solved.append(args) or [])
+        cfg = write_config(
+            tmp_path / "c.json", {"distances_m": [1e-7, 1.0000001e-7, 1.0000002e-7], "out_dir": str(tmp_path / "o")}
+        )
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "1e-07 m and 1.0000001e-07 m would share the run directory d_1e-07" in capsys.readouterr().err
+        assert solved == []
+        assert not (tmp_path / "o").exists()
+
 
 class TestMain:
     def test_run_ok(self, tmp_path, capsys):
@@ -319,13 +334,9 @@ class TestMain:
         assert main(["run", "--config", cfg]) == 2
         assert "omega_max" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "doc",
-        [{"distance_m": 4e-6}, {"distance_m": 1e-7, "thermal_weight": "literal"}],
-        ids=["past_near_field_edge", "literal_weight"],
-    )
+    @pytest.mark.parametrize("doc", [{"distance_m": 4e-6}], ids=["past_near_field_edge"])
     def test_negative_gamma_b_is_config_error(self, tmp_path, capsys, doc):
-        # both exited 0 with a summary outside the schema's delta ranges
+        # exited 0 with a summary outside the schema's delta ranges
         cfg = write_config(tmp_path / "c.json", dict(doc, out_dir=str(tmp_path / "o")))
         assert main(["run", "--config", cfg]) == 2
         assert "near-field edge" in capsys.readouterr().err
@@ -353,9 +364,18 @@ class TestMain:
         cfg = write_config(
             tmp_path / "c.json", {"distances_m": [5e-8, 1e-7], "out_dir": str(tmp_path / "o")}
         )
-        # --jobs is accepted and ignored
-        assert main(["sweep", "--config", cfg, "--jobs", "2"]) == 0
+        assert main(["sweep", "--config", cfg]) == 0
         assert "swept 2 distances" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--jobs", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key, value", [("thermal_weight", "bose"), ("coth_half_argument", True)])
+    def test_other_thermal_conventions_are_unknown_keys(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, key: value, "out_dir": str(tmp_path / "o")})
+        assert main(["run", "--config", cfg]) == 2
+        assert f"unknown configuration keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_cli_import_leaves_scipy_out(self):
         code = "import sys, nanospin.cli; print('scipy' in sys.modules)"

@@ -17,7 +17,7 @@ from nanospin import (
 )
 from nanospin.config import _KNOWN_KEYS
 
-NUMERIC_KEYS = sorted(_KNOWN_KEYS - {"polarizability_model", "thermal_weight", "coth_half_argument", "mode", "out_dir"})
+NUMERIC_KEYS = sorted(_KNOWN_KEYS - {"polarizability_model", "mode", "out_dir"})
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs"
 
@@ -62,8 +62,6 @@ class TestParseRun:
             "mode": "nonlinear",
             "samples": 10,
             "rel_tol": 1e-6,
-            "thermal_weight": "bose",
-            "coth_half_argument": True,
             "out_dir": "custom",
         }))
         assert cfg.omega1 == 1e8
@@ -72,8 +70,6 @@ class TestParseRun:
         assert cfg.mode == "nonlinear"
         assert cfg.samples == 10
         assert cfg.quad.rel_tol == 1e-6
-        assert cfg.thermal_weight == "bose"
-        assert cfg.coth_half_argument is True
         assert cfg.out_dir == "custom"
 
     def test_samples_bound_is_inclusive(self, schema):
@@ -135,8 +131,8 @@ class TestRejection:
             {"distance_m": 1e-7, "samples": 2.5},
             {"distance_m": 1e-7, "samples": True},
             {"distance_m": 1e-7, "omega1_rad_per_s": True},
-            {"distance_m": 1e-7, "coth_half_argument": 1},
-            {"distance_m": 1e-7, "thermal_weight": 3},
+            {"distance_m": 1e-7, "mode": 3},
+            {"distance_m": 1e-7, "polarizability_model": None},
             {"distances_m": [1e-7, "far"]},
             {"distances_m": 1e-7},
         ],
@@ -225,8 +221,7 @@ class TestFingerprint:
 class TestCanonicalDict:
     def test_run_keys(self):
         doc = parse_config('{"distance_m": 1e-7}').canonical_dict()
-        assert len(doc) == 22
-        assert "out_dir" not in doc
+        assert set(doc) == _KNOWN_KEYS - {"distances_m", "out_dir"}
         json.dumps(doc)  # must be JSON-ready
 
     def test_sweep_swaps_distance_key(self):
@@ -262,8 +257,6 @@ class TestConfigSchema:
                 "max_subdivisions": 200,
                 "omega_min_rad_per_s": 1e13,
                 "coupling_scale": 3.81e22,
-                "thermal_weight": "symmetrized",
-                "coth_half_argument": False,
                 "mode": "linear",
                 "sync_threshold": 0.01,
                 "samples": 400,
@@ -293,6 +286,11 @@ class TestConfigSchema:
             jsonschema.validate(doc, schema)
 
     def test_schema_keys_match_parser(self, schema):
-        from nanospin.config import _KNOWN_KEYS
-
         assert set(schema["properties"]) == _KNOWN_KEYS
+
+    def test_readme_table_keys_match_parser(self):
+        readme = (SCHEMA_DIR.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| `")]
+        assert len(rows) == len(set(rows))
+        assert {row.strip("`") for row in rows} == _KNOWN_KEYS

@@ -16,7 +16,7 @@ from nanospin import quadrature
 from nanospin.config import RunConfig
 from nanospin.dynamics import solve_nonlinear
 from nanospin.quadrature import _WEIGHTS_G, _WEIGHTS_K, _NODES, IntegrationResult, integrate_with_diagnostics
-from nanospin.torque import THERMAL_WEIGHTS, _gamma_b_results, _integrate_gamma_s, _mutual_torques
+from nanospin.torque import _gamma_b_results, _integrate_gamma_s, _mutual_torques
 
 ROUNDOFF = 50.0 * np.finfo(float).eps
 
@@ -194,7 +194,7 @@ def assert_same_as_oracle(monkeypatch, route):
 
 def test_gamma_s_matches_oracle(monkeypatch, particle, thermal, quad):
     # the integral itself: a memo hit would not reach the engine
-    assert_same_as_oracle(monkeypatch, lambda: _integrate_gamma_s(particle, thermal, quad, False))
+    assert_same_as_oracle(monkeypatch, lambda: _integrate_gamma_s(particle, thermal, quad))
 
 
 # 2.691e-6 m lies at gamma_b's sign change: no 200 splits meet rel_tol
@@ -202,23 +202,26 @@ def test_gamma_s_matches_oracle(monkeypatch, particle, thermal, quad):
 DISTANCES = [5e-8, 1e-7, 3.3e-7, 9.49e-7, 2.691e-6, 4e-6, 2e-5]
 
 
-@pytest.mark.parametrize("weight", THERMAL_WEIGHTS)
-def test_gamma_b_matches_oracle_batched_and_lone(monkeypatch, particle, quad, weight):
-    assert_same_as_oracle(
-        monkeypatch, lambda: _gamma_b_results(DISTANCES, particle, 300.0, quad, thermal_weight=weight)
-    )
+def test_gamma_b_matches_oracle_batched_and_lone(monkeypatch, particle, quad):
+    assert_same_as_oracle(monkeypatch, lambda: _gamma_b_results(DISTANCES, particle, 300.0, quad))
     for d in DISTANCES[::2]:
-        assert_same_as_oracle(
-            monkeypatch, lambda: _gamma_b_results([d], particle, 300.0, quad, thermal_weight=weight)
-        )
+        assert_same_as_oracle(monkeypatch, lambda: _gamma_b_results([d], particle, 300.0, quad))
 
 
-@pytest.mark.parametrize(("weight", "d"), [("symmetrized", 1e-7), ("bose", 1e-7), ("literal", 9.49e-7)])
-def test_mutual_node_batch_matches_oracle(monkeypatch, particle, quad, weight, d):
-    # the degree-8 nodes of a 1e10 spin-up plus the gap torque at rest;
-    # under bose at 100 nm the node omega1 - F runs out of splits
-    spins = [(1e10, w) for w in np.linspace(1e9, 9e9, 9).tolist()] + [(1e10, 0.0)]
-    assert_same_as_oracle(monkeypatch, lambda: _mutual_torques(spins, d, particle, 300.0, quad, thermal_weight=weight))
+# the degree-8 nodes of a 1e10 spin-up plus the gap torque at rest
+NODE_SPINS = [(1e10, w) for w in np.linspace(1e9, 9e9, 9).tolist()] + [(1e10, 0.0)]
+
+
+@pytest.mark.parametrize(("d", "max_subdivisions"), [(1e-7, 200), (9.49e-7, 200), (3e-7, 27)])
+def test_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_subdivisions):
+    # with 27 splits at 300 nm, 7 integrands converge and 3 run out
+    quad = QuadratureConfig(max_subdivisions=max_subdivisions)
+    assert_same_as_oracle(monkeypatch, lambda: _mutual_torques(NODE_SPINS, d, particle, 300.0, quad))
+
+
+def test_a_starved_mutual_batch_mixes_outcomes(particle):
+    results = _mutual_torques(NODE_SPINS, 3e-7, particle, 300.0, QuadratureConfig(max_subdivisions=27))
+    assert "".join("F" if isinstance(r, ConvergenceError) else "." for r in results) == "..F.....FF"
 
 
 def test_floor_resolves_the_sign_change_of_gamma_b(particle, quad):
