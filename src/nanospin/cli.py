@@ -79,13 +79,18 @@ def run(config: RunConfig) -> OutputBundle:
 
 def _check_domain(config: RunConfig, coeffs: FrictionCoefficients) -> None:
     """Raise ConfigError for coefficients outside the model's domain,
-    gamma_s <= 0 or gamma_b < 0."""
-    if not (coeffs.gamma_s > 0.0 and coeffs.gamma_b >= 0.0):
+    gamma_s <= 0 or gamma_b < 0, naming the one that fails."""
+    if not coeffs.gamma_s > 0.0:
         raise ConfigError(
-            f"gamma_s = {coeffs.gamma_s:.6g} N m s and gamma_b = {coeffs.gamma_b:.6g} N m s at distance "
-            f"{config.distance:.6g} m: a run needs gamma_s > 0 and gamma_b >= 0. gamma_b changes sign at the "
-            "near-field edge (about 2.69e-6 m for the default particle at 300 K), past which the point-dipole "
-            "coupling no longer pulls the follower toward co-rotation"
+            f"gamma_s = {coeffs.gamma_s:.6g} N m s at temperature {config.thermal.T:.6g} K and vacuum "
+            f"temperature {config.thermal.T0:.6g} K: a run needs gamma_s > 0"
+        )
+    if not coeffs.gamma_b >= 0.0:
+        raise ConfigError(
+            f"gamma_b = {coeffs.gamma_b:.6g} N m s at distance {config.distance:.6g} m: a run needs "
+            "gamma_b >= 0. gamma_b changes sign at the near-field edge (about 2.69e-6 m for the default "
+            "particle at 300 K), past which the point-dipole coupling no longer pulls the follower toward "
+            "co-rotation"
         )
 
 

@@ -6,6 +6,11 @@ physical keys carry explicit unit suffixes, unknown keys are rejected,
 and the resolved document has a canonical form whose sha256 is the run
 fingerprint (output location excluded, so a relocated rerun keeps its
 identity).
+
+One table, _KEYS, names for each physics key the object and field it
+sets and how its value is read; parsing and the canonical form both
+read it. A key the document omits keeps its dataclass default, so every
+default is stated once, on its dataclass.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, ClassVar
 
 from .errors import ConfigError
-from .material import DielectricParams, ParticleSpec
+from .material import SIC, ParticleSpec
 from .quadrature import QuadratureConfig
 from .torque import DEFAULT_COUPLING_SCALE, ThermalState, check_point_dipole
 
@@ -67,28 +73,14 @@ class RunConfig:
 
     def canonical_dict(self) -> dict[str, Any]:
         """Resolved physics inputs as a flat, JSON-ready mapping."""
-        return {
-            "abs_tol_Nm": self.quad.abs_tol,
-            "coupling_scale": self.coupling_scale,
-            "damping_rad_per_s": self.particle.dielectric.gamma,
-            "distance_m": self.distance,
-            "eps_inf": self.particle.dielectric.eps_inf,
-            "mass_density_kg_per_m3": self.particle.mass_density,
-            "max_subdivisions": self.quad.max_subdivisions,
-            "mode": self.mode,
-            "omega1_rad_per_s": self.omega1,
-            "omega_L_rad_per_s": self.particle.dielectric.omega_L,
-            "omega_T_rad_per_s": self.particle.dielectric.omega_T,
-            "omega_max_rad_per_s": self.quad.omega_max,
-            "omega_min_rad_per_s": self.quad.omega_min,
-            "polarizability_model": self.particle.polarizability_model,
-            "radius_m": self.particle.radius,
-            "rel_tol": self.quad.rel_tol,
-            "samples": self.samples,
-            "sync_threshold": self.sync_threshold,
-            "temperature_K": self.thermal.T,
-            "vacuum_temperature_K": self.thermal.T0,
+        objects = {
+            "dielectric": self.particle.dielectric,
+            "particle": self.particle,
+            "thermal": self.thermal,
+            "quad": self.quad,
+            "run": self,
         }
+        return {key: getattr(objects[obj], name) for key, (obj, name, _) in _KEYS.items()}
 
     def with_distance(self, distance: float, out_dir: str | None = None) -> "RunConfig":
         return replace(self, distance=distance, out_dir=out_dir if out_dir is not None else self.out_dir)
@@ -141,48 +133,49 @@ def _finite(value, key: str, constraint: str) -> float:
     return number
 
 
-def _number(doc: dict, key: str, default: float) -> float:
-    if key not in doc:
-        return default
-    return _finite(doc[key], key, "must be a number")
+def _number(value, key: str) -> float:
+    return _finite(value, key, "must be a number")
 
 
-def _integer(doc: dict, key: str, default: int) -> int:
-    if key not in doc:
-        return default
-    return int(_expect(doc[key], int, key, "must be an integer"))
+def _number_or_null(value, key: str) -> float | None:
+    return None if value is None else _finite(value, key, "must be a number or null")
 
 
-def _string(doc: dict, key: str, default: str) -> str:
-    if key not in doc:
-        return default
-    return _expect(doc[key], str, key, "must be a string")
+def _integer(value, key: str) -> int:
+    return int(_expect(value, int, key, "must be an integer"))
 
 
-_KNOWN_KEYS = {
-    "distance_m",
-    "distances_m",
-    "omega1_rad_per_s",
-    "radius_m",
-    "mass_density_kg_per_m3",
-    "temperature_K",
-    "vacuum_temperature_K",
-    "polarizability_model",
-    "eps_inf",
-    "omega_L_rad_per_s",
-    "omega_T_rad_per_s",
-    "damping_rad_per_s",
-    "rel_tol",
-    "abs_tol_Nm",
-    "max_subdivisions",
-    "omega_min_rad_per_s",
-    "omega_max_rad_per_s",
-    "coupling_scale",
-    "mode",
-    "sync_threshold",
-    "samples",
-    "out_dir",
+def _string(value, key: str) -> str:
+    return _expect(value, str, key, "must be a string")
+
+
+# Every physics key: the object it sets, the field on that object, and
+# its reader. A key the document omits keeps the field's dataclass
+# default (SIC for the dielectric).
+_KEYS = {
+    "distance_m": ("run", "distance", _number),
+    "omega1_rad_per_s": ("run", "omega1", _number),
+    "radius_m": ("particle", "radius", _number),
+    "mass_density_kg_per_m3": ("particle", "mass_density", _number),
+    "temperature_K": ("thermal", "T", _number),
+    "vacuum_temperature_K": ("thermal", "T0", _number),
+    "polarizability_model": ("particle", "polarizability_model", _string),
+    "eps_inf": ("dielectric", "eps_inf", _number),
+    "omega_L_rad_per_s": ("dielectric", "omega_L", _number),
+    "omega_T_rad_per_s": ("dielectric", "omega_T", _number),
+    "damping_rad_per_s": ("dielectric", "gamma", _number),
+    "rel_tol": ("quad", "rel_tol", _number),
+    "abs_tol_Nm": ("quad", "abs_tol", _number),
+    "max_subdivisions": ("quad", "max_subdivisions", _integer),
+    "omega_min_rad_per_s": ("quad", "omega_min", _number),
+    "omega_max_rad_per_s": ("quad", "omega_max", _number_or_null),
+    "coupling_scale": ("run", "coupling_scale", _number),
+    "mode": ("run", "mode", _string),
+    "sync_threshold": ("run", "sync_threshold", _number),
+    "samples": ("run", "samples", _integer),
 }
+
+_KNOWN_KEYS = set(_KEYS) | {"distances_m", "out_dir"}
 
 
 def parse_config(text: str) -> RunConfig | SweepConfig:
@@ -202,61 +195,33 @@ def parse_config(text: str) -> RunConfig | SweepConfig:
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
 
-    has_single = "distance_m" in doc
     has_sweep = "distances_m" in doc
-    if has_single == has_sweep:
+    if has_sweep == ("distance_m" in doc):
         raise ConfigError("exactly one of 'distance_m' and 'distances_m' is required")
 
+    fields: defaultdict[str, dict[str, Any]] = defaultdict(dict)
+    for key, (obj, name, read) in _KEYS.items():
+        if key in doc:
+            fields[obj][name] = read(doc[key], key)
+    if has_sweep:
+        raw_list = _expect(doc["distances_m"], list, "distances_m", "must be a list of numbers")
+        distances = tuple(_finite(d, "distances_m", "must be a list of numbers") for d in raw_list)
+        fields["run"]["distance"] = distances[0] if distances else 1.0
+
     try:
-        dielectric = DielectricParams(
-            eps_inf=_number(doc, "eps_inf", 6.7),
-            omega_L=_number(doc, "omega_L_rad_per_s", 1.823e14),
-            omega_T=_number(doc, "omega_T_rad_per_s", 1.492e14),
-            gamma=_number(doc, "damping_rad_per_s", 8.954e11),
-        )
-        particle = ParticleSpec(
-            radius=_number(doc, "radius_m", 5e-9),
-            mass_density=_number(doc, "mass_density_kg_per_m3", 3210.0),
-            temperature=_number(doc, "temperature_K", 300.0),
-            polarizability_model=_string(doc, "polarizability_model", "bare"),
-            dielectric=dielectric,
-        )
+        particle = ParticleSpec(dielectric=replace(SIC, **fields["dielectric"]), **fields["particle"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    thermal = ThermalState(T=particle.temperature, T0=_number(doc, "vacuum_temperature_K", 300.0))
-
-    omega_max = doc.get("omega_max_rad_per_s", None)
-    if omega_max is not None:
-        omega_max = _finite(omega_max, "omega_max_rad_per_s", "must be a number or null")
-    quad = QuadratureConfig(
-        rel_tol=_number(doc, "rel_tol", 1e-9),
-        abs_tol=_number(doc, "abs_tol_Nm", 0.0),
-        max_subdivisions=_integer(doc, "max_subdivisions", 200),
-        omega_min=_number(doc, "omega_min_rad_per_s", 1e13),
-        omega_max=omega_max,
-    )
 
     out_dir = doc.get("out_dir", None)
     if out_dir is not None:
         out_dir = _expect(out_dir, str, "out_dir", "must be a string or null")
 
-    common = dict(
+    base = RunConfig(
         particle=particle,
-        thermal=thermal,
-        quad=quad,
-        omega1=_number(doc, "omega1_rad_per_s", 1e4),
-        mode=_string(doc, "mode", "linear"),
-        sync_threshold=_number(doc, "sync_threshold", 0.01),
-        samples=_integer(doc, "samples", 400),
-        coupling_scale=_number(doc, "coupling_scale", DEFAULT_COUPLING_SCALE),
+        thermal=ThermalState(**fields["thermal"]),
+        quad=QuadratureConfig(**fields["quad"]),
         out_dir=out_dir,
+        **fields["run"],
     )
-
-    if has_single:
-        return RunConfig(distance=_finite(doc["distance_m"], "distance_m", "must be a number"), **common)
-
-    raw_list = _expect(doc["distances_m"], list, "distances_m", "must be a list of numbers")
-    distances = tuple(_finite(d, "distances_m", "must be a list of numbers") for d in raw_list)
-    base = RunConfig(distance=distances[0] if distances else 1.0, **common)
-    return SweepConfig(base=base, distances=distances)
+    return SweepConfig(base=base, distances=distances) if has_sweep else base

@@ -82,7 +82,7 @@ _MODELS = ("bare", "clausius_mossotti")
 
 @dataclass(frozen=True)
 class ParticleSpec:
-    """Geometry, material, and thermal state of one nanoparticle.
+    """Geometry and material of one nanoparticle.
 
     volume is derived from radius and kept as a field so downstream
     code never recomputes it inconsistently.
@@ -90,7 +90,6 @@ class ParticleSpec:
 
     radius: float = 5e-9
     mass_density: float = 3210.0
-    temperature: float = 300.0
     polarizability_model: str = "bare"
     dielectric: DielectricParams = SIC
     volume: float = field(init=False)
@@ -100,8 +99,6 @@ class ParticleSpec:
             raise ValueError("require radius > 0")
         if self.mass_density <= 0.0:
             raise ValueError("require mass_density > 0")
-        if self.temperature < 0.0:
-            raise ValueError("require temperature >= 0")
         if self.polarizability_model not in _MODELS:
             raise ValueError(f"polarizability_model must be one of {_MODELS}")
         object.__setattr__(self, "volume", 4.0 * np.pi * self.radius**3 / 3.0)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -353,12 +353,4 @@ def resolved(quad: QuadratureConfig, omega_max: float, extra_breakpoints: Sequen
     """
     omax = quad.omega_max if quad.omega_max is not None else omega_max
     merged = tuple(quad.breakpoints) + tuple(extra_breakpoints)
-    return QuadratureConfig(
-        rel_tol=quad.rel_tol,
-        abs_tol=quad.abs_tol,
-        max_subdivisions=quad.max_subdivisions,
-        omega_min=quad.omega_min,
-        omega_max=omax,
-        breakpoints=tuple(b for b in merged if 0.0 < b < omax),
-        certify_tail=quad.certify_tail,
-    )
+    return replace(quad, omega_max=omax, breakpoints=tuple(b for b in merged if 0.0 < b < omax))

@@ -10,6 +10,10 @@ Two channels:
   from 2|g_t|^2 and occupation-weighted Im alpha at spin-shifted
   frequencies.
 
+Either temperature may be 0: the thermal factors take their
+zero-temperature limit through hbar/k_B T = inf, the value they also
+take where k_B T underflows, so no function refuses or special-cases it.
+
 Both integrands live on [omega_min, omega_max] (see quadrature module for
 the infrared cutoff rationale). Below SPIN_DIRECT_FLOOR the spin shifts
 are unresolvable in binary64 and direct evaluation is refused in favor of
@@ -140,8 +144,10 @@ class FrictionCoefficients:
 
 
 def _beta_scale(T: float) -> float:
-    # hbar / k_B T, the inverse thermal frequency; inf where k_B T
-    # underflows to 0 (T below about 4e-301 K), the zero-temperature limit
+    # hbar / k_B T, the inverse thermal frequency; inf at T = 0 and where
+    # k_B T underflows to 0 (T below about 4e-301 K). Every thermal factor
+    # takes its zero-temperature limit through this inf, with no branch
+    # of its own.
     kT = CONSTANTS.k_B * T
     return CONSTANTS.hbar / kT if kT > 0.0 else math.inf
 
@@ -149,13 +155,10 @@ def _beta_scale(T: float) -> float:
 def coth_factor(omega, T: float):
     """coth(hbar*omega/k_B T), the vacuum channel's thermal weight.
 
-    T = 0 degenerates to sign(omega). Evaluation at omega = 0 with T > 0
-    is a pole and raises; integrators must keep 0 out of the grid.
+    T = 0 gives sign(omega). Evaluation at omega = 0 is a pole and
+    raises; integrators must keep 0 out of the grid.
     """
     w = np.asarray(omega, dtype=float)
-    if T == 0.0:
-        out = np.sign(w)
-        return out if out.ndim else float(out)
     if np.any(w == 0.0):
         raise PoleError("coth_factor pole at omega = 0")
     x = w * _beta_scale(T)
@@ -170,9 +173,6 @@ def d_coth_factor(omega, T: float):
     """d/d(omega) of coth_factor: -b/sinh^2(b*omega), b = hbar/k_B T.
     Zero for T = 0."""
     w = np.asarray(omega, dtype=float)
-    if T == 0.0:
-        out = np.zeros_like(w)
-        return out if out.ndim else float(out)
     if np.any(w == 0.0):
         raise PoleError("d_coth_factor pole at omega = 0")
     b = _beta_scale(T)
@@ -192,9 +192,7 @@ def d_coth_factor(omega, T: float):
 def occupation(omega, T: float):
     """Thermal occupation number 1/(e^{hbar w/k_B T} - 1), extended to
     negative frequencies (n(-w) = -(1 + n(w)) falls out of expm1
-    automatically)."""
-    if T <= 0.0:
-        raise ConfigError("occupation requires T > 0")
+    automatically). T = 0 gives 0 above zero frequency and -1 below."""
     w = np.asarray(omega, dtype=float)
     if np.any(w == 0.0):
         raise PoleError("occupation pole at omega = 0")
@@ -205,9 +203,7 @@ def occupation(omega, T: float):
 
 
 def d_occupation(omega, T: float):
-    """d/d(omega) of occupation: -b/(4 sinh^2(b*omega/2))."""
-    if T <= 0.0:
-        raise ConfigError("d_occupation requires T > 0")
+    """d/d(omega) of occupation: -b/(4 sinh^2(b*omega/2)). Zero for T = 0."""
     w = np.asarray(omega, dtype=float)
     if np.any(w == 0.0):
         raise PoleError("d_occupation pole at omega = 0")
@@ -240,17 +236,22 @@ def _d_weight(s, ds, omega, T: float):
 def default_omega_max(thermal: ThermalState, particle: ParticleSpec) -> float:
     """Upper cutoff max(10 k_B T / hbar, 5 omega_L): beyond it both the
     thermal factors and the resonance tails are negligible at 1e-12."""
-    t = max(thermal.T, thermal.T0)
-    thermal_scale = 10.0 * CONSTANTS.k_B * t / CONSTANTS.hbar if t > 0.0 else 0.0
+    thermal_scale = 10.0 * CONSTANTS.k_B * max(thermal.T, thermal.T0) / CONSTANTS.hbar
     return max(thermal_scale, 5.0 * particle.dielectric.omega_L)
 
 
 def _thermal_breakpoints(particle: ParticleSpec, *temps: float) -> list[float]:
-    pts = [particle.dielectric.omega_T, particle.dielectric.omega_L]
-    for t in temps:
-        if t > 0.0:
-            pts.append(CONSTANTS.k_B * t / CONSTANTS.hbar)
-    return pts
+    # a zero temperature's edge, 0, falls outside the window and is dropped
+    resonances = [particle.dielectric.omega_T, particle.dielectric.omega_L]
+    return resonances + [CONSTANTS.k_B * t / CONSTANTS.hbar for t in temps]
+
+
+def _window(quad: QuadratureConfig, particle: ParticleSpec, thermal: ThermalState) -> QuadratureConfig:
+    """quad over a channel's spectral window: default_omega_max unless
+    omega_max is set, with panel edges at both resonances and at k_B T /
+    hbar for each temperature. The vacuum channel passes its thermal
+    state, the gap channel ThermalState(T, T)."""
+    return resolved(quad, default_omega_max(thermal, particle), _thermal_breakpoints(particle, thermal.T, thermal.T0))
 
 
 def check_point_dipole(d: float, particle: ParticleSpec) -> None:
@@ -348,9 +349,6 @@ def _integrate_vacuum_torques(
                 f"floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_s or pass allow_small_spins=True"
             )
 
-    def resolve() -> QuadratureConfig:
-        return resolved(quad, default_omega_max(thermal, particle), _thermal_breakpoints(particle, thermal.T, thermal.T0))
-
     T, T0 = thermal.T, thermal.T0
 
     def kernel_at(columns: np.ndarray):
@@ -368,7 +366,7 @@ def _integrate_vacuum_torques(
         return kernel
 
     scale = -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2))
-    return _spin_results([(s,) for s in spins], check, resolve, kernel_at, scale)
+    return _spin_results([(s,) for s in spins], check, lambda: _window(quad, particle, thermal), kernel_at, scale)
 
 
 def vacuum_torque(
@@ -406,8 +404,6 @@ def _mutual_torques(
     def check(o1: float, o2: float) -> None:
         SpinPair(o1, o2)
         check_point_dipole(d, particle)
-        if T <= 0.0:
-            raise ConfigError("mutual_torque requires T > 0")
         if o1 != o2 and not allow_small_spins:
             scales = [abs(x) for x in (o1, o2, o1 - o2) if x != 0.0]
             if min(scales) < SPIN_DIRECT_FLOOR:
@@ -416,9 +412,6 @@ def _mutual_torques(
                     f"direct-evaluation floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_b "
                     "or pass allow_small_spins=True"
                 )
-
-    def resolve() -> QuadratureConfig:
-        return resolved(quad, default_omega_max(ThermalState(T, T), particle), _thermal_breakpoints(particle, T))
 
     def kernel_at(columns: np.ndarray):
         def kernel(w, owners):
@@ -434,7 +427,7 @@ def _mutual_torques(
         return kernel
 
     scale = coupling_scale * 4.0 * np.pi * CONSTANTS.hbar
-    return _spin_results(spins, check, resolve, kernel_at, scale)
+    return _spin_results(spins, check, lambda: _window(quad, particle, ThermalState(T, T)), kernel_at, scale)
 
 
 def mutual_torque(
@@ -481,9 +474,7 @@ def _gamma_s_result(particle: ParticleSpec, thermal: ThermalState, quad: Quadrat
 
 
 def _integrate_gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> IntegrationResult:
-    if thermal.T <= 0.0 or thermal.T0 <= 0.0:
-        raise ConfigError("gamma_s requires T > 0 and T0 > 0")
-    q = resolved(quad, default_omega_max(thermal, particle), _thermal_breakpoints(particle, thermal.T, thermal.T0))
+    q = _window(quad, particle, thermal)
     T, T0 = thermal.T, thermal.T0
 
     def kernel(w):
@@ -526,9 +517,7 @@ def _gamma_b_results(
             results.append(exc)
         else:
             results.append(None)
-    if T <= 0.0:
-        raise ConfigError("gamma_b requires T > 0")
-    q = resolved(quad, default_omega_max(ThermalState(T, T), particle), _thermal_breakpoints(particle, T))
+    q = _window(quad, particle, ThermalState(T, T))
     pending = [i for i, r in enumerate(results) if r is None]
     column = np.array([distances[i] for i in pending])
 

@@ -339,7 +339,9 @@ class TestMain:
         # exited 0 with a summary outside the schema's delta ranges
         cfg = write_config(tmp_path / "c.json", dict(doc, out_dir=str(tmp_path / "o")))
         assert main(["run", "--config", cfg]) == 2
-        assert "near-field edge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "a run needs gamma_b >= 0" in err and "near-field edge" in err
+        assert "gamma_s" not in err  # the message names only the coefficient that failed
         assert not (tmp_path / "o").exists()
 
     def test_coeffs_refuses_coefficients_outside_the_domain(self, tmp_path, capsys):
@@ -350,6 +352,29 @@ class TestMain:
         assert main(["run", "--config", cfg]) == 2
         assert coeffs.out == ""
         assert "near-field edge" in coeffs.err and coeffs.err == capsys.readouterr().err
+
+    def test_nonpositive_gamma_s_is_named_alone(self, tmp_path, capsys):
+        # gamma_s = -0 at both temperatures 1e-300 K was blamed on gamma_b's near-field edge
+        doc = {"distance_m": 1e-7, "temperature_K": 1e-300, "vacuum_temperature_K": 1e-300}
+        cfg = write_config(tmp_path / "c.json", dict(doc, out_dir=str(tmp_path / "o")))
+        assert main(["run", "--config", cfg]) == 2
+        run_err = capsys.readouterr().err
+        assert main(["coeffs", "--distance", "1e-7", "--config", cfg]) == 2
+        coeffs = capsys.readouterr()
+        assert coeffs.out == "" and coeffs.err == run_err
+        assert "gamma_s = -0 N m s" in run_err and "a run needs gamma_s > 0" in run_err
+        assert "gamma_b" not in run_err and "near-field edge" not in run_err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["temperature_K", "vacuum_temperature_K"])
+    def test_zero_temperature_runs_as_its_limit(self, tmp_path, capsys, key):
+        # 0 K exited 2 while 1e-300 K, already at the zero-temperature values, ran
+        printed = []
+        for value in (0.0, 1e-300):
+            cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, key: value, "out_dir": str(tmp_path / "o")})
+            assert main(["run", "--config", cfg]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_coeffs_prints_three_values(self, capsys):
         assert main(["coeffs", "--distance", "1e-7"]) == 0

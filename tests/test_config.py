@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -10,14 +11,29 @@ import pytest
 from nanospin import (
     DEFAULT_COUPLING_SCALE,
     ConfigError,
+    ParticleSpec,
+    QuadratureConfig,
     RunConfig,
     SweepConfig,
+    ThermalState,
     fingerprint,
     parse_config,
 )
 from nanospin.config import _KNOWN_KEYS
 
 NUMERIC_KEYS = sorted(_KNOWN_KEYS - {"polarizability_model", "mode", "out_dir"})
+
+# The default of every optional key, as the parser resolves it
+PARSER_DEFAULTS = dict(parse_config('{"distance_m": 1e-7}').canonical_dict(), out_dir=None)
+del PARSER_DEFAULTS["distance_m"]
+
+
+def literal(text):
+    """A default as the documentation spells it: JSON, or a bare word."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs"
 
@@ -52,6 +68,10 @@ class TestParseRun:
         assert cfg.quad.omega_min == 1e13
         assert cfg.quad.omega_max is None
         assert cfg.quad.max_subdivisions == 200
+
+    def test_minimal_document_is_the_dataclass_defaults(self):
+        cfg = parse_config('{"distance_m": 1e-7}')
+        assert cfg == RunConfig(particle=ParticleSpec(), thermal=ThermalState(), quad=QuadratureConfig(), distance=1e-7)
 
     def test_overrides_apply(self):
         cfg = parse_config(json.dumps({
@@ -212,6 +232,32 @@ class TestFingerprint:
         sweep = parse_config('{"distances_m": [1e-7]}')
         assert fingerprint(run) != fingerprint(sweep)
 
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            ({"distance_m": 1e-7}, "10e0bd21d2037e975978bb62ac2715155946a6a3beb55a7d58b9530607c84253"),
+            (
+                {"distances_m": [1e-7, 2e-7], "samples": 50, "mode": "nonlinear"},
+                "2696da06217ae3eb8f0e5874f29a6d30ffd471f3d545d099e9c640d4f42cd290",
+            ),
+            (
+                {
+                    "distance_m": 2e-7,
+                    "temperature_K": 310,
+                    "vacuum_temperature_K": 290,
+                    "omega_max_rad_per_s": 1e15,
+                    "max_subdivisions": 150,
+                    "polarizability_model": "clausius_mossotti",
+                    "out_dir": "x",
+                },
+                "76f1ebde5caf4373a68ad1dc3ec939ea0b6caac273f3298cd5fe78461297498b",
+            ),
+        ],
+    )
+    def test_pinned_values(self, doc, expected):
+        # a run's identity must survive refactors of the parser
+        assert fingerprint(parse_config(json.dumps(doc))) == expected
+
     def test_with_distance_matches_direct_parse(self):
         sweep = parse_config('{"distances_m": [5e-8, 1e-7]}')
         direct = parse_config('{"distance_m": 1e-7}')
@@ -287,10 +333,20 @@ class TestConfigSchema:
 
     def test_schema_keys_match_parser(self, schema):
         assert set(schema["properties"]) == _KNOWN_KEYS
+        # every key with a non-null default states it as "(default X)"
+        stated = {}
+        for key, prop in schema["properties"].items():
+            match = re.search(r"\(default ([^)]+)\)", prop["description"])
+            if match:
+                stated[key] = literal(match.group(1))
+        assert stated == {key: value for key, value in PARSER_DEFAULTS.items() if value is not None}
 
     def test_readme_table_keys_match_parser(self):
         readme = (SCHEMA_DIR.parent / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
-        rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| `")]
-        assert len(rows) == len(set(rows))
-        assert {row.strip("`") for row in rows} == _KNOWN_KEYS
+        rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+        keys = [key.strip().strip("`") for key, _ in rows]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == _KNOWN_KEYS
+        defaults = {key.strip().strip("`"): default.strip() for key, default in rows if default.strip() != "required"}
+        assert {key: literal(value.strip("`")) for key, value in defaults.items()} == PARSER_DEFAULTS

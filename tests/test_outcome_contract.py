@@ -65,6 +65,34 @@ def documents(draw):
         "sync_threshold": 0.5,
     }
 )
+@example(  # each temperature at 0 K: these exited 2, refused as T > 0 checks
+    doc={
+        "radius_m": 5e-9,
+        "distance_m": 1e-7,
+        "temperature_K": 0.0,
+        "vacuum_temperature_K": 300.0,
+        "omega1_rad_per_s": 1e10,
+        "mode": "nonlinear",
+        "samples": 50,
+        "rel_tol": 1e-9,
+        "polarizability_model": "bare",
+        "sync_threshold": 0.01,
+    }
+)
+@example(
+    doc={
+        "radius_m": 5e-9,
+        "distance_m": 1e-7,
+        "temperature_K": 300.0,
+        "vacuum_temperature_K": 0.0,
+        "omega1_rad_per_s": 1e4,
+        "mode": "linear",
+        "samples": 400,
+        "rel_tol": 1e-9,
+        "polarizability_model": "clausius_mossotti",
+        "sync_threshold": 0.01,
+    }
+)
 def test_every_accepted_document_writes_a_valid_summary_or_exits_typed(tmp_path_factory, doc):
     parse_config(json.dumps(doc))  # the generated domain is one parse_config accepts
     work = tmp_path_factory.mktemp("contract")

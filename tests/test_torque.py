@@ -99,6 +99,7 @@ class TestCothFactor:
     def test_zero_temperature_is_sign(self):
         assert coth_factor(5e13, 0.0) == 1.0
         assert coth_factor(-5e13, 0.0) == -1.0
+        assert d_coth_factor(5e13, 0.0) == 0.0
 
     def test_pole(self):
         with pytest.raises(PoleError):
@@ -129,8 +130,11 @@ class TestOccupation:
     def test_pole_and_temperature(self):
         with pytest.raises(PoleError):
             occupation(0.0, 300.0)
-        with pytest.raises(ConfigError):
-            occupation(1e14, 0.0)
+        # at 1e-300 K (hbar/k_B T about 8e288) both already sit at their T = 0 values
+        w = np.array([-1e15, -1e14, -1e13, 1e13, 1e14, 1e15])
+        for f in (occupation, d_occupation):
+            assert f(w, 0.0).tobytes() == f(w, 1e-300).tobytes()
+        assert occupation(w, 0.0).tolist() == [-1.0, -1.0, -1.0, 0.0, 0.0, 0.0]
 
     def test_derivative_against_difference(self):
         for x in (1e-8, 1e-2, 1.0, 3.8, 25.0):
@@ -252,11 +256,14 @@ class TestCoefficients:
             with pytest.raises(ConfigError):
                 friction_coefficients(particle, 1e-7, thermal, quad, **other)
 
-    def test_requires_positive_temperatures(self, particle, quad):
-        with pytest.raises(ConfigError):
-            gamma_s(particle, ThermalState(T=0.0, T0=300.0), quad)
-        with pytest.raises(ConfigError):
-            gamma_b(1e-7, particle, 0.0, quad)
+    @pytest.mark.parametrize("T, T0", [(0.0, 300.0), (300.0, 0.0), (0.0, 0.0)])
+    def test_zero_temperature_is_its_limit(self, particle, quad, T, T0):
+        # T = 0 and T0 = 0 were refused; they give, bit for bit, what
+        # 1e-300 K gives
+        tiny = {0.0: 1e-300, 300.0: 300.0}
+        got = gamma_s(particle, ThermalState(T=T, T0=T0), quad)
+        assert got.hex() == gamma_s(particle, ThermalState(T=tiny[T], T0=tiny[T0]), quad).hex()
+        assert gamma_b(1e-7, particle, T, quad).hex() == gamma_b(1e-7, particle, tiny[T], quad).hex()
 
     def test_friction_coefficients_bundle(self, particle, thermal, quad):
         coeffs, diags = friction_coefficients(particle, 1e-7, thermal, quad)
