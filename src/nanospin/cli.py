@@ -45,6 +45,9 @@ from .torque import friction_coefficients  # noqa: F401 -- bench/tracing.py wrap
 __all__ = ["OutputBundle", "run", "run_sweep", "main"]
 
 _DEFAULT_OUT = "nanospin_out"
+# sweep.csv's columns; the keys a sweep_summary.json run takes from its summary.json
+_SWEEP_COLUMNS = ("distance_m", "gamma_b_Nms", "delta_infinity", "sync_time_s")
+_RUN_SUMMARY_KEYS = ("delta_infinity", "fingerprint_sha256", "gamma_b_Nms", "sync_time_s")
 
 
 @dataclass(frozen=True)
@@ -158,63 +161,36 @@ def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
                 f"distances {a} m and {b} m would share the run directory {_run_dir_name(a)}; "
                 "sweep distances must differ in their first 6 significant digits"
             )
-    results: dict[float, OutputBundle | Exception] = {}
-    for d, coefficients in zip(ordered, sweep_coefficients_for(sweep.base, ordered)):
-        if isinstance(coefficients, NanospinError):
-            results[d] = coefficients
+    written: list[tuple[float, OutputBundle]] = []
+    failures: list[tuple[float, Exception]] = []
+    for d, result in zip(ordered, sweep_coefficients_for(sweep.base, ordered)):
+        if isinstance(result, NanospinError):
+            failures.append((d, result))
             continue
         try:
-            results[d] = _write_run(sweep.base.with_distance(d, out_dir=str(root / _run_dir_name(d))), *coefficients)
+            written.append((d, _write_run(sweep.base.with_distance(d, out_dir=str(root / _run_dir_name(d))), *result)))
         except Exception as exc:  # re-raised after the sweep completes
-            results[d] = exc
+            failures.append((d, exc))
 
-    rows = []
-    failed = []
-    runs_doc = []
-    for d in ordered:
-        res = results[d]
-        if isinstance(res, Exception):
-            failed.append(d)
-            continue
-        s = res.summary
-        rows.append((d, s["gamma_b_Nms"], s["delta_infinity"], s["sync_time_s"]))
-        runs_doc.append(
-            {
-                "delta_infinity": s["delta_infinity"],
-                "distance_m": d,
-                "fingerprint_sha256": s["fingerprint_sha256"],
-                "gamma_b_Nms": s["gamma_b_Nms"],
-                "out_dir": str(res.out_dir),
-                "sync_time_s": s["sync_time_s"],
-            }
-        )
-
+    runs = [
+        {"distance_m": d, "out_dir": str(res.out_dir)} | {key: res.summary[key] for key in _RUN_SUMMARY_KEYS}
+        for d, res in written
+    ]
     root.mkdir(parents=True, exist_ok=True)
-    lines = ["distance_m,gamma_b_Nms,delta_infinity,sync_time_s"]
-    for d, gb, dinf, ts in rows:
-        lines.append(f"{_fmt(d)},{_fmt(gb)},{_fmt(dinf)},{_fmt(ts) if ts is not None else ''}")
+    lines = [",".join(_SWEEP_COLUMNS)]
+    lines += [",".join(_fmt(r[c]) if r[c] is not None else "" for c in _SWEEP_COLUMNS) for r in runs]
     (root / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-    gamma_s_val = None
-    for d in ordered:
-        if not isinstance(results[d], Exception):
-            gamma_s_val = results[d].summary["gamma_s_Nms"]
-            break
     doc = {
-        "failed_distances_m": failed,
+        "failed_distances_m": [d for d, _ in failures],
         "fingerprint_sha256": fingerprint(sweep),
-        "gamma_s_Nms": gamma_s_val,
-        "runs": runs_doc,
+        "gamma_s_Nms": written[0][1].summary["gamma_s_Nms"] if written else None,
+        "runs": runs,
     }
-    if failed:
-        doc["failures"] = [
-            {"distance_m": d, "error": type(results[d]).__name__, "message": str(results[d])} for d in failed
-        ]
+    if failures:
+        doc["failures"] = [{"distance_m": d, "error": type(exc).__name__, "message": str(exc)} for d, exc in failures]
     _write_json(root / "sweep_summary.json", doc)
-
-    for d in ordered:
-        if isinstance(results[d], Exception):
-            raise results[d]
+    if failures:
+        raise failures[0][1]
     return doc
 
 

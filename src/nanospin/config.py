@@ -58,8 +58,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_point_dipole(self.distance, self.particle)
-        if not self.omega1 > 0.0:
-            raise ConfigError("omega1_rad_per_s must be > 0")
+        if not 0.0 < self.omega1 < math.inf:
+            raise ConfigError("omega1_rad_per_s must be finite and > 0")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}")
         if not (0.0 < self.sync_threshold < 1.0):

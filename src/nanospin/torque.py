@@ -21,6 +21,11 @@ the linearized coefficients gamma_s / gamma_b; structural checks may pass
 allow_small_spins=True since operand-exchange antisymmetry holds exactly
 at any magnitude.
 
+The two torques and their slopes gamma_s and gamma_b run as batches
+through one pipeline, a lone call being a batch of one: each item gets a
+lone call's checks in order, the items that pass share one lockstep
+integral, each with the bits it has alone, and each result is scaled once.
+
 The mutual channel carries an overall coupling_scale multiplier (the
 absolute cross-prefactor between the two channels is calibration-grade;
 DEFAULT_COUPLING_SCALE pins the 100 nm default run to a 0.030 s
@@ -29,10 +34,10 @@ synchronization time).
 The vacuum channel does not depend on the distance, so its integrals,
 gamma_s and the vacuum torque at each spin, are kept for the life of the
 process in one memo keyed on every input of the integral. A kept value
-is immutable and has the bits a fresh integral returns (each lockstep
-integrand gets the bits it has alone). Errors are not kept, nothing that
-depends on the distance is kept, and the memo holds at most MEMO_ENTRIES
-values, dropping the oldest first; clear_memo empties it.
+is an immutable IntegrationResult with the bits a fresh integral
+returns. Errors are not kept, nothing that depends on the distance is
+kept, and the memo holds at most MEMO_ENTRIES values, dropping the
+oldest first; clear_memo empties it.
 """
 
 from __future__ import annotations
@@ -80,7 +85,10 @@ __all__ = [
 ]
 
 # Direct kernel evaluation is refused for 0 < |spin| < this (rad/s):
-# the shifted-argument differences fall below binary64 resolution.
+# the shifted-argument differences fall below binary64 resolution. At the
+# default rel_tol, a direct torque whose smallest spin scale lies between
+# 1e6 and about 1e8 passes and still ends in ConvergenceError after 200
+# subdivisions: 2e6, 1e7 and 3e7 fail, 1e8 converges (see README).
 SPIN_DIRECT_FLOOR = 1e6
 
 # Mutual-channel magnitude calibration; see module docstring.
@@ -90,11 +98,11 @@ DEFAULT_COUPLING_SCALE = 3.81e22
 # torques and one gamma_s per omega1 and setting
 MEMO_ENTRIES = 4096
 
-_memo: dict[tuple, IntegrationResult | float] = {}
+_memo: dict[tuple, IntegrationResult] = {}
 _memo_lock = threading.Lock()
 
 
-def _remember(key: tuple, value: IntegrationResult | float) -> None:
+def _remember(key: tuple, value: IntegrationResult) -> None:
     with _memo_lock:
         while key not in _memo and len(_memo) >= MEMO_ENTRIES:
             del _memo[next(iter(_memo))]  # the oldest entry
@@ -255,57 +263,77 @@ def _window(quad: QuadratureConfig, particle: ParticleSpec, thermal: ThermalStat
 
 
 def check_point_dipole(d: float, particle: ParticleSpec) -> None:
-    """Raise ConfigError unless d >= 10*radius, the point-dipole regime
-    every kernel here assumes."""
-    if d < 10.0 * particle.radius:
+    """Raise ConfigError unless d is finite and d >= 10*radius, the
+    point-dipole regime every kernel here assumes."""
+    if not (math.isfinite(d) and d >= 10.0 * particle.radius):
         raise ConfigError(
             f"distance {d:.3e} m violates the point-dipole regime "
-            f"(require distance >= 10*radius = {10 * particle.radius:.3e} m)"
+            f"(require a finite distance >= 10*radius = {10 * particle.radius:.3e} m)"
         )
 
 
-def _check_spin_in_band(quad: QuadratureConfig, *spins: float) -> None:
-    # Shifted kernel arguments omega -+ spin must stay strictly positive
-    # on the grid; half the infrared cutoff leaves a safe margin.
-    limit = 0.5 * quad.omega_min
-    for s in spins:
-        if abs(s) > limit:
-            raise ConfigError(
-                f"|spin| = {abs(s):.3e} exceeds half the infrared cutoff "
-                f"{quad.omega_min:.3e}; shifted kernel arguments would cross zero"
-            )
-
-
-def _spin_results(
-    spins: Sequence,
-    check: Callable[..., None],
-    resolve: Callable[[], QuadratureConfig],
+def _integrals(
+    items: Sequence[tuple],
+    check: Callable[..., tuple | None],
+    window: Callable[[], QuadratureConfig],
     kernel_at: Callable[[np.ndarray], Callable],
     scale: float,
-) -> list[float | NanospinError]:
-    """scale times the integral at each spin tuple, or the error that spin
-    raises: check(*spin), then the quadrature resolve() gives, then the
-    band check, in the order a lone call makes them. The spins that pass
-    are integrated in lockstep; kernel_at(columns) is the kernel whose
-    row owned by pending spin i reads its spin from columns[i]."""
-    results: list[float | NanospinError | None] = []
+    memo: tuple | None = None,
+) -> list[IntegrationResult | NanospinError]:
+    """scale times the integral, with its diagnostics, for each item, or
+    the error the item raises. An item kept under memo + item takes the
+    kept value; the others get a lone call's checks in order: check(*item),
+    which raises or returns the spins the kernel shifts by, window(), then
+    the band check of those spins. The items that pass share one lockstep
+    integral, rows of kernel_at(columns) owned by pending item i reading
+    columns[i], and with memo their values are kept."""
+    results: list[IntegrationResult | NanospinError | None] = []
     q = None
-    for spin in spins:
-        try:
-            check(*spin)
-            if q is None:
-                q = resolve()
-            _check_spin_in_band(q, *spin)
-        except NanospinError as exc:
-            results.append(exc)
-        else:
-            results.append(None)
+    for item in items:
+        res = None if memo is None else _memo.get(memo + item)
+        if res is None:
+            try:
+                spins = check(*item) or ()
+                if q is None:
+                    q = window()
+                # shifted kernel arguments omega -+ spin must stay strictly
+                # positive on the grid; half the infrared cutoff leaves a margin
+                for s in spins:
+                    if abs(s) > 0.5 * q.omega_min:
+                        raise ConfigError(
+                            f"|spin| = {abs(s):.3e} exceeds half the infrared cutoff "
+                            f"{q.omega_min:.3e}; shifted kernel arguments would cross zero"
+                        )
+            except NanospinError as exc:
+                res = exc
+        results.append(res)
     pending = [i for i, r in enumerate(results) if r is None]
     if pending:
-        columns = np.array([spins[i] for i in pending], dtype=float)
+        columns = np.array([items[i] for i in pending], dtype=float)
         for i, res in zip(pending, integrate_with_diagnostics(kernel_at(columns), q, len(pending))):
-            results[i] = res if isinstance(res, NanospinError) else scale * res.value
+            if not isinstance(res, NanospinError):
+                res = IntegrationResult(
+                    scale * res.value, abs(scale) * res.error_estimate, res.panels, res.evaluations, res.peak_kernel
+                )
+                if memo is not None:
+                    _remember(memo + items[i], res)
+            results[i] = res
     return results
+
+
+def _alone(results: list):
+    """The one entry of a batch of one, raised when it is an error."""
+    (res,) = results
+    if isinstance(res, NanospinError):
+        raise res
+    return res
+
+
+_VACUUM_SCALE = -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2))
+
+
+def _gap_scale(coupling_scale: float) -> float:
+    return coupling_scale * 4.0 * np.pi * CONSTANTS.hbar
 
 
 def _vacuum_torques(
@@ -318,29 +346,8 @@ def _vacuum_torques(
     """vacuum_torque at each spin: its value, bit for bit, or the error it
     raises there. Values come from the memo; one lockstep integral covers
     the spins it lacks, and their values are kept."""
-    keys = [("vacuum", spin, particle, thermal, quad, allow_small_spins) for spin in spins]
-    results = [_memo.get(key) for key in keys]
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:
-        fresh = _integrate_vacuum_torques([spins[i] for i in missing], particle, thermal, quad, allow_small_spins)
-        for i, res in zip(missing, fresh):
-            results[i] = res
-            if not isinstance(res, NanospinError):
-                _remember(keys[i], res)
-    return results
 
-
-def _integrate_vacuum_torques(
-    spins: Sequence[float],
-    particle: ParticleSpec,
-    thermal: ThermalState,
-    quad: QuadratureConfig,
-    allow_small_spins: bool,
-) -> list[float | NanospinError]:
-    """_vacuum_torques without the memo: one lockstep integral for all
-    spins."""
-
-    def check(omega0: float) -> None:
+    def check(omega0: float) -> tuple[float]:
         if not np.isfinite(omega0):
             raise ConfigError("omega0 must be finite")
         if 0.0 < abs(omega0) < SPIN_DIRECT_FLOOR and not allow_small_spins:
@@ -348,6 +355,7 @@ def _integrate_vacuum_torques(
                 f"|omega0| = {abs(omega0):.3e} is below the direct-evaluation "
                 f"floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_s or pass allow_small_spins=True"
             )
+        return (omega0,)
 
     T, T0 = thermal.T, thermal.T0
 
@@ -365,8 +373,11 @@ def _integrate_vacuum_torques(
 
         return kernel
 
-    scale = -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2))
-    return _spin_results([(s,) for s in spins], check, lambda: _window(quad, particle, thermal), kernel_at, scale)
+    memo = ("vacuum", particle, thermal, quad, allow_small_spins)
+    results = _integrals(
+        [(s,) for s in spins], check, lambda: _window(quad, particle, thermal), kernel_at, _VACUUM_SCALE, memo
+    )
+    return [r if isinstance(r, NanospinError) else r.value for r in results]
 
 
 def vacuum_torque(
@@ -383,10 +394,7 @@ def vacuum_torque(
     zero at omega0 = 0 with T = T0. Refuses 0 < |omega0| <
     SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_s there).
     """
-    (res,) = _vacuum_torques([omega0], particle, thermal, quad, allow_small_spins)
-    if isinstance(res, NanospinError):
-        raise res
-    return res
+    return _alone(_vacuum_torques([omega0], particle, thermal, quad, allow_small_spins))
 
 
 def _mutual_torques(
@@ -401,7 +409,7 @@ def _mutual_torques(
     """mutual_torque at each (omega01, omega02): its value, bit for bit,
     or the error it raises there. One lockstep integral for all pairs."""
 
-    def check(o1: float, o2: float) -> None:
+    def check(o1: float, o2: float) -> tuple[float, float]:
         SpinPair(o1, o2)
         check_point_dipole(d, particle)
         if o1 != o2 and not allow_small_spins:
@@ -412,6 +420,7 @@ def _mutual_torques(
                     f"direct-evaluation floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_b "
                     "or pass allow_small_spins=True"
                 )
+        return (o1, o2)
 
     def kernel_at(columns: np.ndarray):
         def kernel(w, owners):
@@ -426,8 +435,10 @@ def _mutual_torques(
 
         return kernel
 
-    scale = coupling_scale * 4.0 * np.pi * CONSTANTS.hbar
-    return _spin_results(spins, check, lambda: _window(quad, particle, ThermalState(T, T)), kernel_at, scale)
+    results = _integrals(
+        spins, check, lambda: _window(quad, particle, ThermalState(T, T)), kernel_at, _gap_scale(coupling_scale)
+    )
+    return [r if isinstance(r, NanospinError) else r.value for r in results]
 
 
 def mutual_torque(
@@ -447,37 +458,15 @@ def mutual_torque(
     Refuses unequal spins whose nonzero scales sit below
     SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_b there).
     """
-    (res,) = _mutual_torques([(spins.omega01, spins.omega02)], d, particle, T, quad, coupling_scale, allow_small_spins)
-    if isinstance(res, NanospinError):
-        raise res
-    return res
-
-
-def _scaled(res: IntegrationResult, scale: float) -> IntegrationResult:
-    return IntegrationResult(
-        value=scale * res.value,
-        error_estimate=abs(scale) * res.error_estimate,
-        panels=res.panels,
-        evaluations=res.evaluations,
-        peak_kernel=res.peak_kernel,
-    )
+    pair = (spins.omega01, spins.omega02)
+    return _alone(_mutual_torques([pair], d, particle, T, quad, coupling_scale, allow_small_spins))
 
 
 def _gamma_s_result(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> IntegrationResult:
     """gamma_s with its diagnostics, from the memo when it holds them."""
-    key = ("gamma_s", particle, thermal, quad)
-    res = _memo.get(key)
-    if res is None:
-        res = _integrate_gamma_s(particle, thermal, quad)
-        _remember(key, res)
-    return res
-
-
-def _integrate_gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> IntegrationResult:
-    q = _window(quad, particle, thermal)
     T, T0 = thermal.T, thermal.T0
 
-    def kernel(w):
+    def kernel(w, owners):
         s = im_polarizability(w, particle)
         ds = d_im_polarizability(w, particle)
         da = d_coth_factor(w, T)
@@ -486,8 +475,11 @@ def _integrate_gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: Quad
             expanded = expanded + ds * (coth_factor(w, T) - coth_factor(w, T0))
         return 2.0 * w * w * im_g_self_transverse_sum(w) * expanded
 
-    res = integrate_with_diagnostics(kernel, q)
-    return _scaled(res, -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2)))
+    memo = ("gamma_s", particle, thermal, quad)
+    results = _integrals(
+        [()], lambda: None, lambda: _window(quad, particle, thermal), lambda columns: kernel, _VACUUM_SCALE, memo
+    )
+    return _alone(results)
 
 
 def gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> float:
@@ -507,29 +499,24 @@ def _gamma_b_results(
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
 ) -> list[IntegrationResult | NanospinError]:
     """gamma_b at each distance: its IntegrationResult, or the error that
-    distance raised. All integrals run in lockstep, one kernel call per
+    distance raises. All integrals run in lockstep, one kernel call per
     round, each with the bits it has alone."""
-    results: list[IntegrationResult | NanospinError | None] = []
-    for d in distances:
-        try:
-            check_point_dipole(d, particle)
-        except ConfigError as exc:
-            results.append(exc)
-        else:
-            results.append(None)
-    q = _window(quad, particle, ThermalState(T, T))
-    pending = [i for i, r in enumerate(results) if r is None]
-    column = np.array([distances[i] for i in pending])
 
-    def kernel(w, owners):
-        s = im_polarizability(w, particle)
-        ds = d_im_polarizability(w, particle)
-        return 4.0 * abs2_transverse_sum(column[owners, None], w) * _d_weight(s, ds, w, T) * s
+    def kernel_at(columns: np.ndarray):
+        def kernel(w, owners):
+            s = im_polarizability(w, particle)
+            ds = d_im_polarizability(w, particle)
+            return 4.0 * abs2_transverse_sum(columns[owners], w) * _d_weight(s, ds, w, T) * s
 
-    scale = coupling_scale * 4.0 * np.pi * CONSTANTS.hbar
-    for i, res in zip(pending, integrate_with_diagnostics(kernel, q, len(pending))):
-        results[i] = res if isinstance(res, NanospinError) else _scaled(res, scale)
-    return results
+        return kernel
+
+    return _integrals(
+        [(d,) for d in distances],
+        lambda d: check_point_dipole(d, particle),
+        lambda: _window(quad, particle, ThermalState(T, T)),
+        kernel_at,
+        _gap_scale(coupling_scale),
+    )
 
 
 def gamma_b(
@@ -542,10 +529,7 @@ def gamma_b(
 ) -> float:
     """Mutual drag per unit spin difference (N*m*s): the slope of
     mutual_torque in (omega01 - omega02) at zero spins."""
-    (res,) = _gamma_b_results([d], particle, T, quad, coupling_scale)
-    if isinstance(res, NanospinError):
-        raise res
-    return res.value
+    return _alone(_gamma_b_results([d], particle, T, quad, coupling_scale)).value
 
 
 def _diagnostics(res: IntegrationResult) -> dict:
@@ -601,7 +585,4 @@ def friction_coefficients(
     """
     if thermal_weight != "symmetrized" or coth_half_argument is not False:
         raise ConfigError("the gap channel weighs by n + 1/2 and the vacuum channel by coth(hbar*omega/k_B T)")
-    (result,) = sweep_friction_coefficients(particle, [d], thermal, quad, coupling_scale=coupling_scale)
-    if isinstance(result, NanospinError):
-        raise result
-    return result
+    return _alone(sweep_friction_coefficients(particle, [d], thermal, quad, coupling_scale=coupling_scale))

@@ -193,7 +193,7 @@ class TestSweep:
         run_sweep(parse_config(json.dumps(dict(base, distances_m=distances, out_dir=str(tmp_path / "sweep")))))
         assert len(calls) == 1
         assert sorted(name for name, _ in integrals) == sorted(
-            ["_integrate_gamma_s", "_gamma_b_results", "_integrate_vacuum_torques"] + ["_mutual_torques"] * 3
+            ["_gamma_s_result", "_gamma_b_results", "_vacuum_torques"] + ["_mutual_torques"] * 3
         )
         for d in distances:
             alone = run(parse_config(json.dumps(dict(base, distance_m=d, out_dir=str(tmp_path / f"run_{d:.6g}")))))
@@ -243,6 +243,40 @@ class TestSweep:
         assert [r["distance_m"] for r in table["runs"]] == [5e-8, 1e-7]
         _, rows = read_rows(tmp_path / "sweep.csv")
         assert [r[0] for r in rows] == [5e-8, 1e-7]
+
+    def test_every_distance_failing_in_the_coefficient_pass(self, tmp_path, capsys):
+        doc = {"distances_m": [2e-7, 1e-7], "max_subdivisions": 1, "out_dir": str(tmp_path)}
+        assert main(["sweep", "--config", write_config(tmp_path / "c.json", doc)]) == 3
+        assert "numerical error: no convergence after 1 subdivisions" in capsys.readouterr().err
+        table = json.loads((tmp_path / "sweep_summary.json").read_text(encoding="utf-8"))
+        assert table["runs"] == [] and table["gamma_s_Nms"] is None
+        assert table["failed_distances_m"] == [1e-7, 2e-7]
+        assert [(f["distance_m"], f["error"]) for f in table["failures"]] == [
+            (1e-7, "ConvergenceError"),
+            (2e-7, "ConvergenceError"),
+        ]
+        assert (tmp_path / "sweep.csv").read_text(encoding="utf-8") == "distance_m,gamma_b_Nms,delta_infinity,sync_time_s\n"
+        assert not list(tmp_path.glob("d_*"))
+
+    def test_gamma_s_is_read_from_the_first_written_run(self, tmp_path, monkeypatch):
+        import nanospin.cli as cli_mod
+
+        real_write_run = cli_mod._write_run
+
+        def flaky(cfg, *coefficients):
+            if cfg.distance == 5e-8:
+                raise ConvergenceError("synthetic failure for the smallest distance")
+            return real_write_run(cfg, *coefficients)
+
+        monkeypatch.setattr(cli_mod, "_write_run", flaky)
+        sweep = parse_config(json.dumps({"distances_m": [2e-7, 5e-8, 1e-7], "out_dir": str(tmp_path)}))
+        with pytest.raises(ConvergenceError, match="smallest"):
+            run_sweep(sweep)
+        table = json.loads((tmp_path / "sweep_summary.json").read_text(encoding="utf-8"))
+        assert table["failed_distances_m"] == [5e-8]
+        assert [r["distance_m"] for r in table["runs"]] == [1e-7, 2e-7]
+        first = json.loads((tmp_path / "d_1e-07" / "summary.json").read_text(encoding="utf-8"))
+        assert table["gamma_s_Nms"] == first["gamma_s_Nms"] > 0.0
 
     def test_sweep_refuses_a_distance_past_the_near_field_edge(self, tmp_path):
         # gamma_b < 0 at 4 um: that distance fails with ConfigError, the
@@ -375,6 +409,15 @@ class TestMain:
             assert main(["run", "--config", cfg]) == 0
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("distance", ["nan", "inf"])
+    def test_coeffs_refuses_a_non_finite_distance(self, tmp_path, capsys, distance):
+        # with --config the distance skipped parse_config and exited 3 from
+        # the kernels, nan as a non-finite panel and inf after a RuntimeWarning
+        cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7})
+        assert main(["coeffs", "--distance", distance, "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"configuration error: distance {distance} m violates the point-dipole" in out.err
 
     def test_coeffs_prints_three_values(self, capsys):
         assert main(["coeffs", "--distance", "1e-7"]) == 0

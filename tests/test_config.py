@@ -195,6 +195,16 @@ class TestRejection:
         with pytest.raises(ConfigError, match=key):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value", [("distance", math.nan), ("distance", math.inf), ("omega1", math.inf)], ids=str
+    )
+    def test_run_config_refuses_non_finite_values(self, field, value):
+        # a NaN or infinite distance passed the point-dipole guard, and an
+        # infinite omega1 passed "> 0"; both reached the kernels
+        base = {"particle": ParticleSpec(), "thermal": ThermalState(), "quad": QuadratureConfig(), "distance": 1e-7}
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig(**dict(base, **{field: value}))
+
     def test_integer_beyond_float_range(self):
         with pytest.raises(ConfigError, match="radius_m"):
             parse_config(json.dumps({"distance_m": 1e-7, "radius_m": 10**400}))

@@ -370,6 +370,7 @@ class TestNonlinearDirectKernels:
 
         solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
         assert len(integrals) == 4
+        assert integrals == [("_gamma_s_result", 1), ("_gamma_b_results", 1), ("_mutual_torques", 10), ("_vacuum_torques", 9)]
         config = RunConfig(particle, thermal, quad, distance=3e-7, omega1=1e10)
         warm = solve_nonlinear(config)
         assert [name for name, _ in integrals[4:]] == ["_gamma_b_results", "_mutual_torques"]

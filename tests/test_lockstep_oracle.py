@@ -16,7 +16,7 @@ from nanospin import quadrature
 from nanospin.config import RunConfig
 from nanospin.dynamics import solve_nonlinear
 from nanospin.quadrature import _WEIGHTS_G, _WEIGHTS_K, _NODES, IntegrationResult, integrate_with_diagnostics
-from nanospin.torque import _gamma_b_results, _integrate_gamma_s, _mutual_torques
+from nanospin.torque import _gamma_b_results, _gamma_s_result, _mutual_torques, clear_memo
 
 ROUNDOFF = 50.0 * np.finfo(float).eps
 
@@ -193,8 +193,11 @@ def assert_same_as_oracle(monkeypatch, route):
 
 
 def test_gamma_s_matches_oracle(monkeypatch, particle, thermal, quad):
-    # the integral itself: a memo hit would not reach the engine
-    assert_same_as_oracle(monkeypatch, lambda: _integrate_gamma_s(particle, thermal, quad))
+    def route():
+        clear_memo()  # a memo hit would not reach the engine
+        return _gamma_s_result(particle, thermal, quad)
+
+    assert_same_as_oracle(monkeypatch, route)
 
 
 # 2.691e-6 m lies at gamma_b's sign change: no 200 splits meet rel_tol

@@ -315,6 +315,16 @@ class TestSweepCoefficients:
         for i in (0, 1, 3):
             assert results[i] == friction_coefficients(particle, distances[i], thermal, quad)
 
+    def test_a_failing_distance_keeps_its_slot(self, particle, quad):
+        distances = [1e-7, 4e-8, 2e-7]  # 40 nm is below 10*radius
+        batch = _gamma_b_results(distances, particle, 300.0, quad)
+        with pytest.raises(ConfigError) as lone:
+            gamma_b(4e-8, particle, 300.0, quad)
+        assert type(batch[1]) is ConfigError and str(batch[1]) == str(lone.value)
+        for i in (0, 2):
+            assert repr(batch[i]) == repr(_gamma_b_results([distances[i]], particle, 300.0, quad)[0])
+            assert repr(batch[i].value) == repr(gamma_b(distances[i], particle, 300.0, quad))
+
     def test_gamma_s_failure_fails_every_distance(self, particle, thermal):
         low_cutoff = QuadratureConfig(omega_max=2e14)
         results = sweep_friction_coefficients(particle, [5e-8, 1e-7], thermal, low_cutoff)
@@ -429,10 +439,10 @@ class TestMemo:
         cold = calls()
         # one gamma_s; the batch integrates only the two spins not yet kept
         assert integrals == [
-            ("_integrate_gamma_s", None),
+            ("_gamma_s_result", 1),
             ("_gamma_b_results", 1),
-            ("_integrate_vacuum_torques", 1),
-            ("_integrate_vacuum_torques", 2),
+            ("_vacuum_torques", 1),
+            ("_vacuum_torques", 2),
         ]
         warm = calls()
         assert integrals[4:] == [("_gamma_b_results", 1)]
@@ -457,12 +467,12 @@ class TestMemo:
             inputs = (args["particle"], args["thermal"], args["quad"])
             gamma_s(*inputs)
             vacuum_torque(5e9, *inputs)
-        assert integrals == [("_integrate_gamma_s", None), ("_integrate_vacuum_torques", 1)] * 2
+        assert integrals == [("_gamma_s_result", 1), ("_vacuum_torques", 1)] * 2
 
     def test_allow_small_spins_is_keyed(self, particle, thermal, quad, integrals):
         for allow in (False, True, False, True):
             vacuum_torque(5e9, particle, thermal, quad, allow_small_spins=allow)
-        assert integrals == [("_integrate_vacuum_torques", 1)] * 2
+        assert integrals == [("_vacuum_torques", 1)] * 2
 
     def test_failures_are_not_kept(self, particle, thermal, integrals):
         import nanospin.torque as torque_mod
@@ -476,7 +486,7 @@ class TestMemo:
             (res,) = _vacuum_torques([5e9], particle, thermal, starved)
             assert isinstance(res, ConvergenceError)
             errors.append(res)
-        assert integrals == [("_integrate_gamma_s", None), ("_integrate_vacuum_torques", 1)] * 2
+        assert integrals == [("_gamma_s_result", 1), ("_vacuum_torques", 1)] * 2
         assert len({id(e) for e in errors}) == 4  # each call raised a fresh error
         assert torque_mod._memo == {}
 
@@ -495,10 +505,10 @@ class TestMemo:
         clear_memo()
         monkeypatch.setattr(torque_mod, "MEMO_ENTRIES", 4)
         assert _vacuum_torques(spins, particle, thermal, quad) == cold
-        assert [key[1] for key in torque_mod._memo] == spins[-4:]  # the oldest went first
+        assert [key[-1] for key in torque_mod._memo] == spins[-4:]  # the oldest went first
         gamma_s(particle, thermal, quad)
         assert len(torque_mod._memo) == 4
-        assert [key[1] for key in torque_mod._memo if key[0] == "vacuum"] == spins[-3:]
+        assert [key[-1] for key in torque_mod._memo if key[0] == "vacuum"] == spins[-3:]
         assert _vacuum_torques(spins, particle, thermal, quad) == cold
         assert len(torque_mod._memo) == 4
 
