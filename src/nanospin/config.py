@@ -68,8 +68,8 @@ class RunConfig:
             raise ConfigError("samples must be >= 2")
         if self.samples > MAX_SAMPLES:
             raise ConfigError(f"samples must be <= {MAX_SAMPLES}")
-        if self.coupling_scale < 0.0:
-            raise ConfigError("coupling_scale must be >= 0")
+        if not 0.0 <= self.coupling_scale < math.inf:
+            raise ConfigError("coupling_scale must be finite and >= 0")
 
     def canonical_dict(self) -> dict[str, Any]:
         """Resolved physics inputs as a flat, JSON-ready mapping."""
@@ -177,6 +177,14 @@ _KEYS = {
 
 _KNOWN_KEYS = set(_KEYS) | {"distances_m", "out_dir"}
 
+# frozen, so every configuration that sets none of an object's keys
+# shares one default instance instead of holding an equal copy
+_PARTICLE, _THERMAL, _QUAD = ParticleSpec(), ThermalState(), QuadratureConfig()
+
+
+def _with(default, changes: dict[str, Any]):
+    return replace(default, **changes) if changes else default
+
 
 def parse_config(text: str) -> RunConfig | SweepConfig:
     """Parse and validate a JSON configuration document.
@@ -209,7 +217,9 @@ def parse_config(text: str) -> RunConfig | SweepConfig:
         fields["run"]["distance"] = distances[0] if distances else 1.0
 
     try:
-        particle = ParticleSpec(dielectric=replace(SIC, **fields["dielectric"]), **fields["particle"])
+        if fields["dielectric"]:
+            fields["particle"]["dielectric"] = replace(SIC, **fields["dielectric"])
+        particle = _with(_PARTICLE, fields["particle"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -219,8 +229,8 @@ def parse_config(text: str) -> RunConfig | SweepConfig:
 
     base = RunConfig(
         particle=particle,
-        thermal=ThermalState(**fields["thermal"]),
-        quad=QuadratureConfig(**fields["quad"]),
+        thermal=_with(_THERMAL, fields["thermal"]),
+        quad=_with(_QUAD, fields["quad"]),
         out_dir=out_dir,
         **fields["run"],
     )

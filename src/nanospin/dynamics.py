@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NanospinError
 from .material import ParticleSpec
+from .quadrature import _panel_plan
 from .torque import (
     FrictionCoefficients,
     _mutual_torques,
@@ -423,6 +424,7 @@ def _residual(
     return residual
 
 
+@_panel_plan()
 def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = None) -> Trajectory:
     """Adaptive step-doubling ETD-RK4 on the full torque balance.
 
@@ -464,6 +466,10 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     after one with the same particle, thermal state, quadrature and
     omega1 integrates only gamma_b and the mutual node batch, and
     returns the bits a first run returns.
+
+    The run's integrals share one panel plan (nanospin.quadrature): each
+    lockstep call starts from the panels the one before it on the same
+    window reached, which saves refinement rounds and changes no bit.
 
     coeffs, when given, must be coefficients_for(config); a caller that
     already holds them saves the gamma_b integral and, on a first run,

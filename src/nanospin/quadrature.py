@@ -18,6 +18,16 @@ evaluates the requests of every integrand. A panel the replay never
 reaches is neither counted nor able to raise, so each integrand keeps
 the panels and bits it has when integrated alone.
 
+The integrals of one spin-up or sweep share a window and a spectrum
+dominated by the same resonance, so the panels one integral's refinement
+reached are an almost exact first round for the next. Inside a
+_panel_plan, each lockstep call's first round also evaluates, for every
+integrand, the panels the previous call on the same window (the resolved
+QuadratureConfig) reached, and the call then leaves its own there. Those
+are requests like any other, so every bit, panel count and evaluation
+count stays as it is. The plan lives in a ContextVar for the outermost
+block only: an inner entry joins it, and nothing is kept after it ends.
+
 An integrand whose splits run out with its error sum at or below
 QUADPACK's roundoff floor, 50 eps times the integral of |f|, is accepted:
 near a sign change of the integral (gamma_b at about 2.69 um) no number
@@ -35,6 +45,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -191,6 +203,7 @@ class _Integral:
         self.peak = 0.0
         self.evals = 0
         self.splits = 0
+        self.reached: list[tuple[float, float]] = []  # panels added, in order
         self.outcome: IntegrationResult | NanospinError | None = None
 
     def tolerance(self, quad: QuadratureConfig) -> float:
@@ -221,6 +234,7 @@ class _Integral:
                     self.peak = peak
                 heapq.heappush(self.heap, (-err, next(self.pushes), a, b, i15, resabs))
             self.evals += 15 * len(entries)
+            self.reached += self.pending
             if self.err_total <= self.tolerance(quad):
                 return []
             if self.splits >= quad.max_subdivisions:
@@ -265,20 +279,44 @@ class _Integral:
         return [p for p in want if p not in self.table]
 
 
+# window -> the panels the last lockstep call on it reached, while a
+# _panel_plan is entered
+_plan: ContextVar[dict[QuadratureConfig, list[tuple[float, float]]] | None] = ContextVar("_plan", default=None)
+
+
+@contextmanager
+def _panel_plan():
+    """Seed each lockstep integral inside the block with the panels the
+    previous one on the same window reached. An entry inside another
+    joins the outer plan, and nothing is kept after the outer block."""
+    if _plan.get() is not None:
+        yield
+        return
+    token = _plan.set({})
+    try:
+        yield
+    finally:
+        _plan.reset(token)
+
+
 def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult | NanospinError]:
     """Integrate n integrands, each exactly as a lone one would be.
 
     Every round evaluates the panels that all unfinished integrands
     request in one kernel call, then replays each integrand's greedy
-    loop as far as its table of evaluated panels reaches.
+    loop as far as its table of evaluated panels reaches. Inside a
+    _panel_plan the first round also evaluates, for each integrand, the
+    panels the plan holds for quad.
     """
     if quad.omega_max is None:
         raise ConfigError("omega_max unresolved; supply a value or use the torque-level entry points")
     lo, hi = quad.omega_min, quad.omega_max
     edges = [lo] + [b for b in quad.breakpoints if lo < b < hi] + [hi]
     integrals = [_Integral(edges) for _ in range(n)]
+    plan = _plan.get()
+    seed = [] if plan is None else plan.get(quad, [])
 
-    wanted = {j: s.requests(quad) for j, s in enumerate(integrals)}
+    wanted = {j: list(dict.fromkeys(s.requests(quad) + seed)) for j, s in enumerate(integrals)}
     while wanted:
         owners = np.repeat(list(wanted), [len(panels) for panels in wanted.values()])
         a, b = np.array([p for panels in wanted.values() for p in panels]).T
@@ -286,6 +324,8 @@ def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult 
         for j, panels in wanted.items():  # zip draws from panels first: j takes its own rows
             integrals[j].table.update(zip(panels, entries))
         wanted = {j: panels for j in wanted if (panels := integrals[j].replay(quad))}
+    if plan is not None:
+        plan[quad] = list(dict.fromkeys(p for s in integrals for p in s.reached))
 
     done = [j for j, s in enumerate(integrals) if s.outcome is None]
     if quad.certify_tail and done:

@@ -25,6 +25,11 @@ The two torques and their slopes gamma_s and gamma_b run as batches
 through one pipeline, a lone call being a batch of one: each item gets a
 lone call's checks in order, the items that pass share one lockstep
 integral, each with the bits it has alone, and each result is scaled once.
+The window a batch passes, _window's resolved QuadratureConfig, is the
+key of the quadrature's panel plan: sweep_friction_coefficients runs in
+one plan, so with T == T0 every gamma_b integral starts from the panels
+gamma_s reached, and a caller that runs its own plan around it (the
+spin-up, the CLI) seeds its later batches on that window the same way.
 
 The mutual channel carries an overall coupling_scale multiplier (the
 absolute cross-prefactor between the two channels is calibration-grade;
@@ -55,6 +60,7 @@ from .material import CONSTANTS, ParticleSpec, d_im_polarizability, im_polarizab
 from .quadrature import (
     IntegrationResult,
     QuadratureConfig,
+    _panel_plan,
     integrate,
     integrate_with_diagnostics,
     resolved,
@@ -536,6 +542,7 @@ def _diagnostics(res: IntegrationResult) -> dict:
     return {"error_estimate_Nms": res.error_estimate, "panels": res.panels, "evaluations": res.evaluations}
 
 
+@_panel_plan()
 def sweep_friction_coefficients(
     particle: ParticleSpec,
     distances: Sequence[float],

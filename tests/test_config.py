@@ -73,6 +73,14 @@ class TestParseRun:
         cfg = parse_config('{"distance_m": 1e-7}')
         assert cfg == RunConfig(particle=ParticleSpec(), thermal=ThermalState(), quad=QuadratureConfig(), distance=1e-7)
 
+    def test_documents_share_the_objects_they_leave_at_default(self):
+        a = parse_config('{"distance_m": 1e-7}')
+        b = parse_config('{"distance_m": 2e-7, "mode": "nonlinear"}')
+        assert a.particle is b.particle and a.thermal is b.thermal and a.quad is b.quad
+        c = parse_config('{"distance_m": 1e-7, "eps_inf": 6.5, "temperature_K": 150.0}')
+        assert c.particle is not a.particle and c.particle.dielectric.eps_inf == 6.5
+        assert c.thermal == ThermalState(T=150.0) and c.quad is a.quad
+
     def test_overrides_apply(self):
         cfg = parse_config(json.dumps({
             "distance_m": 2e-7,
@@ -196,11 +204,20 @@ class TestRejection:
             parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "field, value", [("distance", math.nan), ("distance", math.inf), ("omega1", math.inf)], ids=str
+        "field, value",
+        [
+            ("distance", math.nan),
+            ("distance", math.inf),
+            ("omega1", math.inf),
+            ("coupling_scale", math.nan),
+            ("coupling_scale", math.inf),
+        ],
+        ids=str,
     )
     def test_run_config_refuses_non_finite_values(self, field, value):
-        # a NaN or infinite distance passed the point-dipole guard, and an
-        # infinite omega1 passed "> 0"; both reached the kernels
+        # a NaN or infinite distance passed the point-dipole guard, an
+        # infinite omega1 passed "> 0" and a NaN or infinite coupling_scale
+        # passed ">= 0"; each reached the kernels or the time grid
         base = {"particle": ParticleSpec(), "thermal": ThermalState(), "quad": QuadratureConfig(), "distance": 1e-7}
         with pytest.raises(ConfigError, match="finite"):
             RunConfig(**dict(base, **{field: value}))

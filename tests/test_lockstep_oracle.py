@@ -192,12 +192,34 @@ def assert_same_as_oracle(monkeypatch, route):
         assert bits(route()) == expected
 
 
+def seeded(fill, route):
+    """route() inside a fresh panel plan that fill(), an earlier and
+    different integral on the same window, has filled. The oracle ignores
+    the plan, so against it every seeded panel is one the replay may or
+    may not reach, and under the NaN-elsewhere pass one that returns NaN."""
+    with quadrature._panel_plan():
+        fill()
+        windows = set(quadrature._plan.get())
+        assert windows or quadrature._lockstep is not ENGINE  # the oracle leaves the plan empty
+        result = route()
+        assert set(quadrature._plan.get()) == windows  # route ran on a window fill had filled
+        return result
+
+
 def test_gamma_s_matches_oracle(monkeypatch, particle, thermal, quad):
     def route():
         clear_memo()  # a memo hit would not reach the engine
         return _gamma_s_result(particle, thermal, quad)
 
     assert_same_as_oracle(monkeypatch, route)
+
+
+def test_seeded_gamma_s_matches_oracle(monkeypatch, particle, thermal, quad):
+    def route():
+        clear_memo()
+        return _gamma_s_result(particle, thermal, quad)
+
+    assert_same_as_oracle(monkeypatch, lambda: seeded(lambda: _gamma_b_results([1e-7], particle, thermal.T, quad), route))
 
 
 # 2.691e-6 m lies at gamma_b's sign change: no 200 splits meet rel_tol
@@ -215,11 +237,36 @@ def test_gamma_b_matches_oracle_batched_and_lone(monkeypatch, particle, quad):
 NODE_SPINS = [(1e10, w) for w in np.linspace(1e9, 9e9, 9).tolist()] + [(1e10, 0.0)]
 
 
+def test_seeded_gamma_b_matches_oracle_batched_and_lone(monkeypatch, particle, quad):
+    # seeded from a mutual node batch; the lone distances include 2.691 um,
+    # where the roundoff floor ends the refinement
+    def fill():
+        return _mutual_torques(NODE_SPINS, 1e-7, particle, 300.0, quad)
+
+    assert_same_as_oracle(monkeypatch, lambda: seeded(fill, lambda: _gamma_b_results(DISTANCES, particle, 300.0, quad)))
+    for d in DISTANCES[::2]:
+        assert_same_as_oracle(monkeypatch, lambda: seeded(fill, lambda: _gamma_b_results([d], particle, 300.0, quad)))
+
+
 @pytest.mark.parametrize(("d", "max_subdivisions"), [(1e-7, 200), (9.49e-7, 200), (3e-7, 27)])
 def test_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_subdivisions):
     # with 27 splits at 300 nm, 7 integrands converge and 3 run out
     quad = QuadratureConfig(max_subdivisions=max_subdivisions)
     assert_same_as_oracle(monkeypatch, lambda: _mutual_torques(NODE_SPINS, d, particle, 300.0, quad))
+
+
+@pytest.mark.parametrize(("d", "max_subdivisions"), [(1e-7, 200), (9.49e-7, 200), (3e-7, 27)])
+def test_seeded_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_subdivisions):
+    # seeded from gamma_b at the same distance and settings, as in a spin-up;
+    # at 300 nm with 27 splits the batch stays ..F.....FF
+    quad = QuadratureConfig(max_subdivisions=max_subdivisions)
+    assert_same_as_oracle(
+        monkeypatch,
+        lambda: seeded(
+            lambda: _gamma_b_results([d], particle, 300.0, quad),
+            lambda: _mutual_torques(NODE_SPINS, d, particle, 300.0, quad),
+        ),
+    )
 
 
 def test_a_starved_mutual_batch_mixes_outcomes(particle):
@@ -254,6 +301,29 @@ def test_synthetic_outcomes_match_oracle(monkeypatch, max_subdivisions):
     assert isinstance(results[1], ConvergenceError) and "subdivisions" in str(results[1])
 
 
+@pytest.mark.parametrize("max_subdivisions", [1, 7, 30])
+def test_seeded_synthetic_outcomes_match_oracle(monkeypatch, max_subdivisions):
+    # each integrand seeded from another integrand's tree: the batch from
+    # the batch with its owners rotated, a lone integrand from the next one
+    q = QuadratureConfig(omega_min=0.0, omega_max=1.0, max_subdivisions=max_subdivisions, breakpoints=(0.25,))
+
+    def rotated():
+        return integrate_with_diagnostics(lambda w, owners: synthetic(w, (owners + 1) % 4), q, 4)
+
+    assert_same_as_oracle(monkeypatch, lambda: seeded(rotated, lambda: integrate_with_diagnostics(synthetic, q, 4)))
+    for j in range(4):
+
+        def fill():
+            return integrate_with_diagnostics(lambda w, owners: synthetic(w, np.full(len(w), (j + 1) % 4)), q, 1)
+
+        assert_same_as_oracle(
+            monkeypatch,
+            lambda: seeded(
+                fill, lambda: [outcome(lambda: integrate_with_diagnostics(lambda w: synthetic(w, np.full(len(w), j)), q))]
+            ),
+        )
+
+
 def test_vecdot_rows_match_one_dimensional_dots():
     rng = np.random.default_rng(2024)
     n = 4000
@@ -267,9 +337,17 @@ def test_vecdot_rows_match_one_dimensional_dots():
 
 def test_spin_up_kernel_calls(monkeypatch, particle, thermal, quad):
     # the four integrals of a 1e10 / 100 nm spin-up (gamma_s, gamma_b and
-    # one node batch per channel) took 97 panel calls one split per round
+    # one node batch per channel) took 97 panel calls one split per round,
+    # 32 with speculative requests and 14 with each seeded from the last;
+    # a second distance in the process integrates gamma_b and the mutual
+    # node batch alone, in 18 calls unseeded and 10 seeded
     calls = []
     panels = quadrature._panels
     monkeypatch.setattr(quadrature, "_panels", lambda *args: calls.append(1) or panels(*args))
     solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10, mode="nonlinear"))
-    assert len(calls) <= 32
+    assert len(calls) <= 14
+    assert quadrature._plan.get() is None  # the plan ends with the call
+    calls.clear()
+    solve_nonlinear(RunConfig(particle, thermal, quad, distance=3.3e-7, omega1=1e10, mode="nonlinear"))
+    assert len(calls) <= 10
+    assert quadrature._plan.get() is None
