@@ -71,7 +71,7 @@ class Trajectory:
     omega2 on each access rather than stored. zero_coupling marks the
     degenerate gamma_b + gamma_s = 0 case where the follower never moves
     and the series is constant. solver holds the nonlinear solver's work
-    counts (None for the closed form).
+    counts, plateau and relaxation rate (None for the closed form).
     """
 
     times: np.ndarray
@@ -147,6 +147,30 @@ def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
     coeffs = (2.0 / n) * (np.cos(np.pi * jk / n) @ (halved * values))
     coeffs[[0, -1]] *= 0.5
     return coeffs
+
+
+def _antiderivative(fit: ChebyshevInterpolant) -> ChebyshevInterpolant:
+    """The integral of fit from fit.lo, exact, one degree higher: T_k
+    integrates to T_(k+1)/(2(k+1)) - T_(k-1)/(2(k-1)), and T_0 to T_1."""
+    c = np.concatenate([fit.coeffs, [0.0, 0.0]])
+    c[0] *= 2.0
+    k = np.arange(1, len(c) - 1)
+    b = np.empty(len(c) - 1)
+    b[1:] = 0.25 * (fit.hi - fit.lo) * (c[:-2] - c[2:]) / k
+    b[0] = -np.dot(b[1:], (-1.0) ** k)  # zero at lo, where T_k = (-1)^k
+    return ChebyshevInterpolant(fit.lo, fit.hi, tuple(b.tolist()))
+
+
+def _derivative(fit: ChebyshevInterpolant) -> ChebyshevInterpolant:
+    """The derivative of fit, exact, one degree lower (at least three
+    coefficients, so fit needs four)."""
+    c = fit.coeffs
+    d = [0.0] * (len(c) + 1)
+    for k in range(len(c) - 1, 0, -1):
+        d[k - 1] = d[k + 1] + 2.0 * k * c[k]
+    d[0] *= 0.5
+    scale = 2.0 / (fit.hi - fit.lo)
+    return ChebyshevInterpolant(fit.lo, fit.hi, tuple(scale * x for x in d[: len(c) - 1]))
 
 
 def chebyshev_interpolant(
@@ -249,145 +273,6 @@ def solve_linear(omega1: float, inertia: float, coeffs: FrictionCoefficients, t_
     return Trajectory(times=t, omega2=w2, omega1=omega1)
 
 
-# Taylor coefficients 1/16! .. 1/3! of phi_3, highest order first; for
-# |z| < 0.5 the first omitted term is below 1e-17 of phi_3
-_PHI3_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(16, 2, -1))
-
-
-def _elementwise(f: Callable[[float], float], x):
-    """f at x, a float, or at each element of an array of floats.
-
-    The math module's exp and expm1 are used per element because numpy's
-    vectorized forms may round differently, and a sample must get the
-    bits one scalar sub-step gives it.
-    """
-    if isinstance(x, float):
-        return f(x)
-    return np.array([f(v) for v in x.tolist()])
-
-
-def _phi(z):
-    """phi_1, phi_2 and phi_3 at z, phi_k(z) = sum_j z^j / (j + k)!, for
-    z a float or an array of floats.
-
-    Below |z| = 0.5, phi_3 is its Taylor series summed by Horner's rule,
-    and phi_2 = 1/2 + z*phi_3, phi_1 = 1 + z*phi_2. Elsewhere the expm1
-    forms are used; their cancellation costs at most a few dozen ulp.
-    Each element of an array gets the bits a float gets.
-    """
-    if isinstance(z, float):
-        return _phi_taylor(z) if abs(z) < 0.5 else _phi_expm1(z)
-    out = np.empty((3, z.size))
-    small = np.abs(z) < 0.5
-    out[:, small] = _phi_taylor(z[small])
-    out[:, ~small] = _phi_expm1(z[~small])
-    return out[0], out[1], out[2]
-
-
-def _phi_taylor(z):
-    p3 = 0.0
-    for c in _PHI3_TAYLOR:
-        p3 = p3 * z + c
-    p2 = 0.5 + z * p3
-    return 1.0 + z * p2, p2, p3
-
-
-def _phi_expm1(z):
-    em1 = _elementwise(math.expm1, z)
-    return em1 / z, (em1 - z) / (z * z), (em1 - z - 0.5 * z * z) / (z * z * z)
-
-
-def _etd_weights(lam: float, h):
-    """Cox-Matthews ETD-RK4 weights for du/dt = -lam*u + N(u) over a step
-    h, a float or an array of step sizes.
-
-    With z = -lam*h: e^(z/2), (h/2)*phi_1(z/2), e^z, and h times the stage
-    weights phi_1 - 3*phi_2 + 4*phi_3 (first), 2*phi_2 - 4*phi_3 (second
-    and third) and 4*phi_3 - phi_2 (fourth).
-    """
-    z = -lam * h
-    p1, p2, p3 = _phi(z)
-    return (
-        _elementwise(math.exp, 0.5 * z),
-        0.5 * h * _phi(0.5 * z)[0],
-        _elementwise(math.exp, z),
-        h * (p1 - 3.0 * p2 + 4.0 * p3),
-        h * (2.0 * p2 - 4.0 * p3),
-        h * (4.0 * p3 - p2),
-    )
-
-
-def _etd_rk4_step(n: Callable, u, n0, weights: tuple):
-    """One ETD-RK4 step from u, given n0 = n(u) and the step's
-    _etd_weights. The linear part is exact; n is sampled at three
-    stages. With arrays for u, n0 and the weights it takes one step per
-    element, in three calls of n."""
-    e_half, a, e, b1, b23, b4 = weights
-    ua = e_half * u + a * n0
-    na = n(ua)
-    ub = e_half * u + a * na
-    nb = n(ub)
-    uc = e_half * ua + a * (2.0 * nb - n0)
-    return e * u + b1 * n0 + b23 * (na + nb) + b4 * n(uc)
-
-
-def _etd_rk4(
-    n: Callable,
-    lam: float,
-    u: float,
-    times: Sequence[float],
-    tol: float,
-    h: float,
-    h_min: float,
-    switches: Sequence[tuple[float, float]] = (),
-) -> tuple[np.ndarray, int, int]:
-    """Adaptive step-doubling ETD-RK4 for du/dt = -lam*u + n(u).
-
-    Starts from u at times[0] with step h and returns u at every time,
-    with the accepted and rejected step counts. A step is accepted when
-    a fifteenth of the full-step/two-half-step difference is at most
-    tol, and then advances to the locally extrapolated value. Step
-    doubling cannot see a jump in n, so a step that carries u across a
-    switch (u_s, jump), where n jumps by jump, is accepted only if
-    h*jump <= tol. A step halved below h_min raises ConvergenceError.
-
-    Steps do not land on the sample times: each time inside an accepted
-    step [t, t + h] gets one ETD-RK4 sub-step of size time - t from
-    u(t) (dense output). Stepping only records (time - t, u(t), n(u(t)))
-    per sample; after the last step every sub-step is taken at once, on
-    arrays, so n must accept an array of u as well as a float, and give
-    each element the bits it gives that float.
-    """
-    start = u
-    dense = []
-    t, i = times[0], 1
-    accepted = rejected = 0
-    while i < len(times):
-        n0 = n(u)  # shared by both step sizes, every attempt and the samples
-        while True:
-            half = _etd_weights(lam, 0.5 * h)
-            y_full = _etd_rk4_step(n, u, n0, _etd_weights(lam, h))
-            y_half = _etd_rk4_step(n, u, n0, half)
-            y_two = _etd_rk4_step(n, y_half, n(y_half), half)
-            err = abs(y_two - y_full) / 15.0
-            y = y_two + (y_two - y_full) / 15.0  # local extrapolation: fifth order
-            if err <= tol and all(h * jump <= tol or (u < s) == (y < s) for s, jump in switches):
-                break
-            rejected += 1
-            h *= 0.5
-            if h < h_min:
-                raise ConvergenceError(f"step size underflow at t = {t:.6e} s (h = {h:.3e})")
-        while i < len(times) and times[i] <= t + h:
-            dense.append((times[i] - t, u, n0))
-            i += 1
-        t, u = t + h, y
-        accepted += 1
-        h *= 2.0 if err == 0.0 else min(2.0, 0.9 * (tol / err) ** 0.2)
-    dt, u0, n0 = np.array(dense, dtype=float).reshape(-1, 3).T
-    samples = _etd_rk4_step(n, u0, n0, _etd_weights(lam, dt))
-    return np.concatenate(([start], samples)), accepted, rejected
-
-
 def _values(torques: list[float | NanospinError]) -> np.ndarray:
     """The values of a batch of torques, or the first error among them."""
     for torque in torques:
@@ -396,87 +281,93 @@ def _values(torques: list[float | NanospinError]) -> np.ndarray:
     return np.array(torques)
 
 
-def _channel(fit: ChebyshevInterpolant | None, at_rest: float, w):
-    """One channel's residual at w, a float or an array of spins: its
-    interpolant on its interval, at_rest at w == 0, else zero (the
-    linearized form). Each element of an array gets the bits a float
-    gets."""
-    if isinstance(w, float):
-        if fit is not None and w in fit:
-            return fit(w)
-        return at_rest if w == 0.0 else 0.0
-    r = np.where(w == 0.0, at_rest, 0.0)
-    if fit is not None:
-        inside = (fit.lo <= w) & (w <= fit.hi)
-        r[inside] = fit(w[inside])
-    return r
+def _first_root(f: Callable, df: Callable, a: float, b: float) -> float:
+    """The root of f in (a, b], given f(a) > 0 >= f(b): Newton steps from
+    b, bisecting wherever a step would leave the bracket."""
+    w = b
+    for _ in range(200):
+        fw, slope = f(w), df(w)
+        a, b = (w, b) if fw > 0.0 else (a, w)
+        nxt = w - fw / slope if slope < 0.0 else 0.5 * (a + b)
+        nxt = nxt if a < nxt < b else 0.5 * (a + b)
+        if fw == 0.0 or nxt in (a, b, w):
+            break
+        w = nxt
+    return w
 
 
-def _residual(
-    drive_fit: ChebyshevInterpolant | None, drag_fit: ChebyshevInterpolant | None, rest_residual: float, inertia: float
-) -> Callable:
-    """N(omega2) = (R_b - R_s)/I, on a float or an array of spins, with
-    the gap channel's residual at rest (the vacuum channel's is zero)."""
+def _certified_pieces(g: Callable, tol: Callable, lo: float, hi: float) -> list[ChebyshevInterpolant]:
+    """chebyshev_interpolant of g on [lo, hi] to min(tol(lo), tol(hi)),
+    bisected until every piece certifies."""
+    try:
+        return [chebyshev_interpolant(g, lo, hi, min(tol(lo), tol(hi)))]
+    except ConvergenceError:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise
+        return _certified_pieces(g, tol, lo, mid) + _certified_pieces(g, tol, mid, hi)
 
-    def residual(w2):
-        return (_channel(drive_fit, rest_residual, w2) - _channel(drag_fit, 0.0, w2)) / inertia
 
-    return residual
+def _invert(t0: float, c0: float, rest: ChebyshevInterpolant, times: np.ndarray) -> np.ndarray:
+    """The s in [rest.lo, rest.hi] at which t0 + c0*(s - rest.lo) plus the
+    integral of rest from rest.lo reaches each time: Newton steps on all
+    times at once, bisecting wherever a step would leave the bracket."""
+    integral, lo, hi = _antiderivative(rest), rest.lo, rest.hi
+
+    def time(s):
+        return t0 + c0 * (s - lo) + (integral(s) - integral(lo))
+
+    a, b = np.full_like(times, lo), np.full_like(times, hi)
+    s = lo + (times - t0) * ((hi - lo) / (time(hi) - t0))
+    for _ in range(100):
+        err = time(s) - times
+        a, b = np.where(err < 0.0, s, a), np.where(err > 0.0, s, b)
+        nxt = s - err / (c0 + rest(s))  # dt/ds = c0 + rest > 0
+        nxt = np.where((a <= nxt) & (nxt <= b), nxt, 0.5 * (a + b))
+        step, s = np.abs(nxt - s), nxt
+        if np.all(step <= 1e-12 * (1.0 + np.abs(s))):
+            break
+    return s
 
 
 @_panel_plan()
 def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = None) -> Trajectory:
-    """Adaptive step-doubling ETD-RK4 on the full torque balance.
+    """The follower's spin-up on the full torque balance, as a quadrature.
 
-    Each channel's torque is its linearized form plus a residual,
+    The follower obeys domega2/dt = f(omega2), f = (M - V)/I. Each
+    channel's torque is its linearized form plus a residual,
     R_b(w) = mutual_torque(omega1, w) - gamma_b*(omega1 - w) and
-    R_s(w) = vacuum_torque(w) - gamma_s*w, so with u = omega2 - p the
-    follower obeys du/dt = -lam*u + N, lam = (gamma_s + gamma_b)/I,
-    p = omega1*gamma_b/(gamma_s + gamma_b) and N = (R_b - R_s)/I. The
-    exponential integrator treats -lam*u exactly (Cox & Matthews, J.
-    Comput. Phys. 176, 430 (2002)), so the step size follows the
-    accuracy of N alone, and samples come from dense output, taken in
-    one array pass after the last step.
+    R_s(w) = vacuum_torque(w) - gamma_s*w. Each residual is a
+    chebyshev_interpolant of direct kernel values, certified to
+    fit_tol = quad.rel_tol * (gamma_s + gamma_b) * omega1 on its own
+    interval, [F, omega1 - F] for the mutual channel and [F, omega1] for
+    the vacuum one (F = DIRECT_EVAL_FLOOR; one lockstep call per channel
+    and degree; nothing where the interval is empty), and zero, the
+    linearized form, elsewhere. f is smooth between the switches.
 
-    Before stepping, each residual becomes a chebyshev_interpolant of
-    direct kernel values, certified to
-    quad.rel_tol * (gamma_s + gamma_b) * omega1, on its own interval:
-    [F, omega1 - F] for the mutual channel and [F, omega1] for the vacuum
-    channel, F = DIRECT_EVAL_FLOOR. All nodes a degree adds are
-    integrated in one lockstep call per channel. An empty interval builds
-    nothing, so runs with omega1 <= F build no interpolant.
+    f(0) = gamma_b*omega1/I > 0 and f < 0 past omega1, so the follower
+    stops at the plateau omega*: the first root of f, kappa = -f'(omega*),
+    or a switch across which f changes sign, reached in finite time
+    (kappa None). The equation separates: with u = omega* - omega2 and
+    s = -ln(u/omega*), dt/ds = u/f. Its plateau value 1/kappa integrates
+    in closed form; the rest is a chebyshev_interpolant in s on each
+    piece, certified to the error that a drift error of fit_tol/I puts
+    into u/f, bisected until it certifies, and integrated exactly. The
+    table ends where u*|1 - kappa*u/f| <= rel_tol*omega1; past it
+    omega2 = omega* - u_end*exp(-kappa*(t - t_end)), or omega* at a
+    switch. Newton steps invert every sample time at once. Below F this
+    is the closed form.
 
-    At every stage spin, each channel's residual is its interpolant on
-    that interval, else zero: the linearized form, which agrees with the
-    kernel to better than the integrator tolerance below F and is what a
-    stage spin outside [0, omega1] gets. The one exception is the exact
-    gap torque at rest, M(omega1, 0), at omega2 = 0 when omega1 >= F.
-    It is integrated with the mutual channel's degree-8 nodes, in the
-    same lockstep call, when an interpolant is built (omega1 > 2F), and
-    as a batch of one for F <= omega1 <= 2F; either way it is read after
-    both node builds, so a failing node of either channel is raised
-    first.
+    nanospin.torque keeps gamma_s and the vacuum node torques, which do
+    not depend on the distance: a later run at another distance
+    integrates only gamma_b and the mutual nodes, for the bits a first
+    run returns. The run's integrals share one panel plan.
 
-    N jumps where a channel switches form, at omega2 = F and
-    omega2 = omega1 - F; each jump is measured once per run, from N on
-    either side of the switch, and bounds the steps that cross it.
-
-    gamma_s and the vacuum node torques do not depend on the distance,
-    and nanospin.torque keeps them for the life of the process: a run
-    after one with the same particle, thermal state, quadrature and
-    omega1 integrates only gamma_b and the mutual node batch, and
-    returns the bits a first run returns.
-
-    The run's integrals share one panel plan (nanospin.quadrature): each
-    lockstep call starts from the panels the one before it on the same
-    window reached, which saves refinement rounds and changes no bit.
-
-    coeffs, when given, must be coefficients_for(config); a caller that
-    already holds them saves the gamma_b integral and, on a first run,
-    the gamma_s integral. Trajectory.solver counts the work: surrogate
-    nodes per channel (0 where none was built), direct torque calls
-    (nodes and the gap torque at rest, whether or not the memo holds a
-    node), and accepted and rejected steps.
+    coeffs, when given, must be coefficients_for(config). gamma_b < 0
+    raises ConfigError: the follower would spin backwards, outside the
+    surrogates. Trajectory.solver records the surrogate nodes per channel
+    (0 where none was built), the direct torque calls (the nodes, kept in
+    the memo or not), the plateau, kappa and each time piece's nodes.
     """
     particle = config.particle
     inertia = moment_of_inertia(particle)
@@ -484,32 +375,19 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
         coeffs, _ = coefficients_for(config)
     denom = coeffs.gamma_s + coeffs.gamma_b
     omega1 = config.omega1
-    stats = {
-        "accepted_steps": 0,
-        "direct_torque_calls": 0,
-        "rejected_steps": 0,
-        "surrogate_nodes": {"mutual": 0, "vacuum": 0},
-    }
+    stats = {"direct_torque_calls": 0, "kappa_per_s": None, "piece_nodes": [], "plateau_rad_per_s": 0.0}
+    stats["surrogate_nodes"] = nodes = {"mutual": 0, "vacuum": 0}
     if denom == 0.0:
-        t = np.array([0.0, 1.0])
-        w2 = np.zeros_like(t)
-        return Trajectory(times=t, omega2=w2, omega1=omega1, zero_coupling=True, solver=stats)
-    tau = inertia / denom
-    grid = default_time_grid(tau, config.samples)
-
+        return Trajectory(times=np.array([0.0, 1.0]), omega2=np.zeros(2), omega1=omega1, zero_coupling=True, solver=stats)
     gamma_b, gamma_s = coeffs.gamma_b, coeffs.gamma_s
-    rest: float | NanospinError | None = None  # M(omega1, 0), from the first mutual node batch
-
-    def mutual_torques(spins: list[float]) -> list[float | NanospinError]:
-        stats["direct_torque_calls"] += len(spins)
-        pairs = [(omega1, w2) for w2 in spins]
-        return _mutual_torques(pairs, config.distance, particle, config.thermal.T, config.quad, config.coupling_scale)
+    if gamma_b < 0.0:
+        raise ConfigError(f"solve_nonlinear needs gamma_b >= 0, got {gamma_b:.6g} N m s")
+    grid = default_time_grid(inertia / denom, config.samples)
 
     def drive_residuals(ws: np.ndarray) -> np.ndarray:
-        nonlocal rest
-        torques = mutual_torques(ws.tolist() + ([0.0] if rest is None else []))
-        if rest is None:
-            rest = torques.pop()
+        stats["direct_torque_calls"] += len(ws)
+        pairs = [(omega1, w2) for w2 in ws.tolist()]
+        torques = _mutual_torques(pairs, config.distance, particle, config.thermal.T, config.quad, config.coupling_scale)
         return _values(torques) - gamma_b * (omega1 - ws)
 
     def drag_residuals(ws: np.ndarray) -> np.ndarray:
@@ -519,33 +397,75 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
 
     fit_tol = config.quad.rel_tol * denom * omega1
     floor = DIRECT_EVAL_FLOOR
-    drive_fit = drag_fit = None
-    if omega1 - floor > floor:
-        drive_fit = chebyshev_interpolant(drive_residuals, floor, omega1 - floor, fit_tol)
-        stats["surrogate_nodes"]["mutual"] = drive_fit.nodes
-    if omega1 > floor:
-        drag_fit = chebyshev_interpolant(drag_residuals, floor, omega1, fit_tol)
-        stats["surrogate_nodes"]["vacuum"] = drag_fit.nodes
-    rest_residual = 0.0
-    if omega1 >= floor:
-        if rest is None:
-            (rest,) = mutual_torques([0.0])
-        if isinstance(rest, NanospinError):
-            raise rest
-        rest_residual = float(rest) - gamma_b * omega1
+    fits = []  # (sign in f, residual interpolant)
+    channels = (("mutual", 1.0, drive_residuals, omega1 - floor), ("vacuum", -1.0, drag_residuals, omega1))
+    for channel, sign, residuals, hi in channels:
+        if hi > floor:
+            fits.append((sign, chebyshev_interpolant(residuals, floor, hi, fit_tol)))
+            nodes[channel] = fits[-1][1].nodes
 
-    residual = _residual(drive_fit, drag_fit, rest_residual, inertia)
-    lam, plateau = denom / inertia, omega1 * gamma_b / denom
-    tol = 1e-6 * abs(omega1)
-    switches = [
-        (s - plateau, abs(residual(math.nextafter(s, math.inf)) - residual(math.nextafter(s, -math.inf))))
-        for s, fit in ((floor, drag_fit), (omega1 - floor, drive_fit))
-        if fit is not None
-    ]
-    u, stats["accepted_steps"], stats["rejected_steps"] = _etd_rk4(
-        lambda u: residual(plateau + u), lam, -plateau, grid.tolist(), tol, 1e-3 * tau, 1e-12 * tau, switches
-    )
-    w2 = plateau + u
+    def drift(lo: float, hi: float) -> tuple[Callable, Callable]:
+        """f and f' on the piece [lo, hi] between switches."""
+        on = [(sign, fit) for sign, fit in fits if fit.lo <= lo and hi <= fit.hi]
+        slopes = [(sign, _derivative(fit)) for sign, fit in on]
+        return (
+            lambda w: (gamma_b * (omega1 - w) - gamma_s * w + sum(sign * fit(w) for sign, fit in on)) / inertia,
+            lambda w: (sum(sign * slope(w) for sign, slope in slopes) - denom) / inertia,
+        )
+
+    # the pieces the follower crosses, up to the plateau star
+    edges = sorted({0.0, omega1}.union(*({fit.lo, fit.hi} for _, fit in fits)))
+    crossed, star, kappa = [], omega1, None  # f > 0 throughout: the switch to the linear form at omega1
+    for lo, hi in zip(edges, edges[1:]):
+        f, df = drift(lo, hi)
+        w = np.linspace(lo, hi, 65)
+        v = f(w)
+        if not v[0] > 0.0:  # f changes sign across the switch at lo
+            star = lo
+            break
+        crossed.append((lo, f))
+        if np.any(v <= 0.0):
+            j = int(np.argmax(v <= 0.0))
+            star = _first_root(f, df, float(w[j - 1]), float(w[j]))
+            kappa = -df(star) if df(star) < 0.0 else None
+            break
+    stats["plateau_rad_per_s"], stats["kappa_per_s"] = star, kappa
+
+    # t(s) table, piece by piece: t0 + c0*(s - lo) + the integral of the rest
+    spin_tol, c0 = config.quad.rel_tol * omega1, 1.0 / kappa if kappa else 0.0
+    table, t_end, s_end = [], 0.0, 0.0  # table: (t0, interpolant of dt/ds - c0)
+    if crossed:
+        lo, f = crossed[-1]
+        u = (star - lo) * 0.5 ** np.arange(40)
+        u = u[u > spin_tol]
+        outside = np.flatnonzero(u * np.abs(1.0 - (kappa or 0.0) * u / f(star - u)) > spin_tol)
+        j = outside[-1] + 1 if outside.size else 0  # from u[j] on, the tail holds
+        bounds = [-math.log1p(-lo / star) for lo, _ in crossed]
+        bounds.append(bounds[-1] if j == 0 else math.log(star / (u[j] if j < u.size else spin_tol)))
+        for (lo, f), s0, s1 in zip(crossed, bounds, bounds[1:]):
+
+            def rest(s, f=f):
+                return star * np.exp(-s) / f(-star * np.expm1(-s)) - c0
+
+            def tol(s, f=f):
+                return fit_tol / inertia * star * math.exp(-s) / f(-star * math.expm1(-s)) ** 2
+
+            for piece in _certified_pieces(rest, tol, s0, s1) if s1 > s0 else []:
+                table.append((t_end, piece))
+                integral = _antiderivative(piece)
+                t_end += c0 * (piece.hi - piece.lo) + (integral(piece.hi) - integral(piece.lo))
+        s_end = bounds[-1]
+    stats["piece_nodes"] = [piece.nodes for _, piece in table]
+
+    s = np.empty_like(grid)
+    tail = grid >= t_end
+    s[tail] = s_end + kappa * (grid[tail] - t_end) if kappa else np.inf
+    which = np.searchsorted([t0 for t0, _ in table], grid, side="right") - 1
+    for k, (t0, piece) in enumerate(table):
+        mine = ~tail & (which == k)
+        if mine.any():
+            s[mine] = _invert(t0, c0, piece, grid[mine])
+    w2 = -star * np.expm1(-s)
     return Trajectory(times=grid, omega2=w2, omega1=omega1, solver=stats)
 
 

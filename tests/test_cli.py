@@ -117,7 +117,8 @@ class TestNonlinearRun:
         solver = summary["solver"]
         assert solver["surrogate_nodes"] == {"mutual": 9, "vacuum": 9}
         assert 18 <= solver["direct_torque_calls"] <= 64
-        assert solver["accepted_steps"] > 0
+        assert 0.0 < solver["plateau_rad_per_s"] < 1e10 and solver["kappa_per_s"] > 0.0
+        assert solver["piece_nodes"] and all(n >= 9 for n in solver["piece_nodes"])
 
     def test_warm_run_writes_the_cold_bytes(self, tmp_path):
         # the second run reads gamma_s and the vacuum node torques from the
@@ -156,6 +157,24 @@ class TestNonlinearRun:
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "no convergence after 200 subdivisions" in capsys.readouterr().err
+
+    def test_sign_edge_at_the_floor_spin_exits_0(self, tmp_path):
+        # at omega1 = DIRECT_EVAL_FLOOR no surrogate is built and no torque
+        # is direct: the gap torque at rest, which does not converge at
+        # gamma_b's sign change, is never read, and the run is the closed form
+        cfg = write_config(
+            tmp_path / "c.json", {"distance_m": 2.691e-6, "omega1_rad_per_s": 1e9, "mode": "nonlinear"}
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        jsonschema.validate(summary, load_schema("summary.schema.json"))
+        assert summary["solver"]["direct_torque_calls"] == 0
+        config = parse_config(Path(cfg).read_text(encoding="utf-8"))
+        coeffs, _ = nanospin.friction_coefficients(config.particle, config.distance, config.thermal, config.quad)
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        lin = nanospin.solve_linear(1e9, nanospin.moment_of_inertia(config.particle), coeffs, rows[:, 0])
+        assert np.all(np.abs(rows[:, 1] - lin.omega2) <= 1e-12 * np.abs(lin.omega2))
 
 
 class TestSweep:

@@ -1,14 +1,14 @@
-"""Follower dynamics: closed-form linear solution, adaptive ETD-RK4, sync time.
+"""Follower dynamics: closed-form linear solution, the nonlinear spin-up quadrature, sync time.
 
 The linear trajectory is a single exponential with
 tau = I/(gamma_b + gamma_s) and plateau omega1 * gamma_b/(gamma_b + gamma_s),
 so most checks here compare against that closed form directly.
 """
 
+import json
 import math
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -34,14 +34,7 @@ from nanospin import (
     sync_time,
     vacuum_torque,
 )
-from nanospin.dynamics import (
-    ChebyshevInterpolant,
-    _etd_rk4,
-    _etd_rk4_step,
-    _etd_weights,
-    _phi,
-    chebyshev_interpolant,
-)
+from nanospin.dynamics import ChebyshevInterpolant, _antiderivative, _derivative, chebyshev_interpolant
 
 DATA = Path(__file__).parent / "data"
 
@@ -286,6 +279,20 @@ class TestSolveNonlinear:
         rel = np.abs(traj.omega2 - lin.omega2) / np.maximum(np.abs(lin.omega2), 1e-9 * omega1)
         assert rel.max() <= 1e-12
 
+    def test_monotone_away_from_equilibrium_at_a_loose_tolerance(self):
+        # at a loose rel_tol and unequal temperatures a stepper's error near
+        # the plateau can move omega2 backwards (adaptive ETD-RK4 did, by
+        # 1.2e-8 * omega1); inverting a monotone time table cannot
+        from nanospin import parse_config
+
+        doc = {
+            "radius_m": 2.256e-9, "distance_m": 4.822e-7, "temperature_K": 555.7, "vacuum_temperature_K": 26.84,
+            "omega1_rad_per_s": 6.072e11, "samples": 183, "rel_tol": 2.564e-5,
+        }
+        traj = solve_nonlinear(parse_config(json.dumps(doc)))
+        assert np.all(np.diff(traj.omega2) >= 0.0)
+        assert traj.omega2[-1] == pytest.approx(traj.solver["plateau_rad_per_s"], rel=1e-9)
+
     def test_short_grid(self, particle, thermal, quad):
         config = RunConfig(particle, thermal, quad, distance=1e-7, samples=50)
         traj = solve_nonlinear(config)
@@ -329,25 +336,19 @@ class TestNonlinearDirectKernels:
             assert abs(coeffs.gamma_s * w + drag(w) - vacuum(w)) <= tol
 
     def test_direct_calls_are_nodes_plus_rest_torque(self, particle, thermal, quad):
-        # every node once, plus the gap torque at omega2 = 0, which the
-        # full step and the first half step share
+        # every node once and nothing else: the quadrature never reads the
+        # gap torque at rest, which holds at the single point omega2 = 0
         traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
         nodes = traj.solver["surrogate_nodes"]
-        assert traj.solver["direct_torque_calls"] == nodes["mutual"] + nodes["vacuum"] + 1
+        assert traj.solver["direct_torque_calls"] == nodes["mutual"] + nodes["vacuum"]
 
     def test_stages_outside_the_spin_range_are_linear(self, particle, thermal, quad):
-        # at 300 nm and 1e12 some rejected steps put stage spins outside
-        # [0, omega1]; there both channels use their linearized forms, so
-        # the run integrates its nodes and the gap torque at rest only
+        # the quadrature reads f on [0, omega*] only, through the
+        # surrogates, so at 300 nm and 1e12 the run integrates its nodes
+        # and no other torque
         traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=3e-7, omega1=1e12))
         nodes = traj.solver["surrogate_nodes"]
-        assert traj.solver["direct_torque_calls"] == nodes["mutual"] + nodes["vacuum"] + 1
-
-    def test_few_steps_without_a_stability_cap(self, particle, thermal, quad, coeffs):
-        # the linear part is exact and samples come from dense output, so
-        # neither stability nor the 400 sample times set the step count
-        traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10), coeffs)
-        assert traj.solver["accepted_steps"] < 100
+        assert traj.solver["direct_torque_calls"] == nodes["mutual"] + nodes["vacuum"]
 
     def test_given_coefficients_change_nothing(self, particle, thermal, quad, coeffs):
         config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10, samples=50)
@@ -370,7 +371,7 @@ class TestNonlinearDirectKernels:
 
         solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
         assert len(integrals) == 4
-        assert integrals == [("_gamma_s_result", 1), ("_gamma_b_results", 1), ("_mutual_torques", 10), ("_vacuum_torques", 9)]
+        assert integrals == [("_gamma_s_result", 1), ("_gamma_b_results", 1), ("_mutual_torques", 9), ("_vacuum_torques", 9)]
         config = RunConfig(particle, thermal, quad, distance=3e-7, omega1=1e10)
         warm = solve_nonlinear(config)
         assert [name for name, _ in integrals[4:]] == ["_gamma_b_results", "_mutual_torques"]
@@ -382,15 +383,13 @@ class TestNonlinearDirectKernels:
 
     def test_switch_spin_evaluates_only_the_rest_torque(self, particle, thermal, quad):
         # at omega1 = DIRECT_EVAL_FLOOR both surrogate intervals are empty,
-        # but the gap channel's scale at omega2 = 0 is omega1 itself, not
-        # below the floor: that one torque is direct. The vacuum channel is
-        # linear at every spin when omega1 <= the floor, so a stage spin
-        # past the floor evaluates no direct vacuum torque
+        # so both channels are linear at every spin and the run evaluates
+        # no direct torque, not even the gap torque at rest
         for samples in (400, 50):
             config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=DIRECT_EVAL_FLOOR, samples=samples)
             traj = solve_nonlinear(config)
             assert traj.solver["surrogate_nodes"] == {"mutual": 0, "vacuum": 0}
-            assert traj.solver["direct_torque_calls"] == 1, samples
+            assert traj.solver["direct_torque_calls"] == 0, samples
 
     def test_first_failing_node_raises(self, particle, thermal, quad, monkeypatch):
         # a batch with several failing nodes raises the error of the first
@@ -406,65 +405,43 @@ class TestNonlinearDirectKernels:
         with pytest.raises(ConvergenceError, match="node 2"):
             solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
 
-    def test_rest_torque_rides_the_mutual_node_batch(self, particle, thermal, quad, coeffs, monkeypatch):
-        # M(omega1, 0) is integrated with the degree-8 mutual nodes: the
-        # run is one lockstep integral per channel and no lone torque
+    def test_sign_change_across_a_switch_is_a_plateau_reached_in_finite_time(
+        self, particle, thermal, quad, coeffs, monkeypatch
+    ):
+        # a vacuum torque raised by a constant above F makes f jump from
+        # positive to negative at F: the follower stops on the switch
         import nanospin.dynamics as dynamics_mod
-        import nanospin.torque as torque_mod
 
-        integrals = []
-        real = torque_mod.integrate_with_diagnostics
-
-        def counting(kernel, q, n=None):
-            integrals.append(n)
-            return real(kernel, q, n)
-
-        def lone(*args, **kwargs):
-            raise AssertionError("scalar mutual_torque called")
-
-        monkeypatch.setattr(torque_mod, "integrate_with_diagnostics", counting)
-        monkeypatch.setattr(dynamics_mod, "mutual_torque", lone)
+        real = dynamics_mod._vacuum_torques
+        lift = 1.2 * coeffs.gamma_b * 1e10
+        monkeypatch.setattr(dynamics_mod, "_vacuum_torques", lambda *a, **k: [v + lift for v in real(*a, **k)])
         traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10), coeffs)
-        assert integrals == [10, 9]
-        assert traj.solver["direct_torque_calls"] == 19
+        assert traj.solver["plateau_rad_per_s"] == DIRECT_EVAL_FLOOR
+        assert traj.solver["kappa_per_s"] is None
+        assert np.all(np.diff(traj.omega2) >= 0.0)
+        reached = np.flatnonzero(traj.omega2 == DIRECT_EVAL_FLOOR)
+        assert reached.size and np.all(traj.omega2[reached[0]:] == DIRECT_EVAL_FLOOR)
+        # below F the flow is linear: the closed form until it reaches F
+        lam = (coeffs.gamma_s + coeffs.gamma_b) / moment_of_inertia(particle)
+        p = 1e10 * coeffs.gamma_b / (coeffs.gamma_s + coeffs.gamma_b)
+        arrival = -math.log1p(-DIRECT_EVAL_FLOOR / p) / lam
+        assert traj.times[reached[0] - 1] < arrival <= traj.times[reached[0]]
+        before = traj.times[: reached[0]]
+        assert np.allclose(traj.omega2[: reached[0]], p * -np.expm1(-lam * before), rtol=1e-9, atol=0)
 
-    @staticmethod
-    def _failing_rest(monkeypatch):
-        # every route to mutual_torques, the lone call's included, fails at
-        # the pair (omega1, 0) alone
-        import nanospin.dynamics as dynamics_mod
-        import nanospin.torque as torque_mod
+    def test_negative_gamma_b_is_refused(self, particle, thermal, quad, coeffs):
+        backwards = FrictionCoefficients(gamma_s=coeffs.gamma_s, gamma_b=-0.5 * coeffs.gamma_s)
+        with pytest.raises(ConfigError, match="gamma_b >= 0"):
+            solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10), backwards)
 
-        real = torque_mod._mutual_torques
-
-        def failing(spins, *args, **kwargs):
-            out = real(spins, *args, **kwargs)
-            return [ConvergenceError("rest torque") if w2 == 0.0 else r for (_, w2), r in zip(spins, out)]
-
-        monkeypatch.setattr(torque_mod, "_mutual_torques", failing)
-        monkeypatch.setattr(dynamics_mod, "_mutual_torques", failing)
-
-    def test_failing_rest_torque_raises(self, particle, thermal, quad, coeffs, monkeypatch):
-        self._failing_rest(monkeypatch)
-        with pytest.raises(ConvergenceError, match="rest torque"):
-            solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10), coeffs)
-
-    def test_failing_vacuum_node_raises_before_the_rest_torque(self, particle, thermal, quad, coeffs, monkeypatch):
-        # the rest torque is read by the first step, after both node builds
-        import nanospin.dynamics as dynamics_mod
-
-        self._failing_rest(monkeypatch)
-        monkeypatch.setattr(
-            dynamics_mod, "_vacuum_torques", lambda spins, *args, **kwargs: [ConvergenceError("vacuum node")] * len(spins)
-        )
-        with pytest.raises(ConvergenceError, match="vacuum node"):
-            solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10), coeffs)
-
-    def test_low_spin_builds_no_surrogate(self, particle, thermal, quad):
+    def test_low_spin_builds_no_surrogate(self, particle, thermal, quad, coeffs):
         traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, samples=50))
         assert traj.solver["surrogate_nodes"] == {"mutual": 0, "vacuum": 0}
         assert traj.solver["direct_torque_calls"] == 0
-        assert traj.solver["accepted_steps"] > 0
+        assert traj.solver["piece_nodes"] == []  # the closed form: every sample is on the exponential tail
+        denom = coeffs.gamma_s + coeffs.gamma_b
+        assert traj.solver["kappa_per_s"] == pytest.approx(denom / moment_of_inertia(particle), rel=1e-15)
+        assert traj.solver["plateau_rad_per_s"] == pytest.approx(1e4 * coeffs.gamma_b / denom, rel=1e-15)
 
 
 class TestChebyshevInterpolant:
@@ -506,30 +483,17 @@ class TestChebyshevInterpolant:
                 assert fit(w) == float(chebval((2.0 * w - (lo + hi)) / (hi - lo), np.array(coeffs))), (n, w)
 
 
-class TestEtdRk4:
-    @pytest.mark.parametrize("z", [1e-8, 0.49, 0.51, 50.0, -1e-8, -0.49, -0.51, -50.0])
-    def test_phi_functions_match_mpmath(self, z):
-        # |z| = 0.49 and 0.51 sit on either side of the Taylor/expm1 switch
-        with mpmath.workdps(50):
-            x = mpmath.mpf(z)
-            em1 = mpmath.expm1(x)
-            exact = [em1 / x, (em1 - x) / x**2, (em1 - x - x**2 / 2) / x**3]
-            for got, want in zip(_phi(z), exact):
-                assert abs(got - float(want)) <= 1e-14 * abs(float(want)), (z, got, want)
+    def test_antiderivative_and_derivative_are_exact(self):
+        from numpy.polynomial.chebyshev import chebder, chebint, chebval
 
-    def test_sample_inside_a_step_is_an_independent_sub_step(self):
-        lam, u0, h = 2.0, 1.0, 0.1
-
-        def n(u):
-            # the same operations on a float and on an array, as the
-            # batched dense output requires
-            return (0.1 - 0.05 * u) * u * u + 0.1
-
-        times = np.array([0.0, 0.013, 0.05, h, 3.0])
-        out, accepted, rejected = _etd_rk4(n, lam, u0, times, 1e-3, h, 1e-12)
-        assert rejected == 0  # the first step is [0, h] and holds three samples
-        for t, u in zip(times[1:4], out[1:4]):
-            assert u == _etd_rk4_step(n, u0, n(u0), _etd_weights(lam, t)), t
-        # and the dense output is as accurate as a step
-        exact = _etd_rk4(n, lam, u0, times[:4], 1e-14, 1e-4, 1e-12)[0]
-        assert np.max(np.abs(np.subtract(out[:4], exact))) <= 1e-3
+        rng = np.random.default_rng(11)
+        lo, hi = 0.3, 7.9
+        for n in (4, 9, 17, 65):
+            c = rng.standard_normal(n) * 0.7 ** np.arange(n)
+            fit = ChebyshevInterpolant(lo, hi, tuple(c.tolist()))
+            x = np.linspace(-1.0, 1.0, 101)
+            w = lo + 0.5 * (hi - lo) * (1.0 + x)
+            integral = chebint(c, lbnd=-1.0) * (0.5 * (hi - lo))
+            assert np.allclose(_antiderivative(fit)(w), chebval(x, integral), rtol=0, atol=1e-13)
+            assert _antiderivative(fit)(lo) == pytest.approx(0.0, abs=1e-14)
+            assert np.allclose(_derivative(fit)(w), chebval(x, chebder(c)) * (2.0 / (hi - lo)), rtol=0, atol=1e-12)
