@@ -337,13 +337,12 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     The follower obeys domega2/dt = f(omega2), f = (M - V)/I. Each
     channel's torque is its linearized form plus a residual,
     R_b(w) = mutual_torque(omega1, w) - gamma_b*(omega1 - w) and
-    R_s(w) = vacuum_torque(w) - gamma_s*w. Each residual is a
-    chebyshev_interpolant of direct kernel values, certified to
-    fit_tol = quad.rel_tol * (gamma_s + gamma_b) * omega1 on its own
-    interval, [F, omega1 - F] for the mutual channel and [F, omega1] for
-    the vacuum one (F = DIRECT_EVAL_FLOOR; one lockstep call per channel
-    and degree; nothing where the interval is empty), and zero, the
-    linearized form, elsewhere. f is smooth between the switches.
+    R_s(w) = vacuum_torque(w) - gamma_s*w, each a chebyshev_interpolant
+    of direct kernel values certified to fit_tol = quad.rel_tol *
+    (gamma_s + gamma_b) * omega1 on [F, omega1 - F] and [F, omega1]
+    respectively (F = DIRECT_EVAL_FLOOR; one lockstep call per channel and
+    degree; none where the interval is empty), and zero, the linearized
+    form, elsewhere. f is smooth between the switches.
 
     f(0) = gamma_b*omega1/I > 0 and f < 0 past omega1, so the follower
     stops at the plateau omega*: the first root of f, kappa = -f'(omega*),
@@ -358,16 +357,15 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     switch. Newton steps invert every sample time at once. Below F this
     is the closed form.
 
-    nanospin.torque keeps gamma_s and the vacuum node torques, which do
-    not depend on the distance: a later run at another distance
-    integrates only gamma_b and the mutual nodes, for the bits a first
-    run returns. The run's integrals share one panel plan.
+    nanospin.torque keeps gamma_s and the vacuum node torques, so a later
+    run at another distance integrates only gamma_b and the mutual nodes,
+    for the bits a first run returns. Its integrals share one panel plan.
 
     coeffs, when given, must be coefficients_for(config). gamma_b < 0
     raises ConfigError: the follower would spin backwards, outside the
     surrogates. Trajectory.solver records the surrogate nodes per channel
-    (0 where none was built), the direct torque calls (the nodes, kept in
-    the memo or not), the plateau, kappa and each time piece's nodes.
+    (0 where none was built), the direct torque calls (every node), the
+    plateau, kappa and each time piece's nodes.
     """
     particle = config.particle
     inertia = moment_of_inertia(particle)
@@ -465,8 +463,10 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
         mine = ~tail & (which == k)
         if mine.any():
             s[mine] = _invert(t0, c0, piece, grid[mine])
-    w2 = -star * np.expm1(-s)
-    return Trajectory(times=grid, omega2=w2, omega1=omega1, solver=stats)
+    out = np.stack([grid, s])  # times and spins in one block: a caller keeping many does not fragment its heap
+    np.expm1(-out[1], out=out[1])
+    out[1] *= -star
+    return Trajectory(times=out[0], omega2=out[1], omega1=omega1, solver=stats)
 
 
 def sync_time(traj: Trajectory, threshold: float = 0.01) -> float | None:
