@@ -29,6 +29,7 @@ from nanospin import (
     friction_coefficients,
     moment_of_inertia,
     mutual_torque,
+    parse_config,
     solve_linear,
     solve_nonlinear,
     sync_time,
@@ -283,8 +284,6 @@ class TestSolveNonlinear:
         # at a loose rel_tol and unequal temperatures a stepper's error near
         # the plateau can move omega2 backwards (adaptive ETD-RK4 did, by
         # 1.2e-8 * omega1); inverting a monotone time table cannot
-        from nanospin import parse_config
-
         doc = {
             "radius_m": 2.256e-9, "distance_m": 4.822e-7, "temperature_K": 555.7, "vacuum_temperature_K": 26.84,
             "omega1_rad_per_s": 6.072e11, "samples": 183, "rel_tol": 2.564e-5,
