@@ -127,7 +127,6 @@ def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict
         "quadrature": quad_diags,
         "sync_time_s": t_sync,
         "tau_s": tau,
-        "zero_coupling": traj.zero_coupling,
     }
     if traj.solver is not None:
         summary["solver"] = traj.solver

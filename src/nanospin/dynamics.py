@@ -68,16 +68,14 @@ class Trajectory:
     """Time series of the follower spin while particle 1 holds omega1.
 
     delta, the synchronization measure, is derived from omega1 and
-    omega2 on each access rather than stored. zero_coupling marks the
-    degenerate gamma_b + gamma_s = 0 case where the follower never moves
-    and the series is constant. solver holds the nonlinear solver's work
-    counts, plateau and relaxation rate (None for the closed form).
+    omega2 on each access rather than stored. solver holds the nonlinear
+    solver's work counts, plateau and relaxation rate (None for the
+    closed form).
     """
 
     times: np.ndarray
     omega2: np.ndarray
     omega1: float
-    zero_coupling: bool = False
     solver: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
@@ -117,9 +115,6 @@ class ChebyshevInterpolant:
     def nodes(self) -> int:
         """Chebyshev-Lobatto nodes the interpolant was built from."""
         return len(self.coeffs)
-
-    def __contains__(self, w: float) -> bool:
-        return self.lo <= w <= self.hi
 
     def __call__(self, w):
         """The polynomial at w, a float or an array of spins.
@@ -265,9 +260,8 @@ def solve_linear(omega1: float, inertia: float, coeffs: FrictionCoefficients, t_
         raise ConfigError("solve_linear requires omega1 > 0")
     t = np.asarray(t_grid, dtype=float)
     denom = coeffs.gamma_s + coeffs.gamma_b
-    if denom == 0.0:
-        w2 = np.zeros_like(t)
-        return Trajectory(times=t, omega2=w2, omega1=omega1, zero_coupling=True)
+    if denom == 0.0:  # no torque on the follower: it stays at rest
+        return Trajectory(times=t, omega2=np.zeros_like(t), omega1=omega1)
     plateau = omega1 * coeffs.gamma_b / denom
     w2 = plateau * -np.expm1(-denom * t / inertia)
     return Trajectory(times=t, omega2=w2, omega1=omega1)
@@ -281,19 +275,23 @@ def _values(torques: list[float | NanospinError]) -> np.ndarray:
     return np.array(torques)
 
 
-def _first_root(f: Callable, df: Callable, a: float, b: float) -> float:
-    """The root of f in (a, b], given f(a) > 0 >= f(b): Newton steps from
-    b, bisecting wherever a step would leave the bracket."""
-    w = b
-    for _ in range(200):
-        fw, slope = f(w), df(w)
-        a, b = (w, b) if fw > 0.0 else (a, w)
-        nxt = w - fw / slope if slope < 0.0 else 0.5 * (a + b)
-        nxt = nxt if a < nxt < b else 0.5 * (a + b)
-        if fw == 0.0 or nxt in (a, b, w):
+def _newton(g: Callable, dg: Callable, a: float, b: float, x, tol: float) -> np.ndarray:
+    """The root in [a, b] of an increasing g, elementwise over x: Newton
+    steps from x, bisecting wherever the slope dg is not positive or a
+    step would leave the bracket, until every step is at most
+    tol*(1 + |x|) (the safeguarded Newton of Numerical Recipes, 9.4)."""
+    x = np.asarray(x, dtype=float)
+    a, b = np.full_like(x, a), np.full_like(x, b)
+    for _ in range(100):
+        gx, slope = g(x), dg(x)
+        a, b = np.where(gx < 0.0, x, a), np.where(gx > 0.0, x, b)
+        with np.errstate(all="ignore"):  # a step off a flat slope is discarded below
+            nxt = x - gx / slope
+        nxt = np.where((slope > 0.0) & (a <= nxt) & (nxt <= b), nxt, 0.5 * (a + b))
+        step, x = np.abs(nxt - x), nxt
+        if np.all(step <= tol * (1.0 + np.abs(x))):
             break
-        w = nxt
-    return w
+    return x
 
 
 def _certified_pieces(g: Callable, tol: Callable, lo: float, hi: float) -> list[ChebyshevInterpolant]:
@@ -306,28 +304,6 @@ def _certified_pieces(g: Callable, tol: Callable, lo: float, hi: float) -> list[
         if not lo < mid < hi:
             raise
         return _certified_pieces(g, tol, lo, mid) + _certified_pieces(g, tol, mid, hi)
-
-
-def _invert(t0: float, c0: float, rest: ChebyshevInterpolant, times: np.ndarray) -> np.ndarray:
-    """The s in [rest.lo, rest.hi] at which t0 + c0*(s - rest.lo) plus the
-    integral of rest from rest.lo reaches each time: Newton steps on all
-    times at once, bisecting wherever a step would leave the bracket."""
-    integral, lo, hi = _antiderivative(rest), rest.lo, rest.hi
-
-    def time(s):
-        return t0 + c0 * (s - lo) + (integral(s) - integral(lo))
-
-    a, b = np.full_like(times, lo), np.full_like(times, hi)
-    s = lo + (times - t0) * ((hi - lo) / (time(hi) - t0))
-    for _ in range(100):
-        err = time(s) - times
-        a, b = np.where(err < 0.0, s, a), np.where(err > 0.0, s, b)
-        nxt = s - err / (c0 + rest(s))  # dt/ds = c0 + rest > 0
-        nxt = np.where((a <= nxt) & (nxt <= b), nxt, 0.5 * (a + b))
-        step, s = np.abs(nxt - s), nxt
-        if np.all(step <= 1e-12 * (1.0 + np.abs(s))):
-            break
-    return s
 
 
 @_panel_plan()
@@ -375,8 +351,8 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     omega1 = config.omega1
     stats = {"direct_torque_calls": 0, "kappa_per_s": None, "piece_nodes": [], "plateau_rad_per_s": 0.0}
     stats["surrogate_nodes"] = nodes = {"mutual": 0, "vacuum": 0}
-    if denom == 0.0:
-        return Trajectory(times=np.array([0.0, 1.0]), omega2=np.zeros(2), omega1=omega1, zero_coupling=True, solver=stats)
+    if denom == 0.0:  # no torque on the follower: it stays at rest
+        return Trajectory(times=np.array([0.0, 1.0]), omega2=np.zeros(2), omega1=omega1, solver=stats)
     gamma_b, gamma_s = coeffs.gamma_b, coeffs.gamma_s
     if gamma_b < 0.0:
         raise ConfigError(f"solve_nonlinear needs gamma_b >= 0, got {gamma_b:.6g} N m s")
@@ -424,7 +400,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
         crossed.append((lo, f))
         if np.any(v <= 0.0):
             j = int(np.argmax(v <= 0.0))
-            star = _first_root(f, df, float(w[j - 1]), float(w[j]))
+            star = float(_newton(lambda x: -f(x), lambda x: -df(x), w[j - 1], w[j], w[j], 1e-15))
             kappa = -df(star) if df(star) < 0.0 else None
             break
     stats["plateau_rad_per_s"], stats["kappa_per_s"] = star, kappa
@@ -462,7 +438,13 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     for k, (t0, piece) in enumerate(table):
         mine = ~tail & (which == k)
         if mine.any():
-            s[mine] = _invert(t0, c0, piece, grid[mine])
+            integral, lo, hi, targets = _antiderivative(piece), piece.lo, piece.hi, grid[mine]
+
+            def time(x):  # t at x on this piece: t0 + c0*(x - lo) + the integral of piece
+                return t0 + c0 * (x - lo) + (integral(x) - integral(lo))
+
+            start = lo + (targets - t0) * ((hi - lo) / (time(hi) - t0))
+            s[mine] = _newton(lambda x: time(x) - targets, lambda x: c0 + piece(x), lo, hi, start, 1e-12)
     out = np.stack([grid, s])  # times and spins in one block: a caller keeping many does not fragment its heap
     np.expm1(-out[1], out=out[1])
     out[1] *= -star

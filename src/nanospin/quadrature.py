@@ -102,7 +102,8 @@ class QuadratureConfig:
     """Tolerance and domain settings for the frequency integrals.
 
     rel_tol : relative tolerance on the total integral, in (0, 1e-3].
-    abs_tol : absolute tolerance floor (torque units at the call site).
+    abs_tol : must be 0: the channel prefactors, applied after the
+        stopping test, differ by ~44 decades, so no one floor fits both.
     max_subdivisions : panel splits before giving up.
     omega_min : lower integration bound, rad/s. The raw inter-particle
         kernel is infrared-divergent, so the physical integrals start at
@@ -112,9 +113,9 @@ class QuadratureConfig:
         (resolved by the torque assemblers before integration).
     breakpoints : initial panel edges (resonances, thermal scale);
         normalized to a sorted tuple, clipped to the domain at call time.
-    certify_tail : require |kernel(omega_max)| <= 1e-12 * peak |kernel|.
-        Disable for finite-support integrands whose natural domain ends
-        exactly at omega_max.
+
+    Every integral certifies its tail: |kernel(omega_max)| must be at
+    most 1e-12 of the peak |kernel| it saw.
     """
 
     rel_tol: float = 1e-9
@@ -123,13 +124,15 @@ class QuadratureConfig:
     omega_min: float = 1e13
     omega_max: float | None = None
     breakpoints: tuple[float, ...] = ()
-    certify_tail: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol <= 1e-3):
             raise ConfigError("rel_tol must lie in (0, 1e-3]")
-        if self.abs_tol < 0.0:
-            raise ConfigError("abs_tol must be >= 0")
+        if self.abs_tol != 0.0:
+            raise ConfigError(
+                "abs_tol (abs_tol_Nm) must be 0: the channel prefactors, applied after the stopping test, "
+                "differ by some 44 decades, so no one absolute floor in N m fits both channels"
+            )
         if self.max_subdivisions < 1:
             raise ConfigError("max_subdivisions must be >= 1")
         if self.omega_min < 0.0:
@@ -151,7 +154,6 @@ class IntegrationResult:
     error_estimate: float
     panels: int
     evaluations: int
-    peak_kernel: float
 
 
 def _panels(kernel, owners: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -208,7 +210,7 @@ class _Integral:
 
     def tolerance(self, quad: QuadratureConfig) -> float:
         """The error sum the ordinary stopping test allows."""
-        return max(quad.abs_tol, quad.rel_tol * abs(self.total))
+        return quad.rel_tol * abs(self.total)
 
     def replay(self, quad: QuadratureConfig) -> list[tuple[float, float]]:
         """Run the greedy loop as far as the table reaches: add the
@@ -328,7 +330,7 @@ def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult 
         plan[quad] = list(dict.fromkeys(p for s in integrals for p in s.reached))
 
     done = [j for j, s in enumerate(integrals) if s.outcome is None]
-    if quad.certify_tail and done:
+    if done:
         owners = np.array(done)
         tails = np.abs(np.asarray(kernel(np.full((len(done), 1), hi), owners), dtype=float)).reshape(-1)
         for j, tail in zip(done, tails.tolist()):
@@ -342,13 +344,7 @@ def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult 
                 )
     for s in integrals:
         if s.outcome is None:
-            s.outcome = IntegrationResult(
-                value=s.total,
-                error_estimate=s.err_total,
-                panels=len(s.heap),
-                evaluations=s.evals,
-                peak_kernel=s.peak,
-            )
+            s.outcome = IntegrationResult(s.total, s.err_total, len(s.heap), s.evals)
     return [s.outcome for s in integrals]
 
 
@@ -360,7 +356,7 @@ def integrate_with_diagnostics(
     """Globally adaptive integration of kernel over [omega_min, omega_max].
 
     Splits the current worst panel at its midpoint until the summed error
-    estimate meets max(abs_tol, rel_tol * |integral|). Raises
+    estimate meets rel_tol * |integral|. Raises
     ConvergenceError (with the worst panel bounds) after max_subdivisions,
     unless the error sum then lies within the roundoff floor
     50 * eps * integral(|f|), and TailNotNegligibleError when tail

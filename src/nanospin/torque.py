@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -318,9 +318,7 @@ def _integrals(
         columns = np.array([items[i] for i in pending], dtype=float)
         for i, res in zip(pending, integrate_with_diagnostics(kernel_at(columns), q, len(pending))):
             if not isinstance(res, NanospinError):
-                res = IntegrationResult(
-                    scale * res.value, abs(scale) * res.error_estimate, res.panels, res.evaluations, res.peak_kernel
-                )
+                res = replace(res, value=scale * res.value, error_estimate=abs(scale) * res.error_estimate)
                 if memo is not None:
                     _remember(memo + items[i], res)
             results[i] = res

@@ -76,7 +76,6 @@ class TestRunArtifacts:
         assert s["gamma_b_Nms"] > s["gamma_s_Nms"]
         assert 0.0 < s["delta_infinity"] < 1.0
         assert s["sync_time_s"] == pytest.approx(0.030, rel=0.01)
-        assert s["zero_coupling"] is False
 
     def test_linear_summary_has_no_solver_key(self, bundle):
         assert "solver" not in bundle.summary
@@ -364,6 +363,15 @@ class TestMain:
         cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, "samples": samples, "out_dir": str(tmp_path / "o")})
         assert main(["run", "--config", cfg]) == 2
         assert "samples must be <= 1000000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_nonzero_abs_tol_is_config_error(self, tmp_path, capsys):
+        # the channel prefactors (-1.9e-52 vacuum, 5.0e-11 gap) apply after
+        # the stopping test, so a floor of 1e-30 N m would loosen gamma_b
+        # and leave gamma_s as it is
+        cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, "abs_tol_Nm": 1e-30, "out_dir": str(tmp_path / "o")})
+        assert main(["run", "--config", cfg]) == 2
+        assert "abs_tol_Nm" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_run_rejects_sweep_config(self, tmp_path, capsys):

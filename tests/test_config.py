@@ -351,6 +351,7 @@ class TestConfigSchema:
             {"distance_m": 1e-7, "rel_tol": 0.5},
             {"distance_m": 1e-7, "samples": 1},
             {"distance_m": 1e-7, "samples": 10**6 + 1},
+            {"distance_m": 1e-7, "abs_tol_Nm": 1e-30},
             {"distances_m": []},
         ],
     )

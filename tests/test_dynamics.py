@@ -35,7 +35,14 @@ from nanospin import (
     sync_time,
     vacuum_torque,
 )
-from nanospin.dynamics import ChebyshevInterpolant, _antiderivative, _derivative, chebyshev_interpolant
+from nanospin.dynamics import (
+    ChebyshevInterpolant,
+    _antiderivative,
+    _certified_pieces,
+    _derivative,
+    _newton,
+    chebyshev_interpolant,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -200,13 +207,12 @@ class TestSolveLinear:
         traj = solve_linear(1e4, 1.7e-38, only_drag, np.array([0.0, 1.0, 10.0]))
         assert np.all(traj.omega2 == 0.0)
         assert np.all(traj.delta == 1.0)
-        assert not traj.zero_coupling
         assert sync_time(traj) is None
 
-    def test_zero_coupling_flag(self):
+    def test_zero_coupling_stays_at_rest(self):
         none = FrictionCoefficients(gamma_s=0.0, gamma_b=0.0)
         traj = solve_linear(1e4, 1.7e-38, none, np.array([0.0, 1.0]))
-        assert traj.zero_coupling
+        assert np.all(traj.omega2 == 0.0)
         assert np.all(traj.delta == 1.0)
         assert sync_time(traj) is None
 
@@ -261,7 +267,6 @@ class TestSolveNonlinear:
         config = RunConfig(particle, thermal, quad, distance=1e-7)
         traj = solve_nonlinear(config)
         assert traj.omega2[0] == 0.0
-        assert not traj.zero_coupling
         assert np.all(np.diff(traj.omega2) >= 0.0)
         lin = solve_linear(config.omega1, moment_of_inertia(particle), coeffs, traj.times)
         rel = np.abs(traj.omega2 - lin.omega2) / np.maximum(
@@ -271,8 +276,9 @@ class TestSolveNonlinear:
 
     @pytest.mark.parametrize("omega1", [1e4, 5e8])
     def test_linear_flow_is_exact_below_the_floor(self, particle, thermal, quad, coeffs, omega1):
-        # below DIRECT_EVAL_FLOOR both channels are linear (N = 0), so the
-        # exponential integrator reproduces the closed form to rounding
+        # below DIRECT_EVAL_FLOOR both channels are linear, so the time
+        # table is empty and every sample lies on the exponential tail,
+        # which is the closed form to rounding
         config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=omega1)
         traj = solve_nonlinear(config, coeffs)
         assert traj.solver["direct_torque_calls"] == 0
@@ -305,8 +311,9 @@ class TestNonlinearDirectKernels:
 
     @pytest.mark.parametrize("distance, name", [(1e-7, "100nm"), (9.49e-7, "949nm")])
     def test_matches_frozen_direct_trajectory(self, particle, thermal, quad, distance, name):
-        # frozen from the solver that integrated both direct kernels at
-        # every RK4 stage; 1e-6*omega1 is the stepper's own tolerance
+        # frozen from an earlier solver that integrated both direct kernels
+        # at every stage of an RK4 stepper; 1e-6*omega1 was that stepper's
+        # tolerance
         oracle = np.loadtxt(DATA / f"nonlinear_1e10_{name}.csv", delimiter=",", skiprows=2)
         config = RunConfig(particle, thermal, quad, distance=distance, omega1=1e10)
         traj = solve_nonlinear(config)
@@ -433,6 +440,19 @@ class TestNonlinearDirectKernels:
         with pytest.raises(ConfigError, match="gamma_b >= 0"):
             solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10), backwards)
 
+    def test_zero_coupling_stays_at_rest(self, particle, thermal, quad):
+        # no torque on the follower: nothing is integrated or solved
+        config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10)
+        traj = solve_nonlinear(config, FrictionCoefficients(gamma_s=0.0, gamma_b=0.0))
+        assert np.array_equal(traj.times, [0.0, 1.0]) and np.array_equal(traj.omega2, [0.0, 0.0])
+        assert traj.solver == {
+            "direct_torque_calls": 0,
+            "kappa_per_s": None,
+            "piece_nodes": [],
+            "plateau_rad_per_s": 0.0,
+            "surrogate_nodes": {"mutual": 0, "vacuum": 0},
+        }
+
     def test_low_spin_builds_no_surrogate(self, particle, thermal, quad, coeffs):
         traj = solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, samples=50))
         assert traj.solver["surrogate_nodes"] == {"mutual": 0, "vacuum": 0}
@@ -456,7 +476,7 @@ class TestChebyshevInterpolant:
         assert len(set(calls)) == len(calls)  # doubling reuses every earlier node
         for x in (-0.5, -0.123, 0.0, 0.377, 0.5):
             assert fit(x) == pytest.approx(np.exp(x), rel=0, abs=1e-13)
-        assert 0.5 in fit and 0.51 not in fit
+        assert (fit.lo, fit.hi) == (-0.5, 0.5)
 
     def test_kink_does_not_certify(self):
         calls = []
@@ -468,6 +488,15 @@ class TestChebyshevInterpolant:
         with pytest.raises(ConvergenceError, match="not certified at degree 64"):
             chebyshev_interpolant(kink, -1.0, 1.0, 1e-12)
         assert len(calls) == 65
+
+    def test_discontinuity_cannot_be_bisected_away(self):
+        # the piece holding the jump halves until it is two adjacent
+        # floats, which still do not certify
+        def step(s):
+            return np.where(s < 1.0 / 3.0, 1.0, 2.0)
+
+        with pytest.raises(ConvergenceError, match="not certified"):
+            _certified_pieces(step, lambda s: 1e-12, 0.0, 1.0)
 
     def test_clenshaw_matches_chebval_bit_for_bit(self):
         from numpy.polynomial.chebyshev import chebval
@@ -496,3 +525,23 @@ class TestChebyshevInterpolant:
             assert np.allclose(_antiderivative(fit)(w), chebval(x, integral), rtol=0, atol=1e-13)
             assert _antiderivative(fit)(lo) == pytest.approx(0.0, abs=1e-14)
             assert np.allclose(_derivative(fit)(w), chebval(x, chebder(c)) * (2.0 / (hi - lo)), rtol=0, atol=1e-12)
+
+
+class TestNewton:
+    def test_every_root_in_one_call(self):
+        # x^3 - t on [-1, 2] from x = 0, where the slope vanishes; t = -1
+        # and t = 8 put roots on the bracket ends
+        targets = np.concatenate([[-1.0, 8.0], np.linspace(-1.0, 8.0, 101)])
+        roots = _newton(lambda x: x**3 - targets, lambda x: 3.0 * x**2, -1.0, 2.0, np.zeros_like(targets), 1e-12)
+        assert roots.shape == targets.shape
+        assert np.allclose(roots, np.cbrt(targets), rtol=0, atol=1e-12)
+        assert roots[0] == -1.0 and roots[1] == 2.0
+
+    def test_bisects_off_a_falling_slope(self):
+        # g = (x - 1)^3 - (x - 1) - 1e-20 on [1, 3] has its root at 2 + 5e-21;
+        # at x = 1, g is -1e-20 and the slope -1, so the Newton step rounds
+        # to x itself, inside the bracket, and would stop there
+        def g(x):
+            return (x - 1.0) ** 3 - (x - 1.0) - 1e-20
+
+        assert _newton(g, lambda x: 3.0 * (x - 1.0) ** 2 - 1.0, 1.0, 3.0, 1.0, 1e-15) == 2.0

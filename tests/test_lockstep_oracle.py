@@ -56,7 +56,7 @@ class OracleIntegral:
         heapq.heappush(self.heap, (-err, next(self.pushes), a, b, i15, resabs))
 
     def converged(self, quad):
-        return self.err_total <= max(quad.abs_tol, quad.rel_tol * abs(self.total))
+        return self.err_total <= quad.rel_tol * abs(self.total)
 
     def pop_worst(self):
         neg_err, _, a, b, i_old, resabs = heapq.heappop(self.heap)
@@ -110,7 +110,7 @@ def oracle_lockstep(kernel, quad, n):
             s.splits += 1
 
     done = [j for j, s in enumerate(integrals) if s.outcome is None]
-    if quad.certify_tail and done:
+    if done:
         owners = np.array(done)
         tails = np.abs(np.asarray(kernel(np.full((len(done), 1), hi), owners), dtype=float)).reshape(-1)
         for j, tail in zip(done, tails.tolist()):
@@ -124,7 +124,7 @@ def oracle_lockstep(kernel, quad, n):
                 )
     for s in integrals:
         if s.outcome is None:
-            s.outcome = IntegrationResult(s.total, s.err_total, len(s.heap), s.evals, s.peak)
+            s.outcome = IntegrationResult(s.total, s.err_total, len(s.heap), s.evals)
     return [s.outcome for s in integrals]
 
 
