@@ -39,7 +39,6 @@ from .dynamics import (
     sync_time,
 )
 from .errors import ConfigError, ConvergenceError, NanospinError
-from .quadrature import _panel_plan
 from .torque import FrictionCoefficients
 from .torque import friction_coefficients  # noqa: F401 -- bench/tracing.py wraps nanospin.cli.friction_coefficients
 
@@ -76,7 +75,6 @@ def _write_json(path: Path, doc: dict[str, Any]) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
-@_panel_plan()
 def run(config: RunConfig) -> OutputBundle:
     """Execute one run and write its artifacts under config.out_dir."""
     return _write_run(config, *coefficients_for(config))
@@ -144,7 +142,6 @@ def _run_dir_name(d: float) -> str:
     return f"d_{d:.6g}"
 
 
-@_panel_plan()
 def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
     """Run every distance, then write the combined table.
 

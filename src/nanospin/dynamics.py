@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NanospinError
 from .material import ParticleSpec
-from .quadrature import _panel_plan
 from .torque import (
     FrictionCoefficients,
     _mutual_torques,
@@ -306,7 +305,6 @@ def _certified_pieces(g: Callable, tol: Callable, lo: float, hi: float) -> list[
         return _certified_pieces(g, tol, lo, mid) + _certified_pieces(g, tol, mid, hi)
 
 
-@_panel_plan()
 def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = None) -> Trajectory:
     """The follower's spin-up on the full torque balance, as a quadrature.
 
@@ -335,7 +333,8 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
 
     nanospin.torque keeps gamma_s and the vacuum node torques, so a later
     run at another distance integrates only gamma_b and the mutual nodes,
-    for the bits a first run returns. Its integrals share one panel plan.
+    for the bits a first run returns, each seeded from the process's panel
+    plan.
 
     coeffs, when given, must be coefficients_for(config). gamma_b < 0
     raises ConfigError: the follower would spin backwards, outside the

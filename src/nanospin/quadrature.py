@@ -18,15 +18,17 @@ evaluates the requests of every integrand. A panel the replay never
 reaches is neither counted nor able to raise, so each integrand keeps
 the panels and bits it has when integrated alone.
 
-The integrals of one spin-up or sweep share a window and a spectrum
-dominated by the same resonance, so the panels one integral's refinement
-reached are an almost exact first round for the next. Inside a
-_panel_plan, each lockstep call's first round also evaluates, for every
-integrand, the panels the previous call on the same window (the resolved
-QuadratureConfig) reached, and the call then leaves its own there. Those
-are requests like any other, so every bit, panel count and evaluation
-count stays as it is. The plan lives in a ContextVar for the outermost
-block only: an inner entry joins it, and nothing is kept after it ends.
+The integrals of every spin-up and sweep share a spectrum dominated by
+the same resonance, so the panels one integral's refinement reached are
+an almost exact first round for the next on the same window (the
+resolved QuadratureConfig). The panel plan keeps, for the life of the
+process, the panels the last lockstep call on each window reached; each
+call's first round also evaluates them for every integrand, and the call
+then leaves its own there. Those are requests like any other, so every
+bit, panel count and evaluation count stays as it is, whatever ran
+before and on whichever thread: only the number of kernel calls changes.
+The plan holds at most _PLAN_WINDOWS windows, dropping the oldest first;
+torque.clear_memo empties it.
 
 An integrand whose splits run out with its error sum at or below
 QUADPACK's roundoff floor, 50 eps times the integral of |f|, is accepted:
@@ -45,8 +47,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from contextlib import contextmanager
-from contextvars import ContextVar
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -281,24 +282,16 @@ class _Integral:
         return [p for p in want if p not in self.table]
 
 
-# window -> the panels the last lockstep call on it reached, while a
-# _panel_plan is entered
-_plan: ContextVar[dict[QuadratureConfig, list[tuple[float, float]]] | None] = ContextVar("_plan", default=None)
+# window -> the panels the last lockstep call on it reached; a spin-up
+# with T != T0 alternates two windows
+_PLAN_WINDOWS = 8
+_plan: dict[QuadratureConfig, list[tuple[float, float]]] = {}
+_plan_lock = threading.Lock()
 
 
-@contextmanager
-def _panel_plan():
-    """Seed each lockstep integral inside the block with the panels the
-    previous one on the same window reached. An entry inside another
-    joins the outer plan, and nothing is kept after the outer block."""
-    if _plan.get() is not None:
-        yield
-        return
-    token = _plan.set({})
-    try:
-        yield
-    finally:
-        _plan.reset(token)
+def _clear_plan() -> None:
+    with _plan_lock:
+        _plan.clear()
 
 
 def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult | NanospinError]:
@@ -306,18 +299,16 @@ def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult 
 
     Every round evaluates the panels that all unfinished integrands
     request in one kernel call, then replays each integrand's greedy
-    loop as far as its table of evaluated panels reaches. Inside a
-    _panel_plan the first round also evaluates, for each integrand, the
-    panels the plan holds for quad.
+    loop as far as its table of evaluated panels reaches. The first
+    round also evaluates, for each integrand, the panels the plan holds
+    for quad.
     """
     if quad.omega_max is None:
         raise ConfigError("omega_max unresolved; supply a value or use the torque-level entry points")
     lo, hi = quad.omega_min, quad.omega_max
     edges = [lo] + [b for b in quad.breakpoints if lo < b < hi] + [hi]
     integrals = [_Integral(edges) for _ in range(n)]
-    plan = _plan.get()
-    seed = [] if plan is None else plan.get(quad, [])
-
+    seed = _plan.get(quad, [])
     wanted = {j: list(dict.fromkeys(s.requests(quad) + seed)) for j, s in enumerate(integrals)}
     while wanted:
         owners = np.repeat(list(wanted), [len(panels) for panels in wanted.values()])
@@ -326,8 +317,11 @@ def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult 
         for j, panels in wanted.items():  # zip draws from panels first: j takes its own rows
             integrals[j].table.update(zip(panels, entries))
         wanted = {j: panels for j in wanted if (panels := integrals[j].replay(quad))}
-    if plan is not None:
-        plan[quad] = list(dict.fromkeys(p for s in integrals for p in s.reached))
+    reached = list(dict.fromkeys(p for s in integrals for p in s.reached))
+    with _plan_lock:
+        while quad not in _plan and len(_plan) >= _PLAN_WINDOWS:
+            del _plan[next(iter(_plan))]  # the oldest window
+        _plan[quad] = reached
 
     done = [j for j, s in enumerate(integrals) if s.outcome is None]
     if done:

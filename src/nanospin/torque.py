@@ -26,10 +26,10 @@ through one pipeline, a lone call being a batch of one: each item gets a
 lone call's checks in order, the items that pass share one lockstep
 integral, each with the bits it has alone, and each result is scaled once.
 The window a batch passes, _window's resolved QuadratureConfig, is the
-key of the quadrature's panel plan: sweep_friction_coefficients runs in
-one plan, so with T == T0 every gamma_b integral starts from the panels
-gamma_s reached, and a caller that runs its own plan around it (the
-spin-up, the CLI) seeds its later batches on that window the same way.
+key of the quadrature's process-wide panel plan: with T == T0 both
+channels share one window, so every gamma_b integral starts from the
+panels gamma_s reached, and each later batch on that window, in this
+call or a later one, from the panels of the one before.
 
 The mutual channel carries an overall coupling_scale multiplier (the
 absolute cross-prefactor between the two channels is calibration-grade;
@@ -42,7 +42,7 @@ process in one memo keyed on every input of the integral. A kept value
 is an immutable IntegrationResult with the bits a fresh integral
 returns. Errors are not kept, nothing that depends on the distance is
 kept, and the memo holds at most MEMO_ENTRIES values, dropping the
-oldest first; clear_memo empties it.
+oldest first; clear_memo empties it and the panel plan.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .material import CONSTANTS, ParticleSpec, d_im_polarizability, im_polarizab
 from .quadrature import (
     IntegrationResult,
     QuadratureConfig,
-    _panel_plan,
+    _clear_plan,
     integrate,
     integrate_with_diagnostics,
     resolved,
@@ -101,7 +101,8 @@ SPIN_DIRECT_FLOOR = 1e6
 DEFAULT_COUPLING_SCALE = 3.81e22
 
 # Bound of the vacuum-channel memo: a spin-up keeps at most 65 node
-# torques and one gamma_s per omega1 and setting
+# torques and one gamma_s per omega1 and setting (the panel plan has its
+# own bound, quadrature._PLAN_WINDOWS windows)
 MEMO_ENTRIES = 4096
 
 _memo: dict[tuple, IntegrationResult] = {}
@@ -116,9 +117,11 @@ def _remember(key: tuple, value: IntegrationResult) -> None:
 
 
 def clear_memo() -> None:
-    """Forget every kept gamma_s and vacuum torque."""
+    """Forget every kept gamma_s and vacuum torque, and the panel plan,
+    so the next integrals run as in a fresh process."""
     with _memo_lock:
         _memo.clear()
+    _clear_plan()
 
 
 @dataclass(frozen=True)
@@ -540,7 +543,6 @@ def _diagnostics(res: IntegrationResult) -> dict:
     return {"error_estimate_Nms": res.error_estimate, "panels": res.panels, "evaluations": res.evaluations}
 
 
-@_panel_plan()
 def sweep_friction_coefficients(
     particle: ParticleSpec,
     distances: Sequence[float],

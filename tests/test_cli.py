@@ -70,6 +70,11 @@ class TestRunArtifacts:
         on_disk = json.loads(bundle.summary_json.read_text(encoding="utf-8"))
         jsonschema.validate(on_disk, load_schema("summary.schema.json"))
 
+    def test_schema_refuses_a_null_tau(self, bundle):
+        # _check_domain refuses gamma_s <= 0, so every summary has a finite tau_s > 0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**bundle.summary, "tau_s": None}, load_schema("summary.schema.json"))
+
     def test_summary_values(self, bundle):
         s = bundle.summary
         assert s["gamma_s_Nms"] == pytest.approx(1.152688e-43, rel=1e-5)

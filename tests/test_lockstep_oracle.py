@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nanospin import ConfigError, ConvergenceError, NanospinError, QuadratureConfig, TailNotNegligibleError
-from nanospin import quadrature
+from nanospin import quadrature, torque
 from nanospin.config import RunConfig
 from nanospin.dynamics import solve_nonlinear
 from nanospin.quadrature import _WEIGHTS_G, _WEIGHTS_K, _NODES, IntegrationResult, integrate_with_diagnostics
@@ -193,17 +193,20 @@ def assert_same_as_oracle(monkeypatch, route):
 
 
 def seeded(fill, route):
-    """route() inside a fresh panel plan that fill(), an earlier and
-    different integral on the same window, has filled. The oracle ignores
-    the plan, so against it every seeded panel is one the replay may or
-    may not reach, and under the NaN-elsewhere pass one that returns NaN."""
-    with quadrature._panel_plan():
-        fill()
-        windows = set(quadrature._plan.get())
-        assert windows or quadrature._lockstep is not ENGINE  # the oracle leaves the plan empty
+    """route() on a fresh panel plan that fill(), an earlier and different
+    integral on the same window, has filled; a clear_memo() inside route
+    forgets the memo only. The oracle ignores the plan, so against it
+    every seeded panel is one the replay may or may not reach, and under
+    the NaN-elsewhere pass one that returns NaN."""
+    clear_memo()
+    fill()
+    windows = set(quadrature._plan)
+    assert windows or quadrature._lockstep is not ENGINE  # the oracle leaves the plan empty
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(torque, "_clear_plan", lambda: None)
         result = route()
-        assert set(quadrature._plan.get()) == windows  # route ran on a window fill had filled
-        return result
+    assert set(quadrature._plan) == windows  # route ran on a window fill had filled
+    return result
 
 
 def test_gamma_s_matches_oracle(monkeypatch, particle, thermal, quad):
@@ -336,18 +339,27 @@ def test_vecdot_rows_match_one_dimensional_dots():
 
 
 def test_spin_up_kernel_calls(monkeypatch, particle, thermal, quad):
-    # the four integrals of a 1e10 / 100 nm spin-up (gamma_s, gamma_b and
-    # one node batch per channel) took 97 panel calls one split per round,
-    # 32 with speculative requests and 14 with each seeded from the last;
-    # a second distance in the process integrates gamma_b and the mutual
-    # node batch alone, in 18 calls unseeded and 10 seeded
+    # the four integrals of a cold 1e10 / 100 nm spin-up (gamma_s, gamma_b
+    # and one node batch per channel) took 97 panel calls one split per
+    # round, 32 with speculative requests and 14 with each seeded from the
+    # last; a later distance integrates gamma_b and the mutual node batch
+    # alone, in 18 calls unseeded and 10 seeded within the call. The plan
+    # outlives the call: the second distance's gamma_b starts from the
+    # vacuum node batch that ended the first, and every later one from the
+    # mutual node batch of the distance before
     calls = []
     panels = quadrature._panels
     monkeypatch.setattr(quadrature, "_panels", lambda *args: calls.append(1) or panels(*args))
-    solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10, mode="nonlinear"))
-    assert len(calls) <= 14
-    assert quadrature._plan.get() is None  # the plan ends with the call
-    calls.clear()
-    solve_nonlinear(RunConfig(particle, thermal, quad, distance=3.3e-7, omega1=1e10, mode="nonlinear"))
-    assert len(calls) <= 10
-    assert quadrature._plan.get() is None
+
+    def spin_up(d):
+        calls.clear()
+        solve_nonlinear(RunConfig(particle, thermal, quad, distance=d, omega1=1e10, mode="nonlinear"))
+        return len(calls)
+
+    clear_memo()
+    assert spin_up(1e-7) <= 14
+    assert spin_up(3.3e-7) <= 5
+    assert spin_up(5e-7) <= 3
+    assert quadrature._plan
+    clear_memo()
+    assert not quadrature._plan
