@@ -406,7 +406,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
 
     # t(s) table, piece by piece: t0 + c0*(s - lo) + the integral of the rest
     spin_tol, c0 = config.quad.rel_tol * omega1, 1.0 / kappa if kappa else 0.0
-    table, t_end, s_end = [], 0.0, 0.0  # table: (t0, interpolant of dt/ds - c0)
+    table, t_end, s_end = [], 0.0, 0.0  # table: (t0, interpolant of dt/ds - c0, its antiderivative)
     if crossed:
         lo, f = crossed[-1]
         u = (star - lo) * 0.5 ** np.arange(40)
@@ -424,20 +424,20 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
                 return fit_tol / inertia * star * math.exp(-s) / f(-star * math.expm1(-s)) ** 2
 
             for piece in _certified_pieces(rest, tol, s0, s1) if s1 > s0 else []:
-                table.append((t_end, piece))
                 integral = _antiderivative(piece)
+                table.append((t_end, piece, integral))
                 t_end += c0 * (piece.hi - piece.lo) + (integral(piece.hi) - integral(piece.lo))
         s_end = bounds[-1]
-    stats["piece_nodes"] = [piece.nodes for _, piece in table]
+    stats["piece_nodes"] = [piece.nodes for _, piece, _ in table]
 
     s = np.empty_like(grid)
     tail = grid >= t_end
     s[tail] = s_end + kappa * (grid[tail] - t_end) if kappa else np.inf
-    which = np.searchsorted([t0 for t0, _ in table], grid, side="right") - 1
-    for k, (t0, piece) in enumerate(table):
+    which = np.searchsorted([t0 for t0, _, _ in table], grid, side="right") - 1
+    for k, (t0, piece, integral) in enumerate(table):
         mine = ~tail & (which == k)
         if mine.any():
-            integral, lo, hi, targets = _antiderivative(piece), piece.lo, piece.hi, grid[mine]
+            lo, hi, targets = piece.lo, piece.hi, grid[mine]
 
             def time(x):  # t at x on this piece: t0 + c0*(x - lo) + the integral of piece
                 return t0 + c0 * (x - lo) + (integral(x) - integral(lo))

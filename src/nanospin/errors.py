@@ -25,7 +25,8 @@ class TailNotNegligibleError(ConfigError):
 
 
 class ConvergenceError(NanospinError):
-    """Adaptive quadrature or the ODE stepper failed to reach tolerance."""
+    """Adaptive quadrature failed to reach tolerance, or a spin-up
+    surrogate or time piece could not be certified."""
 
     def __init__(self, message: str, *, worst_panel: tuple[float, float] | None = None):
         super().__init__(message)

@@ -57,21 +57,13 @@ import numpy as np
 from .errors import ConfigError, NanospinError, PoleError, SmallSpinError
 from .greens import abs2_transverse_sum, im_g_self_transverse_sum
 from .material import CONSTANTS, ParticleSpec, d_im_polarizability, im_polarizability
-from .quadrature import (
-    IntegrationResult,
-    QuadratureConfig,
-    _clear_plan,
-    integrate,
-    integrate_with_diagnostics,
-    resolved,
-)
+from .quadrature import IntegrationResult, QuadratureConfig, _clear_plan, integrate_with_diagnostics, resolved
+from .quadrature import integrate  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.integrate
 
 __all__ = [
     "ThermalState",
     "SpinPair",
     "FrictionCoefficients",
-    "QuadratureConfig",
-    "integrate",
     "SPIN_DIRECT_FLOOR",
     "DEFAULT_COUPLING_SCALE",
     "coth_factor",
@@ -170,40 +162,16 @@ def _beta_scale(T: float) -> float:
 
 
 def coth_factor(omega, T: float):
-    """coth(hbar*omega/k_B T), the vacuum channel's thermal weight.
-
-    T = 0 gives sign(omega). Evaluation at omega = 0 is a pole and
-    raises; integrators must keep 0 out of the grid.
-    """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w == 0.0):
-        raise PoleError("coth_factor pole at omega = 0")
-    x = w * _beta_scale(T)
-    small = np.abs(x) < 1e-6
-    xs = np.where(small, 1.0, x)
-    with np.errstate(over="ignore"):
-        out = np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0, 1.0 / np.tanh(xs))
-    return out if out.ndim else float(out)
+    """coth(hbar*omega/k_B T) = 1 + 2 n(2 omega), the vacuum channel's
+    thermal weight, read from occupation: T = 0 gives sign(omega), and
+    omega = 0 raises occupation's PoleError."""
+    return 1.0 + 2.0 * occupation(2.0 * np.asarray(omega, dtype=float), T)
 
 
 def d_coth_factor(omega, T: float):
-    """d/d(omega) of coth_factor: -b/sinh^2(b*omega), b = hbar/k_B T.
-    Zero for T = 0."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w == 0.0):
-        raise PoleError("d_coth_factor pole at omega = 0")
-    b = _beta_scale(T)
-    x = b * w
-    ax = np.abs(x)
-    small = ax < 1e-6
-    large = ax > 350.0  # sinh overflow guard; true value underflows anyway
-    xs = np.where(small | large, 1.0, x)
-    out = np.where(
-        small,
-        -1.0 / (b * np.where(small, w, 1.0) ** 2) + b / 3.0,
-        np.where(large, 0.0, -b / np.sinh(xs) ** 2),
-    )
-    return out if out.ndim else float(out)
+    """d/d(omega) of coth_factor: 4 n'(2 omega) = -b/sinh^2(b*omega),
+    b = hbar/k_B T. Zero for T = 0."""
+    return 4.0 * d_occupation(2.0 * np.asarray(omega, dtype=float), T)
 
 
 def occupation(omega, T: float):

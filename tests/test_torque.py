@@ -9,9 +9,13 @@ resonances passed as explicit points) before this module was written:
     gamma_b(50 nm) / gamma_b(100 nm)   = 64.0569
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
+from scipy.integrate import quad as quadpack
 
 from nanospin import (
     DEFAULT_COUPLING_SCALE,
@@ -177,6 +181,61 @@ class TestVacuumTorque:
         m1 = vacuum_torque(1e10, particle, thermal, quad)
         m2 = vacuum_torque(2e10, particle, thermal, quad)
         assert m2 / m1 == pytest.approx(2.0, rel=1e-4)
+
+
+def quadpack_vacuum(kernel, particle, thermal, quad, epsrel):
+    """The vacuum prefactor times QUADPACK's integral of kernel(w) over
+    the channel's window, with points at both resonances and at k_B T /
+    hbar for each nonzero temperature. An IntegrationWarning fails."""
+    hi = default_omega_max(thermal, particle)
+    points = [particle.dielectric.omega_T, particle.dielectric.omega_L]
+    points += [CONSTANTS.k_B * t / CONSTANTS.hbar for t in (thermal.T, thermal.T0) if t > 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value = quadpack(kernel, quad.omega_min, hi, points=points, epsrel=epsrel, epsabs=0.0, limit=400)[0]
+    return -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2)) * value
+
+
+def coth_reference(w, T):
+    """coth(hbar w / k_B T) for w > 0, written with tanh; 1 at T = 0."""
+    return 1.0 / np.tanh(CONSTANTS.hbar * w / (CONSTANTS.k_B * T)) if T > 0.0 else 1.0
+
+
+def d_coth_reference(w, T):
+    """d/dw of coth_reference at T > 0, written with sinh."""
+    b = CONSTANTS.hbar / (CONSTANTS.k_B * T)
+    return -b / np.sinh(b * w) ** 2
+
+
+class TestVacuumChannelReference:
+    """The vacuum channel against kernels whose thermal weights use numpy's
+    tanh and sinh instead of nanospin's occupation functions, integrated
+    by QUADPACK instead of nanospin's quadrature."""
+
+    @pytest.mark.parametrize("omega0", [1e9, 1e10, 1e11, 1e12])
+    def test_vacuum_torque(self, particle, thermal, quad, omega0):
+        def kernel(w):
+            wp, wm = np.array([w + omega0]), np.array([w - omega0])
+            a0 = coth_reference(w, thermal.T0)
+            up = im_polarizability(wp, particle) * (coth_reference(wp, thermal.T) - a0)
+            down = im_polarizability(wm, particle) * (coth_reference(wm, thermal.T) - a0)
+            return float((w * w * im_g_self_transverse_sum(np.array([w])) * (up - down))[0])
+
+        # at epsrel 1e-11 QUADPACK reports roundoff on these kernels
+        expected = quadpack_vacuum(kernel, particle, thermal, quad, epsrel=1e-10)
+        assert vacuum_torque(omega0, particle, thermal, quad) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("T, T0", [(320.0, 300.0), (300.0, 0.0)])
+    def test_gamma_s_between_temperatures(self, particle, quad, T, T0):
+        def kernel(w):
+            x = np.array([w])
+            s, ds = im_polarizability(x, particle), d_im_polarizability(x, particle)
+            expanded = s * d_coth_reference(w, T) + ds * (coth_reference(w, T) - coth_reference(w, T0))
+            return float((2.0 * w * w * im_g_self_transverse_sum(x) * expanded)[0])
+
+        thermal = ThermalState(T=T, T0=T0)
+        expected = quadpack_vacuum(kernel, particle, thermal, quad, epsrel=1e-11)
+        assert gamma_s(particle, thermal, quad) == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
 class TestMutualTorque:
