@@ -4,17 +4,19 @@
     nanospin sweep  --config cfg.json
     nanospin coeffs --distance 1e-7 [--config cfg.json]
 
-Each run writes trajectory.csv (time_s, omega2_rad_per_s, delta; LF line
+Each run writes trajectory.csv (time_s, omega2_rad_per_s; LF line
 endings, 17 significant digits so parsing reproduces the binary values
 exactly) and summary.json (sorted keys, no timestamps: repeated runs are
 byte-identical). Exit codes: 0 ok, 2 configuration error, 3 numerical
 non-convergence, 4 I/O failure.
 
 A sweep computes the coefficients of all its distances in one pass
-(gamma_s once, every gamma_b integral in lockstep), then writes each
-distance exactly as `run` would, into d_<distance to 6 significant
+(gamma_s once, every gamma_b integral in lockstep). Each distance gets
+the summary.json a lone `run` writes, in d_<distance to 6 significant
 digits>; distances that would share a directory are a configuration
-error.
+error. Its trajectory goes into the sweep's one sweep_trajectories.csv
+(distance_m, time_s, omega2_rad_per_s; sorted by distance): the rows a
+lone run's trajectory.csv holds, each behind its distance.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .config import RunConfig, SweepConfig, fingerprint, parse_config
 from .dynamics import (
+    Trajectory,
     coefficients_for,
     default_time_grid,
     delta_infinity,
@@ -48,6 +52,7 @@ _DEFAULT_OUT = "nanospin_out"
 # sweep.csv's columns; the keys a sweep_summary.json run takes from its summary.json
 _SWEEP_COLUMNS = ("distance_m", "gamma_b_Nms", "delta_infinity", "sync_time_s")
 _RUN_SUMMARY_KEYS = ("delta_infinity", "fingerprint_sha256", "gamma_b_Nms", "sync_time_s")
+_TRAJECTORY_COLUMNS = "time_s,omega2_rad_per_s"
 
 
 @dataclass(frozen=True)
@@ -64,20 +69,34 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_trajectory_csv(path: Path, traj) -> None:
-    # one %-format call for the whole file; "%.17g" % x is the text of _fmt(x)
-    values = tuple(chain.from_iterable(traj.samples))
-    rows = "%.17g,%.17g,%.17g\n" * len(traj.times) % values
-    path.write_text("time_s,omega2_rad_per_s,delta\n" + rows, encoding="utf-8", newline="\n")
+def _trajectory_rows(traj: Trajectory, prefix: str = "") -> str:
+    """The trajectory's "time_s,omega2_rad_per_s" rows, each after prefix.
+
+    One %-format call for all of them; "%.17g" % x is the text of _fmt(x).
+    prefix holds no "%" (a formatted distance and its comma).
+    """
+    values = tuple(np.stack((traj.times, traj.omega2), axis=1).ravel().tolist())
+    return (prefix + "%.17g,%.17g\n") * len(traj.times) % values
+
+
+def _write_text(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _write_json(path: Path, doc: dict[str, Any]) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def run(config: RunConfig) -> OutputBundle:
     """Execute one run and write its artifacts under config.out_dir."""
-    return _write_run(config, *coefficients_for(config))
+    summary, traj = _solve_run(config, *coefficients_for(config))
+    out_dir = Path(config.out_dir or _DEFAULT_OUT)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / "trajectory.csv"
+    summary_path = out_dir / "summary.json"
+    _write_text(csv_path, _TRAJECTORY_COLUMNS + "\n" + _trajectory_rows(traj))
+    _write_json(summary_path, summary)
+    return OutputBundle(out_dir=out_dir, trajectory_csv=csv_path, summary_json=summary_path, summary=summary)
 
 
 def _check_domain(config: RunConfig, coeffs: FrictionCoefficients) -> None:
@@ -97,15 +116,16 @@ def _check_domain(config: RunConfig, coeffs: FrictionCoefficients) -> None:
         )
 
 
-def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict) -> OutputBundle:
-    """Solve one run's trajectory from its coefficients and write its
-    artifacts under config.out_dir.
+def _solve_run(
+    config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict
+) -> tuple[dict[str, Any], Trajectory]:
+    """Solve one run's trajectory from its coefficients; return its
+    summary and trajectory. Writes nothing.
 
     Coefficients outside the model's domain (_check_domain) raise
-    ConfigError before anything is solved or written.
+    ConfigError before anything is solved.
     """
     _check_domain(config, coeffs)
-    out_dir = Path(config.out_dir or _DEFAULT_OUT)
     inertia = moment_of_inertia(config.particle)
     tau = inertia / (coeffs.gamma_s + coeffs.gamma_b)
     if config.mode == "nonlinear":
@@ -128,13 +148,7 @@ def _write_run(config: RunConfig, coeffs: FrictionCoefficients, quad_diags: dict
     }
     if traj.solver is not None:
         summary["solver"] = traj.solver
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "trajectory.csv"
-    summary_path = out_dir / "summary.json"
-    _write_trajectory_csv(csv_path, traj)
-    _write_json(summary_path, summary)
-    return OutputBundle(out_dir=out_dir, trajectory_csv=csv_path, summary_json=summary_path, summary=summary)
+    return summary, traj
 
 
 def _run_dir_name(d: float) -> str:
@@ -143,14 +157,16 @@ def _run_dir_name(d: float) -> str:
 
 
 def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
-    """Run every distance, then write the combined table.
+    """Run every distance, then write the combined tables.
 
     Distinct distances that share a run directory raise ConfigError
     before anything is solved or written. The coefficients of all
-    distances come from one pass; each distance then gets the artifacts
-    `run` writes for it. A failing distance does not stop the others;
-    the first failure is re-raised after the tables are written, and
-    sweep_summary.json names each failure's error.
+    distances come from one pass. Each distance then gets the
+    summary.json `run` writes for it, and its trajectory rows go into
+    sweep_trajectories.csv, one distance at a time through one open
+    file. A failing distance writes no rows and does not stop the
+    others; the first failure is re-raised after the tables are written,
+    and sweep_summary.json names each failure's error.
     """
     root = Path(sweep.base.out_dir or _DEFAULT_OUT)
     ordered = sorted(set(sweep.distances))
@@ -160,29 +176,37 @@ def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
                 f"distances {a} m and {b} m would share the run directory {_run_dir_name(a)}; "
                 "sweep distances must differ in their first 6 significant digits"
             )
-    written: list[tuple[float, OutputBundle]] = []
+    coefficients = sweep_coefficients_for(sweep.base, ordered)
+    runs: list[dict[str, Any]] = []
     failures: list[tuple[float, Exception]] = []
-    for d, result in zip(ordered, sweep_coefficients_for(sweep.base, ordered)):
-        if isinstance(result, NanospinError):
-            failures.append((d, result))
-            continue
-        try:
-            written.append((d, _write_run(sweep.base.with_distance(d, out_dir=str(root / _run_dir_name(d))), *result)))
-        except Exception as exc:  # re-raised after the sweep completes
-            failures.append((d, exc))
-
-    runs = [
-        {"distance_m": d, "out_dir": str(res.out_dir)} | {key: res.summary[key] for key in _RUN_SUMMARY_KEYS}
-        for d, res in written
-    ]
+    gamma_s = None
     root.mkdir(parents=True, exist_ok=True)
+    with open(root / "sweep_trajectories.csv", "w", encoding="utf-8", newline="\n") as rows:
+        rows.write("distance_m," + _TRAJECTORY_COLUMNS + "\n")
+        for d, result in zip(ordered, coefficients):
+            if isinstance(result, NanospinError):
+                failures.append((d, result))
+                continue
+            out_dir = root / _run_dir_name(d)
+            try:
+                summary, traj = _solve_run(sweep.base.with_distance(d, out_dir=str(out_dir)), *result)
+                out_dir.mkdir(exist_ok=True)
+                _write_json(out_dir / "summary.json", summary)
+            except Exception as exc:  # re-raised after the sweep completes
+                failures.append((d, exc))
+                continue
+            rows.write(_trajectory_rows(traj, _fmt(d) + ","))
+            runs.append({"distance_m": d, "out_dir": str(out_dir)} | {key: summary[key] for key in _RUN_SUMMARY_KEYS})
+            if gamma_s is None:
+                gamma_s = summary["gamma_s_Nms"]
+
     lines = [",".join(_SWEEP_COLUMNS)]
     lines += [",".join(_fmt(r[c]) if r[c] is not None else "" for c in _SWEEP_COLUMNS) for r in runs]
-    (root / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(root / "sweep.csv", "\n".join(lines) + "\n")
     doc = {
         "failed_distances_m": [d for d, _ in failures],
         "fingerprint_sha256": fingerprint(sweep),
-        "gamma_s_Nms": written[0][1].summary["gamma_s_Nms"] if written else None,
+        "gamma_s_Nms": gamma_s,
         "runs": runs,
     }
     if failures:

@@ -31,7 +31,7 @@ __all__ = ["RunConfig", "SweepConfig", "parse_config", "fingerprint"]
 
 _MODES = ("linear", "nonlinear")
 
-# Largest trajectory sample count: a million rows make about 65 MB of
+# Largest trajectory sample count: a million rows make about 40 MB of
 # trajectory.csv
 MAX_SAMPLES = 1_000_000
 

@@ -95,11 +95,6 @@ class Trajectory:
         """(omega1 - omega2)/omega1 at each sample."""
         return delta_measure(self.omega1, self.omega2)
 
-    @property
-    def samples(self):
-        """Iterator of (time, omega2, delta) tuples."""
-        return zip(self.times.tolist(), self.omega2.tolist(), self.delta.tolist())
-
 
 @dataclass(frozen=True)
 class ChebyshevInterpolant:

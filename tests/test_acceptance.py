@@ -180,7 +180,7 @@ def test_criterion_10_sweep_performance_determinism(tmp_path):
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s, budget 60s"
     first = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
-    assert len(first) == 4 * 2 + 2  # per-distance artifacts plus the two tables
+    assert len(first) == 4 + 3  # per-distance summaries, the two tables and the trajectory file
     run_sweep(sweep)
     for p, data in first.items():
         assert p.read_bytes() == data, f"{p} changed between identical sweeps"

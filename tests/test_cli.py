@@ -19,7 +19,7 @@ except ModuleNotFoundError:  # Python 3.10
 
 import nanospin
 from nanospin import ConfigError, ConvergenceError, Trajectory, parse_config
-from nanospin.cli import _write_trajectory_csv, main, run, run_sweep
+from nanospin.cli import _trajectory_rows, main, run, run_sweep
 
 from test_config import load_schema
 
@@ -32,6 +32,23 @@ def write_config(path, doc):
 def read_rows(csv_path):
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     return lines[0], [[float(x) for x in line.split(",")] for line in lines[1:]]
+
+
+def long_rows(root):
+    """sweep_trajectories.csv under root as {distance_m text: the text of
+    its rows with the distance_m column stripped}, in file order."""
+    lines = (root / "sweep_trajectories.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[0] == "distance_m,time_s,omega2_rad_per_s\n"
+    rows = {}
+    for line in lines[1:]:
+        d, rest = line.split(",", 1)
+        rows.setdefault(d, []).append(rest)
+    return {d: "".join(r) for d, r in rows.items()}
+
+
+def csv_body(path):
+    """A trajectory.csv's text after its header line."""
+    return path.read_text(encoding="utf-8").split("\n", 1)[1]
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +65,10 @@ class TestRunArtifacts:
 
     def test_csv_shape(self, bundle):
         header, rows = read_rows(bundle.trajectory_csv)
-        assert header == "time_s,omega2_rad_per_s,delta"
+        assert header == "time_s,omega2_rad_per_s"
         assert len(rows) == 401  # t = 0 plus the default 400 samples
-        assert rows[0][0] == 0.0
+        assert {len(r) for r in rows} == {2}
+        assert rows[0] == [0.0, 0.0]
 
     def test_csv_line_endings(self, bundle):
         data = bundle.trajectory_csv.read_bytes()
@@ -58,12 +76,16 @@ class TestRunArtifacts:
         assert data.endswith(b"\n")
 
     def test_csv_roundtrips_exactly(self, bundle):
-        # 17 significant digits reproduce the binary values, so the delta
-        # column must satisfy its defining identity to the last bit
+        # 17 significant digits reproduce the binary values: the parsed
+        # times are the default grid's bits, and delta, which the file no
+        # longer carries, comes back from omega2 as (omega1 - omega2)/omega1
+        # to the last bit of the summary's delta_final
         _, rows = read_rows(bundle.trajectory_csv)
-        omega1 = bundle.summary["inputs"]["omega1_rad_per_s"]
-        for _t, w2, delta in rows:
-            assert delta == (omega1 - w2) / omega1
+        times, omega2 = np.array(rows).T
+        s = bundle.summary
+        assert times.tobytes() == nanospin.default_time_grid(s["tau_s"], s["inputs"]["samples"]).tobytes()
+        omega1 = s["inputs"]["omega1_rad_per_s"]
+        assert (omega1 - omega2[-1]) / omega1 == s["delta_final"]
 
     def test_summary_against_schema(self, bundle):
         jsonschema.validate(bundle.summary, load_schema("summary.schema.json"))
@@ -77,7 +99,7 @@ class TestRunArtifacts:
 
     def test_summary_values(self, bundle):
         s = bundle.summary
-        assert s["gamma_s_Nms"] == pytest.approx(1.152688e-43, rel=1e-5)
+        assert s["gamma_s_Nms"] == pytest.approx(1.152688e-43, rel=1e-5, abs=0)
         assert s["gamma_b_Nms"] > s["gamma_s_Nms"]
         assert 0.0 < s["delta_infinity"] < 1.0
         assert s["sync_time_s"] == pytest.approx(0.030, rel=0.01)
@@ -92,19 +114,17 @@ class TestRunArtifacts:
         assert again.summary_json.read_bytes() == bundle.summary_json.read_bytes()
 
 
-def test_trajectory_csv_is_per_value_format(tmp_path):
-    # the writer formats the whole file in one call; its text must be
-    # format(x, ".17g") of every value, signed zero, subnormal, the largest
-    # double and whole numbers past 2**53 included
+def test_trajectory_csv_is_per_value_format():
+    # the rows of a run's trajectory.csv and of a sweep's
+    # sweep_trajectories.csv are formatted in one call per trajectory; their
+    # text must be format(x, ".17g") of every value, signed zero, subnormal,
+    # the largest double and whole numbers past 2**53 included
     times = [-0.0, 5e-324, 1.0 / 3.0, 2.0**53 + 2.0, 2.0**60, 1e22, 1.7976931348623157e308]
     omega2 = [0.0, -0.0, 5e-324, 1.0, 2.0**53 + 2.0, 123456789012345680.0, 1.7976931348623157e308]
     traj = Trajectory(times=np.array(times), omega2=np.array(omega2), omega1=1.0)
-    path = tmp_path / "trajectory.csv"
-    _write_trajectory_csv(path, traj)
-    expected = "time_s,omega2_rad_per_s,delta\n" + "".join(
-        ",".join(format(x, ".17g") for x in row) + "\n" for row in traj.samples
-    )
-    assert path.read_bytes() == expected.encode("utf-8")
+    for prefix in ("", "1.0000000000000001e-07,"):
+        expected = "".join(f"{prefix}{format(t, '.17g')},{format(w, '.17g')}\n" for t, w in zip(times, omega2))
+        assert _trajectory_rows(traj, prefix) == expected
     assert "-0," in expected and "4.9406564584124654e-324" in expected and "9007199254740994," in expected
 
 
@@ -184,14 +204,18 @@ class TestNonlinearRun:
 class TestSweep:
     def test_sweep_matches_run_at_every_distance(self, tmp_path):
         # the sweep's one-pass coefficients must give each distance the
-        # bytes a run of that distance alone writes
+        # summary a run of that distance alone writes, and the rows of its
+        # trajectory.csv behind the distance
         distances = [5e-8, 1e-7, 2e-7]
         doc = run_sweep(parse_config(json.dumps({"distances_m": distances, "out_dir": str(tmp_path / "sweep")})))
+        rows = long_rows(tmp_path / "sweep")
+        assert list(rows) == [format(d, ".17g") for d in distances]
         for d in distances:
             alone = run(parse_config(json.dumps({"distance_m": d, "out_dir": str(tmp_path / f"run_{d:.6g}")})))
             sub = tmp_path / "sweep" / f"d_{d:.6g}"
-            assert (sub / "trajectory.csv").read_bytes() == alone.trajectory_csv.read_bytes(), d
+            assert rows[format(d, ".17g")] == csv_body(alone.trajectory_csv), d
             assert (sub / "summary.json").read_bytes() == alone.summary_json.read_bytes(), d
+            assert [p.name for p in sub.iterdir()] == ["summary.json"]
         assert doc["failed_distances_m"] == []
         assert "failures" not in doc
         assert [r["distance_m"] for r in doc["runs"]] == distances
@@ -218,10 +242,12 @@ class TestSweep:
         assert sorted(name for name, _ in integrals) == sorted(
             ["_gamma_s_result", "_gamma_b_results", "_vacuum_torques"] + ["_mutual_torques"] * 3
         )
+        rows = long_rows(tmp_path / "sweep")
+        assert list(rows) == [format(d, ".17g") for d in distances]
         for d in distances:
             alone = run(parse_config(json.dumps(dict(base, distance_m=d, out_dir=str(tmp_path / f"run_{d:.6g}")))))
             sub = tmp_path / "sweep" / f"d_{d:.6g}"
-            assert (sub / "trajectory.csv").read_bytes() == alone.trajectory_csv.read_bytes(), d
+            assert rows[format(d, ".17g")] == csv_body(alone.trajectory_csv), d
             assert (sub / "summary.json").read_bytes() == alone.summary_json.read_bytes(), d
 
     def test_same_root_rerun_is_byte_identical(self, tmp_path):
@@ -240,19 +266,19 @@ class TestSweep:
         # rows come out sorted by distance regardless of input order
         assert [r[0] for r in rows] == [5e-8, 1e-7]
         assert rows[0][1] > rows[1][1]  # coupling falls with distance
-        assert doc["gamma_s_Nms"] == pytest.approx(1.152688e-43, rel=1e-5)
+        assert doc["gamma_s_Nms"] == pytest.approx(1.152688e-43, rel=1e-5, abs=0)
 
     def test_partial_failure_completes_then_raises(self, tmp_path, monkeypatch):
         import nanospin.cli as cli_mod
 
-        real_write_run = cli_mod._write_run
+        real_solve_run = cli_mod._solve_run
 
         def flaky(cfg, *coefficients):
             if cfg.distance == 2e-7:
                 raise ConvergenceError("synthetic failure for this distance")
-            return real_write_run(cfg, *coefficients)
+            return real_solve_run(cfg, *coefficients)
 
-        monkeypatch.setattr(cli_mod, "_write_run", flaky)
+        monkeypatch.setattr(cli_mod, "_solve_run", flaky)
         sweep = parse_config(
             json.dumps({"distances_m": [5e-8, 1e-7, 2e-7], "out_dir": str(tmp_path)})
         )
@@ -266,6 +292,7 @@ class TestSweep:
         assert [r["distance_m"] for r in table["runs"]] == [5e-8, 1e-7]
         _, rows = read_rows(tmp_path / "sweep.csv")
         assert [r[0] for r in rows] == [5e-8, 1e-7]
+        assert list(long_rows(tmp_path)) == ["4.9999999999999998e-08", "9.9999999999999995e-08"]
 
     def test_every_distance_failing_in_the_coefficient_pass(self, tmp_path, capsys):
         doc = {"distances_m": [2e-7, 1e-7], "max_subdivisions": 1, "out_dir": str(tmp_path)}
@@ -279,19 +306,20 @@ class TestSweep:
             (2e-7, "ConvergenceError"),
         ]
         assert (tmp_path / "sweep.csv").read_text(encoding="utf-8") == "distance_m,gamma_b_Nms,delta_infinity,sync_time_s\n"
+        assert long_rows(tmp_path) == {}
         assert not list(tmp_path.glob("d_*"))
 
     def test_gamma_s_is_read_from_the_first_written_run(self, tmp_path, monkeypatch):
         import nanospin.cli as cli_mod
 
-        real_write_run = cli_mod._write_run
+        real_solve_run = cli_mod._solve_run
 
         def flaky(cfg, *coefficients):
             if cfg.distance == 5e-8:
                 raise ConvergenceError("synthetic failure for the smallest distance")
-            return real_write_run(cfg, *coefficients)
+            return real_solve_run(cfg, *coefficients)
 
-        monkeypatch.setattr(cli_mod, "_write_run", flaky)
+        monkeypatch.setattr(cli_mod, "_solve_run", flaky)
         sweep = parse_config(json.dumps({"distances_m": [2e-7, 5e-8, 1e-7], "out_dir": str(tmp_path)}))
         with pytest.raises(ConvergenceError, match="smallest"):
             run_sweep(sweep)
@@ -314,6 +342,18 @@ class TestSweep:
         assert (tmp_path / "d_1e-07" / "summary.json").is_file()
         assert not (tmp_path / "d_4e-06").exists()
 
+    def test_a_failing_distance_writes_no_rows(self, tmp_path):
+        # gamma_b < 0 at 3 um: the distances on both sides of it in the
+        # file keep their rows, and 3 um has none
+        distances = [1e-7, 3e-6, 2e-7]
+        with pytest.raises(ConfigError, match="near-field edge"):
+            run_sweep(parse_config(json.dumps({"distances_m": distances, "out_dir": str(tmp_path)})))
+        rows = long_rows(tmp_path)
+        assert list(rows) == [format(d, ".17g") for d in (1e-7, 2e-7)]
+        for d in (1e-7, 2e-7):
+            alone = run(parse_config(json.dumps({"distance_m": d, "out_dir": str(tmp_path / f"run_{d:.6g}")})))
+            assert rows[format(d, ".17g")] == csv_body(alone.trajectory_csv), d
+
     def test_distances_sharing_a_run_directory_are_refused(self, tmp_path, capsys, monkeypatch):
         # both are d_1e-07: the second run overwrote the first, and
         # sweep_summary.json pointed both at what was left
@@ -328,6 +368,14 @@ class TestSweep:
         assert "1e-07 m and 1.0000001e-07 m would share the run directory d_1e-07" in capsys.readouterr().err
         assert solved == []
         assert not (tmp_path / "o").exists()
+
+    def test_shared_run_directory_exits_before_the_trajectory_file_exists(self, tmp_path, capsys):
+        # the out_dir already exists: the refusal still comes before the
+        # sweep opens sweep_trajectories.csv
+        cfg = write_config(tmp_path / "c.json", {"distances_m": [2e-7, 2.0000001e-7], "out_dir": str(tmp_path)})
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "would share the run directory d_2e-07" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 class TestMain:
@@ -456,8 +504,8 @@ class TestMain:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         values = dict(line.split(" ", 1) for line in lines)
-        assert float(values["gamma_s_Nms"]) == pytest.approx(1.152688e-43, rel=1e-5)
-        assert float(values["gamma_b_Nms"]) == pytest.approx(2.577338e-36, rel=1e-4)
+        assert float(values["gamma_s_Nms"]) == pytest.approx(1.152688e-43, rel=1e-5, abs=0)
+        assert float(values["gamma_b_Nms"]) == pytest.approx(2.577338e-36, rel=1e-4, abs=0)
         assert 0.0 < float(values["delta_infinity"]) < 1.0
 
     def test_sweep_subcommand(self, tmp_path, capsys):

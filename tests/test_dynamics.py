@@ -56,12 +56,12 @@ def coeffs(particle, thermal, quad):
 class TestMomentOfInertia:
     def test_frozen_value(self, particle):
         # 0.4 * (3210 kg/m^3 * 4/3 pi (5 nm)^3) * (5 nm)^2
-        assert moment_of_inertia(particle) == pytest.approx(1.680752e-38, rel=1e-6)
+        assert moment_of_inertia(particle) == pytest.approx(1.680752e-38, rel=1e-6, abs=0)
 
     def test_formula(self, particle):
         mass = particle.mass_density * particle.volume
         expected = 0.4 * mass * particle.radius**2
-        assert moment_of_inertia(particle) == pytest.approx(expected, rel=1e-12)
+        assert moment_of_inertia(particle) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_fifth_power_scaling(self):
         small = moment_of_inertia(ParticleSpec(radius=5e-9))
@@ -130,18 +130,10 @@ class TestTrajectoryValidation:
         with pytest.raises(ConfigError):
             Trajectory(times=np.array([]), omega2=np.array([]), omega1=1e4)
 
-    def test_samples_roundtrip(self):
-        traj = Trajectory(
-            times=np.array([0.0, 1.0]),
-            omega2=np.array([0.0, 2.0]),
-            omega1=4.0,
-        )
-        assert list(traj.samples) == [(0.0, 0.0, 1.0), (1.0, 2.0, 0.5)]
-
     def test_lists_are_stored_as_float_arrays(self):
         traj = Trajectory(times=[0.0, 1.0], omega2=[0, 1], omega1=2.0)
         assert traj.times.dtype == traj.omega2.dtype == np.float64
-        assert list(traj.samples) == [(0.0, 0.0, 1.0), (1.0, 1.0, 0.5)]
+        assert traj.omega2.tolist() == [0.0, 1.0] and traj.delta.tolist() == [1.0, 0.5]
         assert sync_time(traj, 0.6) == 0.8
 
     def test_float_arrays_are_stored_without_a_copy(self):

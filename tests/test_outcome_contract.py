@@ -2,18 +2,25 @@
 writes a summary that validates against docs/summary.schema.json
 (exit 0) or fails with a typed error and its exit code (2 for a
 configuration outside the model's domain, 3 for numerical
-non-convergence). Anything else, an uncaught exception or a warning
+non-convergence). A sweep document does so at each of its distances:
+every distance it writes has a schema-valid summary and its trajectory,
+bit for bit, in sweep_trajectories.csv, and a failing one is named in
+sweep_summary.json. Anything else, an uncaught exception or a warning
 included, fails the test."""
 
 import contextlib
 import io
 import json
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import jsonschema
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import nanospin.cli as cli
 from nanospin import parse_config
 from nanospin.cli import main
 
@@ -27,12 +34,17 @@ def log_uniform(lo_exp: float, hi_exp: float):
 
 
 @st.composite
-def documents(draw):
+def documents(draw, sweep=False):
     radius = draw(log_uniform(-9.0, -7.7))
+    # 10 radii, the point-dipole limit, up to past the near-field edge
+    distance = log_uniform(1.0, 3.0).map(lambda x: radius * x)
+    if sweep:  # distinct run directories, so the sweep is not refused whole
+        place = {"distances_m": draw(st.lists(distance, min_size=2, max_size=4, unique_by=lambda d: f"{d:.6g}"))}
+    else:
+        place = {"distance_m": draw(distance)}
     return {
         "radius_m": radius,
-        # 10 radii, the point-dipole limit, up to past the near-field edge
-        "distance_m": radius * draw(log_uniform(1.0, 3.0)),
+        **place,
         "temperature_K": draw(st.floats(0.0, 600.0)),
         "vacuum_temperature_K": draw(st.floats(0.0, 600.0)),
         "omega1_rad_per_s": draw(log_uniform(0.0, 12.0)),
@@ -108,3 +120,60 @@ def test_every_accepted_document_writes_a_valid_summary_or_exits_typed(tmp_path_
         jsonschema.validate(summary, SUMMARY_SCHEMA)
     else:
         assert code in (2, 3), err.getvalue()
+
+
+def read_long_file(path):
+    """sweep_trajectories.csv as {distance_m: (time_s, omega2) float64 arrays}."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "distance_m,time_s,omega2_rad_per_s"
+    rows = {}
+    for line in lines[1:]:
+        d, t, w2 = line.split(",")
+        rows.setdefault(float(d), []).append((float(t), float(w2)))
+    return {d: tuple(np.array(r).T) for d, r in rows.items()}
+
+
+@settings(
+    max_examples=12,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(doc=documents(sweep=True))
+def test_every_accepted_sweep_document_writes_its_distances_or_names_their_failures(tmp_path_factory, doc):
+    parse_config(json.dumps(doc))
+    work = tmp_path_factory.mktemp("sweep_contract")
+    out = work / "out"
+    config = work / "c.json"
+    config.write_text(json.dumps(dict(doc, out_dir=str(out))), encoding="utf-8")
+    solved = {}
+    real = cli._solve_run
+
+    def keep(run_config, *coefficients):
+        summary, traj = real(run_config, *coefficients)
+        solved[run_config.distance] = traj
+        return summary, traj
+
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err, mock.patch.object(cli, "_solve_run", keep):
+        warnings.simplefilter("error")
+        code = main(["sweep", "--config", str(config)])
+    table = json.loads((out / "sweep_summary.json").read_text(encoding="utf-8"))
+    written = [r["distance_m"] for r in table["runs"]]
+    assert sorted(written + table["failed_distances_m"]) == sorted(doc["distances_m"])
+    if code == 0:
+        assert table["failed_distances_m"] == [] and "failures" not in table
+    else:
+        assert code in (2, 3), err.getvalue()
+        assert [f["distance_m"] for f in table["failures"]] == table["failed_distances_m"] != []
+        first = table["failures"][0]["error"]
+        assert code == (3 if first == "ConvergenceError" else 2), first
+    rows = read_long_file(out / "sweep_trajectories.csv")
+    assert list(rows) == written
+    for run in table["runs"]:
+        summary = json.loads(Path(run["out_dir"], "summary.json").read_text(encoding="utf-8"))
+        jsonschema.validate(summary, SUMMARY_SCHEMA)
+        times, omega2 = rows[run["distance_m"]]
+        traj = solved[run["distance_m"]]
+        assert times.tobytes() == traj.times.tobytes() and omega2.tobytes() == traj.omega2.tobytes()

@@ -84,7 +84,7 @@ def test_lorentzian_against_analytic():
     q = QuadratureConfig(omega_min=0.0, omega_max=hi, breakpoints=(w0,))
     got = integrate(lambda w: 1.0 / ((w - w0) ** 2 + gamma**2), q)
     expected = (np.arctan((hi - w0) / gamma) + np.arctan(w0 / gamma)) / gamma
-    assert got == pytest.approx(expected, rel=5e-9)
+    assert got == pytest.approx(expected, rel=5e-9, abs=0)
 
 
 def test_diagnostics_and_determinism():
