@@ -10,9 +10,10 @@ exactly) and summary.json (sorted keys, no timestamps: repeated runs are
 byte-identical). Exit codes: 0 ok, 2 configuration error, 3 numerical
 non-convergence, 4 I/O failure.
 
-A sweep computes the coefficients of all its distances in one pass
-(gamma_s once, every gamma_b integral in lockstep). Each distance gets
-the summary.json a lone `run` writes, in d_<distance to 6 significant
+A sweep runs its distances one at a time, in order, as lone runs;
+gamma_s and the gap moments, which do not depend on distance, are
+integrated once and kept by nanospin.torque. Each distance gets the
+summary.json a lone `run` writes, in d_<distance to 6 significant
 digits>; distances that would share a directory are a configuration
 error. Its trajectory goes into the sweep's one sweep_trajectories.csv
 (distance_m, time_s, omega2_rad_per_s; sorted by distance): the rows a
@@ -39,11 +40,10 @@ from .dynamics import (
     moment_of_inertia,
     solve_linear,
     solve_nonlinear,
-    sweep_coefficients_for,
     sync_time,
 )
 from .errors import ConfigError, ConvergenceError, NanospinError
-from .torque import FrictionCoefficients
+from .torque import FrictionCoefficients, gamma_b_sign_edge
 from .torque import friction_coefficients  # noqa: F401 -- bench/tracing.py wraps nanospin.cli.friction_coefficients
 
 __all__ = ["OutputBundle", "run", "run_sweep", "main"]
@@ -101,19 +101,22 @@ def run(config: RunConfig) -> OutputBundle:
 
 def _check_domain(config: RunConfig, coeffs: FrictionCoefficients) -> None:
     """Raise ConfigError for coefficients outside the model's domain,
-    gamma_s <= 0 or gamma_b < 0, naming the one that fails."""
+    gamma_s <= 0 or gamma_b < 0, naming the one that fails and, for
+    gamma_b, the sign edge of the run's own inputs when there is one."""
     if not coeffs.gamma_s > 0.0:
         raise ConfigError(
             f"gamma_s = {coeffs.gamma_s:.6g} N m s at temperature {config.thermal.T:.6g} K and vacuum "
             f"temperature {config.thermal.T0:.6g} K: a run needs gamma_s > 0"
         )
     if not coeffs.gamma_b >= 0.0:
-        raise ConfigError(
-            f"gamma_b = {coeffs.gamma_b:.6g} N m s at distance {config.distance:.6g} m: a run needs "
-            "gamma_b >= 0. gamma_b changes sign at the near-field edge (about 2.69e-6 m for the default "
-            "particle at 300 K), past which the point-dipole coupling no longer pulls the follower toward "
-            "co-rotation"
-        )
+        message = f"gamma_b = {coeffs.gamma_b:.6g} N m s at distance {config.distance:.6g} m: a run needs gamma_b >= 0"
+        edge = gamma_b_sign_edge(config.particle, config.thermal.T, config.quad)
+        if edge is not None:
+            message += (
+                f". gamma_b changes sign at the near-field edge, {edge:.6g} m for this particle, temperature and "
+                "quadrature, past which the point-dipole coupling no longer pulls the follower toward co-rotation"
+            )
+        raise ConfigError(message)
 
 
 def _solve_run(
@@ -160,8 +163,7 @@ def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
     """Run every distance, then write the combined tables.
 
     Distinct distances that share a run directory raise ConfigError
-    before anything is solved or written. The coefficients of all
-    distances come from one pass. Each distance then gets the
+    before anything is solved or written. Each distance then gets the
     summary.json `run` writes for it, and its trajectory rows go into
     sweep_trajectories.csv, one distance at a time through one open
     file. A failing distance writes no rows and does not stop the
@@ -176,20 +178,17 @@ def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
                 f"distances {a} m and {b} m would share the run directory {_run_dir_name(a)}; "
                 "sweep distances must differ in their first 6 significant digits"
             )
-    coefficients = sweep_coefficients_for(sweep.base, ordered)
     runs: list[dict[str, Any]] = []
     failures: list[tuple[float, Exception]] = []
     gamma_s = None
     root.mkdir(parents=True, exist_ok=True)
     with open(root / "sweep_trajectories.csv", "w", encoding="utf-8", newline="\n") as rows:
         rows.write("distance_m," + _TRAJECTORY_COLUMNS + "\n")
-        for d, result in zip(ordered, coefficients):
-            if isinstance(result, NanospinError):
-                failures.append((d, result))
-                continue
+        for d in ordered:
             out_dir = root / _run_dir_name(d)
             try:
-                summary, traj = _solve_run(sweep.base.with_distance(d, out_dir=str(out_dir)), *result)
+                config = sweep.base.with_distance(d, out_dir=str(out_dir))
+                summary, traj = _solve_run(config, *coefficients_for(config))
                 out_dir.mkdir(exist_ok=True)
                 _write_json(out_dir / "summary.json", summary)
             except Exception as exc:  # re-raised after the sweep completes

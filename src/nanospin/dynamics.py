@@ -16,19 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NanospinError
 from .material import ParticleSpec
-from .torque import (
-    FrictionCoefficients,
-    _mutual_torques,
-    _vacuum_torques,
-    friction_coefficients,
-    sweep_friction_coefficients,
-)
+from .torque import FrictionCoefficients, _mutual_torques, _vacuum_torques, friction_coefficients
 from .torque import mutual_torque, vacuum_torque  # noqa: F401 -- bench/tracing.py wraps both in nanospin.dynamics
 
 if TYPE_CHECKING:
@@ -41,7 +35,6 @@ __all__ = [
     "Trajectory",
     "chebyshev_interpolant",
     "coefficients_for",
-    "sweep_coefficients_for",
     "moment_of_inertia",
     "delta_measure",
     "delta_infinity",
@@ -204,16 +197,6 @@ def coefficients_for(config: "RunConfig") -> tuple[FrictionCoefficients, dict]:
     )
 
 
-def sweep_coefficients_for(
-    config: "RunConfig", distances: Sequence[float]
-) -> list[tuple[FrictionCoefficients, dict] | NanospinError]:
-    """sweep_friction_coefficients for one run configuration's particle,
-    thermal state, quadrature and coupling scale at each distance."""
-    return sweep_friction_coefficients(
-        config.particle, distances, config.thermal, config.quad, coupling_scale=config.coupling_scale
-    )
-
-
 def moment_of_inertia(particle: ParticleSpec) -> float:
     """Solid sphere about its symmetry axis: (2/5) m a^2."""
     mass = particle.mass_density * particle.volume
@@ -326,10 +309,10 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     switch. Newton steps invert every sample time at once. Below F this
     is the closed form.
 
-    nanospin.torque keeps gamma_s and the vacuum node torques, so a later
-    run at another distance integrates only gamma_b and the mutual nodes,
-    for the bits a first run returns, each seeded from the process's panel
-    plan.
+    nanospin.torque keeps gamma_s, the gap moments and the vacuum node
+    torques, so a later run at another distance integrates only the mutual
+    nodes, for the bits a first run returns, seeded from the process's
+    panel plan.
 
     coeffs, when given, must be coefficients_for(config). gamma_b < 0
     raises ConfigError: the follower would spin backwards, outside the

@@ -34,24 +34,18 @@ def _wavenumber(omega):
     return w / CONSTANTS.c
 
 
-def abs2_transverse_sum(d, omega):
+def abs2_transverse_sum(d: float, omega):
     """2|g_t|^2 via the closed-form modulus (no complex arithmetic).
 
     |e^{ikd}(k^2d^2 + ikd - 1)|^2 = (kd)^4 - (kd)^2 + 1; the quadratic in
     (kd)^2 has negative discriminant, so the value is strictly positive,
-    and it is strictly decreasing in d at every frequency. d may be an
-    array that broadcasts against omega, such as one distance per row.
+    and it is strictly decreasing in d at every frequency.
     """
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0.0):
+    if not d > 0.0:
         raise ValueError("require d > 0")
     k = _wavenumber(omega)
     u = (k * d) ** 2
-    # Python's float power, one distance at a time: numpy's array power
-    # can differ in the last bit, and a row of a batch must reproduce the
-    # value for its distance alone
-    d6 = np.reshape([x**6 for x in d.ravel().tolist()], d.shape)
-    return 2.0 * (u * u - u + 1.0) / (k**4 * d6)
+    return 2.0 * (u * u - u + 1.0) / (k**4 * float(d) ** 6)
 
 
 def im_g_self_transverse_sum(omega):

@@ -7,16 +7,16 @@ converges in a few dozen panels (QUADPACK's greedy scheme, Piessens et
 al., 1983). The engine is deterministic: identical inputs produce an
 identical panel sequence and an identical float result.
 
-It also runs many integrands in lockstep, such as gamma_b at every
-distance of a sweep, in few kernel calls. Each integrand replays the
-one-split-at-a-time greedy loop over a table of evaluated panels. When
-the loop needs a panel the table lacks, the integrand requests the
-halves and quarters of the panel it is splitting (bisection chains
-toward a resonance) and the halves of its worst panels, in heap order,
-whose errors the tolerance still has to lose; one kernel call per round
-evaluates the requests of every integrand. A panel the replay never
-reaches is neither counted nor able to raise, so each integrand keeps
-the panels and bits it has when integrated alone.
+It also runs many integrands in lockstep, such as the nodes of a torque
+surrogate or the gap channel's three moments, in few kernel calls. Each
+integrand replays the one-split-at-a-time greedy loop over a table of
+evaluated panels. When the loop needs a panel the table lacks, the
+integrand requests the halves and quarters of the panel it is splitting
+(bisection chains toward a resonance) and the halves of its worst
+panels, in heap order, whose errors the tolerance still has to lose; one
+kernel call per round evaluates the requests of every integrand. A panel
+the replay never reaches is neither counted nor able to raise, so each
+integrand keeps the panels and bits it has when integrated alone.
 
 The integrals of every spin-up and sweep share a spectrum dominated by
 the same resonance, so the panels one integral's refinement reached are
@@ -31,11 +31,11 @@ The plan holds at most _PLAN_WINDOWS windows, dropping the oldest first;
 torque.clear_memo empties it.
 
 An integrand whose splits run out with its error sum at or below
-QUADPACK's roundoff floor, 50 eps times the integral of |f|, is accepted:
-near a sign change of the integral (gamma_b at about 2.69 um) no number
-of splits meets the relative tolerance in binary64. The floor is not
-part of the ordinary stopping test, so no integral that meets rel_tol
-stops earlier than it would without it.
+QUADPACK's roundoff floor, 50 eps times the integral of |f|, is
+accepted: no number of splits meets a tolerance below it in binary64 (a
+gap moment tightened past 1e-12, as gamma_b near its 2.69 um sign edge
+asks). The floor is not part of the ordinary stopping test, so no
+integral that meets rel_tol stops earlier than it would without it.
 
 Node and weight tables are the standard published 15-point Kronrod
 extension of 7-point Gauss; the test suite verifies them by polynomial

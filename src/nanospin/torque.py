@@ -21,28 +21,32 @@ the linearized coefficients gamma_s / gamma_b; structural checks may pass
 allow_small_spins=True since operand-exchange antisymmetry holds exactly
 at any magnitude.
 
-The two torques and their slopes gamma_s and gamma_b run as batches
-through one pipeline, a lone call being a batch of one: each item gets a
-lone call's checks in order, the items that pass share one lockstep
-integral, each with the bits it has alone, and each result is scaled once.
-The window a batch passes, _window's resolved QuadratureConfig, is the
-key of the quadrature's process-wide panel plan: with T == T0 both
-channels share one window, so every gamma_b integral starts from the
-panels gamma_s reached, and each later batch on that window, in this
-call or a later one, from the panels of the one before.
+The two torques, gamma_s and the gap moments run as batches through one
+pipeline, a lone call being a batch of one: each item gets a lone call's
+checks in order, the items that pass share one lockstep integral, each
+with the bits it has alone, and each result is scaled once. The window a
+batch passes, _window's resolved QuadratureConfig, is the key of the
+quadrature's process-wide panel plan: with T == T0 both channels share
+one window, so the gap moments start from the panels gamma_s reached,
+and each later batch on that window, in this call or a later one, from
+the panels of the one before.
+
+2|g_t|^2 = 2(1/d^2 - 1/(k^2 d^4) + 1/(k^4 d^6)), so gamma_b(d) is
+scale*(A/d^2 - B/d^4 + C/d^6), three moments free of d in one batch,
+which each distance tightens until its own value certifies.
 
 The mutual channel carries an overall coupling_scale multiplier (the
 absolute cross-prefactor between the two channels is calibration-grade;
 DEFAULT_COUPLING_SCALE pins the 100 nm default run to a 0.030 s
 synchronization time).
 
-The vacuum channel does not depend on the distance, so its integrals,
-gamma_s and the vacuum torque at each spin, are kept for the life of the
-process in one memo keyed on every input of the integral. A kept value
-is an immutable IntegrationResult with the bits a fresh integral
-returns. Errors are not kept, nothing that depends on the distance is
-kept, and the memo holds at most MEMO_ENTRIES values, dropping the
-oldest first; clear_memo empties it and the panel plan.
+gamma_s, the vacuum torque at each spin and the gap moments do not
+depend on the distance, so they are kept for the life of the process in
+one memo keyed on every input of the integral but coupling_scale, which
+scales after. A kept value is an immutable IntegrationResult with the
+bits a fresh integral returns. Errors are not kept, nothing that depends
+on the distance is kept, and the memo holds at most MEMO_ENTRIES values,
+dropping the oldest first; clear_memo empties it and the panel plan.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ __all__ = [
     "gamma_s",
     "gamma_b",
     "friction_coefficients",
-    "sweep_friction_coefficients",
+    "gamma_b_sign_edge",
     "check_point_dipole",
     "MEMO_ENTRIES",
     "clear_memo",
@@ -92,9 +96,9 @@ SPIN_DIRECT_FLOOR = 1e6
 # Mutual-channel magnitude calibration; see module docstring.
 DEFAULT_COUPLING_SCALE = 3.81e22
 
-# Bound of the vacuum-channel memo: a spin-up keeps at most 65 node
-# torques and one gamma_s per omega1 and setting (the panel plan has its
-# own bound, quadrature._PLAN_WINDOWS windows)
+# Bound of the memo: at most 65 node torques and one gamma_s per omega1
+# and setting, and three gap moments per setting and tolerance (the
+# panel plan has its own bound, quadrature._PLAN_WINDOWS windows)
 MEMO_ENTRIES = 4096
 
 _memo: dict[tuple, IntegrationResult] = {}
@@ -109,8 +113,8 @@ def _remember(key: tuple, value: IntegrationResult) -> None:
 
 
 def clear_memo() -> None:
-    """Forget every kept gamma_s and vacuum torque, and the panel plan,
-    so the next integrals run as in a fresh process."""
+    """Forget every kept gamma_s, gap moment and vacuum torque, and the
+    panel plan, so the next integrals run as in a fresh process."""
     with _memo_lock:
         _memo.clear()
     _clear_plan()
@@ -466,32 +470,52 @@ def gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfi
     return _gamma_s_result(particle, thermal, quad).value
 
 
-def _gamma_b_results(
-    distances: Sequence[float],
-    particle: ParticleSpec,
-    T: float,
-    quad: QuadratureConfig,
-    coupling_scale: float = DEFAULT_COUPLING_SCALE,
-) -> list[IntegrationResult | NanospinError]:
-    """gamma_b at each distance: its IntegrationResult, or the error that
-    distance raises. All integrals run in lockstep, one kernel call per
-    round, each with the bits it has alone."""
+def _gap_moments(particle: ParticleSpec, T: float, quad: QuadratureConfig) -> list[IntegrationResult]:
+    """The gap channel's distance-free moments A, B and C, the integrals
+    of 8 k^(-2j) W' s for j = 0, 1, 2, in one lockstep batch, from the
+    memo when it holds them; raises the first error."""
 
     def kernel_at(columns: np.ndarray):
         def kernel(w, owners):
             s = im_polarizability(w, particle)
             ds = d_im_polarizability(w, particle)
-            return 4.0 * abs2_transverse_sum(columns[owners], w) * _d_weight(s, ds, w, T) * s
+            return 8.0 * _d_weight(s, ds, w, T) * s * (CONSTANTS.c / w) ** (2.0 * columns[owners])
 
         return kernel
 
-    return _integrals(
-        [(d,) for d in distances],
-        lambda d: check_point_dipole(d, particle),
-        lambda: _window(quad, particle, ThermalState(T, T)),
-        kernel_at,
-        _gap_scale(coupling_scale),
+    memo = ("gap", particle, T, quad)
+    results = _integrals(
+        [(0.0,), (1.0,), (2.0,)], lambda j: None, lambda: _window(quad, particle, ThermalState(T, T)), kernel_at, 1.0, memo
     )
+    return [_alone([r]) for r in results]
+
+
+def _gamma_b_result(
+    d: float, particle: ParticleSpec, T: float, quad: QuadratureConfig, coupling_scale: float = DEFAULT_COUPLING_SCALE
+) -> IntegrationResult:
+    """gamma_b at d as scale*(A/d^2 - B/d^4 + C/d^6), with the error
+    estimate |scale|*(e_A/d^2 + e_B/d^4 + e_C/d^6) and the moments'
+    summed panels and evaluations. Until the estimate meets
+    rel_tol*|gamma_b|, the moments are integrated again at rel_tol/10,
+    /100, ...; once it stops falling, at their roundoff floor, the
+    smallest estimate is returned."""
+    check_point_dipole(d, particle)
+    scale, powers = _gap_scale(coupling_scale), (d**-2, -(d**-4), d**-6)
+    best, tol = None, quad.rel_tol
+    while True:
+        moments = _gap_moments(particle, T, replace(quad, rel_tol=tol))
+        res = IntegrationResult(
+            scale * sum(p * m.value for p, m in zip(powers, moments)),
+            abs(scale) * sum(abs(p) * m.error_estimate for p, m in zip(powers, moments)),
+            sum(m.panels for m in moments),
+            sum(m.evaluations for m in moments),
+        )
+        if best is not None and res.error_estimate >= best.error_estimate:
+            return best
+        best = res
+        if res.error_estimate <= quad.rel_tol * abs(res.value):
+            return res
+        tol /= 10.0
 
 
 def gamma_b(
@@ -504,42 +528,19 @@ def gamma_b(
 ) -> float:
     """Mutual drag per unit spin difference (N*m*s): the slope of
     mutual_torque in (omega01 - omega02) at zero spins."""
-    return _alone(_gamma_b_results([d], particle, T, quad, coupling_scale)).value
+    return _gamma_b_result(d, particle, T, quad, coupling_scale).value
+
+
+def gamma_b_sign_edge(particle: ParticleSpec, T: float, quad: QuadratureConfig) -> float | None:
+    """The smallest distance (m) at which gamma_b changes sign, the
+    smallest positive root of A d^4 - B d^2 + C, or None without one."""
+    a, b, c = (m.value for m in _gap_moments(particle, T, quad))
+    roots = [x.real for x in np.roots([a, -b, c]) if x.imag == 0.0 and x.real > 0.0]
+    return math.sqrt(min(roots)) if roots else None
 
 
 def _diagnostics(res: IntegrationResult) -> dict:
     return {"error_estimate_Nms": res.error_estimate, "panels": res.panels, "evaluations": res.evaluations}
-
-
-def sweep_friction_coefficients(
-    particle: ParticleSpec,
-    distances: Sequence[float],
-    thermal: ThermalState,
-    quad: QuadratureConfig,
-    *,
-    coupling_scale: float = DEFAULT_COUPLING_SCALE,
-) -> list[tuple[FrictionCoefficients, dict] | NanospinError]:
-    """friction_coefficients at each distance in one pass.
-
-    gamma_s, which does not depend on distance, is integrated once; the
-    gamma_b integrals run in lockstep. Each entry is the pair
-    friction_coefficients returns for that distance, bit for bit, or the
-    NanospinError it raises there.
-    """
-    try:
-        rs = _gamma_s_result(particle, thermal, quad)
-        rbs = _gamma_b_results(distances, particle, thermal.T, quad, coupling_scale)
-    except NanospinError as exc:
-        return [exc] * len(distances)
-    return [
-        rb
-        if isinstance(rb, NanospinError)
-        else (
-            FrictionCoefficients(gamma_s=rs.value, gamma_b=rb.value),
-            {"gamma_s": _diagnostics(rs), "gamma_b": _diagnostics(rb)},
-        )
-        for rb in rbs
-    ]
 
 
 def friction_coefficients(
@@ -560,4 +561,6 @@ def friction_coefficients(
     """
     if thermal_weight != "symmetrized" or coth_half_argument is not False:
         raise ConfigError("the gap channel weighs by n + 1/2 and the vacuum channel by coth(hbar*omega/k_B T)")
-    return _alone(sweep_friction_coefficients(particle, [d], thermal, quad, coupling_scale=coupling_scale))
+    rs = _gamma_s_result(particle, thermal, quad)
+    rb = _gamma_b_result(d, particle, thermal.T, quad, coupling_scale)
+    return FrictionCoefficients(gamma_s=rs.value, gamma_b=rb.value), {"gamma_s": _diagnostics(rs), "gamma_b": _diagnostics(rb)}

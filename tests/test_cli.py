@@ -220,27 +220,15 @@ class TestSweep:
         assert "failures" not in doc
         assert [r["distance_m"] for r in doc["runs"]] == distances
 
-    def test_nonlinear_sweep_integrates_gamma_s_once(self, tmp_path, monkeypatch, integrals):
-        # the solver reuses the sweep's coefficients instead of integrating
-        # gamma_s again per distance, and writes the bytes of a lone run.
-        # The vacuum node batch does not depend on distance either: one for
-        # the sweep, next to one gamma_b batch and one gap batch per distance
-        import nanospin.torque as torque_mod
-
+    def test_nonlinear_sweep_integrates_gamma_s_once(self, tmp_path, integrals):
+        # gamma_s, the gap moments and the vacuum node batch do not depend
+        # on distance: one of each for the sweep, next to one gap node batch
+        # per distance, and each distance writes the bytes of a lone run
         distances = [5e-8, 1e-7, 2e-7]
         base = {"omega1_rad_per_s": 1e10, "mode": "nonlinear"}
-        real = torque_mod._gamma_s_result
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(torque_mod, "_gamma_s_result", counted)
         run_sweep(parse_config(json.dumps(dict(base, distances_m=distances, out_dir=str(tmp_path / "sweep")))))
-        assert len(calls) == 1
         assert sorted(name for name, _ in integrals) == sorted(
-            ["_gamma_s_result", "_gamma_b_results", "_vacuum_torques"] + ["_mutual_torques"] * 3
+            ["_gamma_s_result", "_gap_moments", "_vacuum_torques"] + ["_mutual_torques"] * 3
         )
         rows = long_rows(tmp_path / "sweep")
         assert list(rows) == [format(d, ".17g") for d in distances]
@@ -249,6 +237,15 @@ class TestSweep:
             sub = tmp_path / "sweep" / f"d_{d:.6g}"
             assert rows[format(d, ".17g")] == csv_body(alone.trajectory_csv), d
             assert (sub / "summary.json").read_bytes() == alone.summary_json.read_bytes(), d
+
+    def test_sweep_integrates_gamma_s_and_the_moments_alone(self, tmp_path, integrals):
+        # 64 distances from 50 nm to 1 um all certify on the kept moments:
+        # two integral calls, four integrands, where a gamma_b integral per
+        # distance made 65
+        distances = np.exp(np.random.default_rng(20).uniform(np.log(5e-8), np.log(1e-6), 64)).tolist()
+        doc = run_sweep(parse_config(json.dumps({"distances_m": distances, "out_dir": str(tmp_path)})))
+        assert len(doc["runs"]) == 64 and doc["failed_distances_m"] == []
+        assert integrals == [("_gamma_s_result", 1), ("_gap_moments", 3)]
 
     def test_same_root_rerun_is_byte_identical(self, tmp_path):
         sweep = parse_config(json.dumps({"distances_m": [5e-8, 1e-7], "out_dir": str(tmp_path)}))
@@ -309,6 +306,34 @@ class TestSweep:
         assert long_rows(tmp_path) == {}
         assert not list(tmp_path.glob("d_*"))
 
+    def test_a_distance_whose_coefficients_fail_keeps_its_slot(self, tmp_path, monkeypatch):
+        import nanospin.cli as cli_mod
+
+        real = cli_mod.coefficients_for
+
+        def flaky(cfg):
+            if cfg.distance == 1e-7:
+                raise ConfigError("synthetic coefficient failure")
+            return real(cfg)
+
+        monkeypatch.setattr(cli_mod, "coefficients_for", flaky)
+        sweep = parse_config(json.dumps({"distances_m": [2e-7, 1e-7, 5e-8], "out_dir": str(tmp_path)}))
+        with pytest.raises(ConfigError, match="synthetic"):
+            run_sweep(sweep)
+        table = json.loads((tmp_path / "sweep_summary.json").read_text(encoding="utf-8"))
+        assert table["failures"] == [{"distance_m": 1e-7, "error": "ConfigError", "message": "synthetic coefficient failure"}]
+        assert [r["distance_m"] for r in table["runs"]] == [5e-8, 2e-7]
+        assert list(long_rows(tmp_path)) == [format(d, ".17g") for d in (5e-8, 2e-7)]
+
+    def test_gamma_s_failure_fails_every_distance(self, tmp_path, capsys):
+        # 2e14 rad/s cuts into the resonant tail of gamma_s, which every distance needs
+        doc = {"distances_m": [5e-8, 1e-7], "omega_max_rad_per_s": 2e14, "out_dir": str(tmp_path)}
+        assert main(["sweep", "--config", write_config(tmp_path / "c.json", doc)]) == 2
+        assert "omega_max" in capsys.readouterr().err
+        table = json.loads((tmp_path / "sweep_summary.json").read_text(encoding="utf-8"))
+        assert table["runs"] == [] and table["failed_distances_m"] == [5e-8, 1e-7]
+        assert all(f["error"] == "TailNotNegligibleError" and "omega_max" in f["message"] for f in table["failures"])
+
     def test_gamma_s_is_read_from_the_first_written_run(self, tmp_path, monkeypatch):
         import nanospin.cli as cli_mod
 
@@ -360,7 +385,7 @@ class TestSweep:
         import nanospin.cli as cli_mod
 
         solved = []
-        monkeypatch.setattr(cli_mod, "sweep_coefficients_for", lambda *args: solved.append(args) or [])
+        monkeypatch.setattr(cli_mod, "coefficients_for", lambda *args: solved.append(args) or [])
         cfg = write_config(
             tmp_path / "c.json", {"distances_m": [1e-7, 1.0000001e-7, 1.0000002e-7], "out_dir": str(tmp_path / "o")}
         )
@@ -455,6 +480,7 @@ class TestMain:
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "a run needs gamma_b >= 0" in err and "near-field edge" in err
+        assert "near-field edge, 2.69118e-06 m for this particle" in err  # the root of the run's own moments
         assert "gamma_s" not in err  # the message names only the coefficient that failed
         assert not (tmp_path / "o").exists()
 

@@ -16,7 +16,7 @@ from nanospin import quadrature, torque
 from nanospin.config import RunConfig
 from nanospin.dynamics import solve_nonlinear
 from nanospin.quadrature import _WEIGHTS_G, _WEIGHTS_K, _NODES, IntegrationResult, integrate_with_diagnostics
-from nanospin.torque import _gamma_b_results, _gamma_s_result, _mutual_torques, clear_memo
+from nanospin.torque import _gamma_b_result, _gamma_s_result, _gap_moments, _mutual_torques, clear_memo
 
 ROUNDOFF = 50.0 * np.finfo(float).eps
 
@@ -222,18 +222,41 @@ def test_seeded_gamma_s_matches_oracle(monkeypatch, particle, thermal, quad):
         clear_memo()
         return _gamma_s_result(particle, thermal, quad)
 
-    assert_same_as_oracle(monkeypatch, lambda: seeded(lambda: _gamma_b_results([1e-7], particle, thermal.T, quad), route))
+    assert_same_as_oracle(monkeypatch, lambda: seeded(lambda: _gap_moments(particle, thermal.T, quad), route))
 
 
-# 2.691e-6 m lies at gamma_b's sign change: no 200 splits meet rel_tol
-# there, and the roundoff floor resolves it
+# the tolerances gamma_b tightens its moments to: 1e-9 certifies below
+# 1 um, 1e-12 at 2.7 um, and at 1e-14 every moment ends at its roundoff floor
+MOMENT_TOLERANCES = [1e-9, 1e-10, 1e-12, 1e-14]
+
+# 2.691e-6 m lies at gamma_b's sign change, where the moments reach
+# their roundoff floor before the distance certifies
 DISTANCES = [5e-8, 1e-7, 3.3e-7, 9.49e-7, 2.691e-6, 4e-6, 2e-5]
 
 
+def moments(particle, quad):
+    def route():
+        clear_memo()  # a memo hit would not reach the engine
+        return _gap_moments(particle, 300.0, quad)
+
+    return route
+
+
+def gamma_b_at(d, particle, quad):
+    def route():
+        clear_memo()
+        return _gamma_b_result(d, particle, 300.0, quad)
+
+    return route
+
+
 def test_gamma_b_matches_oracle_batched_and_lone(monkeypatch, particle, quad):
-    assert_same_as_oracle(monkeypatch, lambda: _gamma_b_results(DISTANCES, particle, 300.0, quad))
-    for d in DISTANCES[::2]:
-        assert_same_as_oracle(monkeypatch, lambda: _gamma_b_results([d], particle, 300.0, quad))
+    # the three moments as one batch at each tolerance, then gamma_b at
+    # each distance with the tightening it needs
+    for rel_tol in MOMENT_TOLERANCES:
+        assert_same_as_oracle(monkeypatch, moments(particle, QuadratureConfig(rel_tol=rel_tol)))
+    for d in DISTANCES:
+        assert_same_as_oracle(monkeypatch, gamma_b_at(d, particle, quad))
 
 
 # the degree-8 nodes of a 1e10 spin-up plus the gap torque at rest
@@ -241,14 +264,17 @@ NODE_SPINS = [(1e10, w) for w in np.linspace(1e9, 9e9, 9).tolist()] + [(1e10, 0.
 
 
 def test_seeded_gamma_b_matches_oracle_batched_and_lone(monkeypatch, particle, quad):
-    # seeded from a mutual node batch; the lone distances include 2.691 um,
-    # where the roundoff floor ends the refinement
-    def fill():
-        return _mutual_torques(NODE_SPINS, 1e-7, particle, 300.0, quad)
+    # seeded from a mutual node batch on the same window, as at a sweep's
+    # next distance; at 1e-14 the roundoff floor ends every refinement.
+    # The distances certify at rel_tol, so gamma_b stays on the seeded window
+    def fill(q):
+        return lambda: _mutual_torques(NODE_SPINS, 1e-7, particle, 300.0, q)
 
-    assert_same_as_oracle(monkeypatch, lambda: seeded(fill, lambda: _gamma_b_results(DISTANCES, particle, 300.0, quad)))
-    for d in DISTANCES[::2]:
-        assert_same_as_oracle(monkeypatch, lambda: seeded(fill, lambda: _gamma_b_results([d], particle, 300.0, quad)))
+    for rel_tol in MOMENT_TOLERANCES:
+        tight = QuadratureConfig(rel_tol=rel_tol)
+        assert_same_as_oracle(monkeypatch, lambda: seeded(fill(tight), moments(particle, tight)))
+    for d in (5e-8, 3.3e-7, 2e-5):
+        assert_same_as_oracle(monkeypatch, lambda: seeded(fill(quad), gamma_b_at(d, particle, quad)))
 
 
 @pytest.mark.parametrize(("d", "max_subdivisions"), [(1e-7, 200), (9.49e-7, 200), (3e-7, 27)])
@@ -260,13 +286,13 @@ def test_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_subdivis
 
 @pytest.mark.parametrize(("d", "max_subdivisions"), [(1e-7, 200), (9.49e-7, 200), (3e-7, 27)])
 def test_seeded_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_subdivisions):
-    # seeded from gamma_b at the same distance and settings, as in a spin-up;
+    # seeded from the gap moments at the same settings, as in a spin-up;
     # at 300 nm with 27 splits the batch stays ..F.....FF
     quad = QuadratureConfig(max_subdivisions=max_subdivisions)
     assert_same_as_oracle(
         monkeypatch,
         lambda: seeded(
-            lambda: _gamma_b_results([d], particle, 300.0, quad),
+            lambda: [outcome(lambda: _gap_moments(particle, 300.0, quad))],
             lambda: _mutual_torques(NODE_SPINS, d, particle, 300.0, quad),
         ),
     )
@@ -278,9 +304,16 @@ def test_a_starved_mutual_batch_mixes_outcomes(particle):
 
 
 def test_floor_resolves_the_sign_change_of_gamma_b(particle, quad):
-    (res,) = _gamma_b_results([2.691e-6], particle, 300.0, quad)
-    assert isinstance(res, IntegrationResult) and res.value > 0.0
-    assert res.panels == quad.max_subdivisions + 4  # every split made, then the floor
+    # at 2.691 um gamma_b tightens its moments until their estimate stops
+    # falling: at rel_tol 1e-13 every moment has made all its splits and
+    # lies within its roundoff floor, so 1e-14 changes nothing, and the
+    # value comes back with its estimate, above rel_tol * |gamma_b|
+    res = _gamma_b_result(2.691e-6, particle, 300.0, quad)
+    floor = _gap_moments(particle, 300.0, QuadratureConfig(rel_tol=1e-13))
+    assert [m.panels for m in floor] == [quad.max_subdivisions + 4] * 3  # every split made, then the floor
+    assert _gap_moments(particle, 300.0, QuadratureConfig(rel_tol=1e-14)) == floor
+    assert res.value > 0.0 and res.error_estimate > quad.rel_tol * res.value
+    assert res.panels == sum(m.panels for m in floor)
 
 
 def synthetic(w, owners):
@@ -339,14 +372,15 @@ def test_vecdot_rows_match_one_dimensional_dots():
 
 
 def test_spin_up_kernel_calls(monkeypatch, particle, thermal, quad):
-    # the four integrals of a cold 1e10 / 100 nm spin-up (gamma_s, gamma_b
-    # and one node batch per channel) took 97 panel calls one split per
-    # round, 32 with speculative requests and 14 with each seeded from the
-    # last; a later distance integrates gamma_b and the mutual node batch
-    # alone, in 18 calls unseeded and 10 seeded within the call. The plan
-    # outlives the call: the second distance's gamma_b starts from the
+    # the four integrals of a cold 1e10 / 100 nm spin-up (gamma_s, the gap
+    # moments and one node batch per channel) take 15 panel calls, each
+    # seeded from the last (14 when gamma_b was one direct integral, whose
+    # kernel asked for fewer panels than the three moments). A later
+    # distance reads gamma_b off the kept moments and integrates the
+    # mutual node batch alone: the second distance's batch starts from the
     # vacuum node batch that ended the first, and every later one from the
-    # mutual node batch of the distance before
+    # mutual node batch of the distance before (5 and 3 calls with a
+    # gamma_b integral per distance)
     calls = []
     panels = quadrature._panels
     monkeypatch.setattr(quadrature, "_panels", lambda *args: calls.append(1) or panels(*args))
@@ -357,9 +391,9 @@ def test_spin_up_kernel_calls(monkeypatch, particle, thermal, quad):
         return len(calls)
 
     clear_memo()
-    assert spin_up(1e-7) <= 14
-    assert spin_up(3.3e-7) <= 5
-    assert spin_up(5e-7) <= 3
+    assert spin_up(1e-7) <= 15
+    assert spin_up(3.3e-7) <= 4
+    assert spin_up(5e-7) <= 1
     assert quadrature._plan
     clear_memo()
     assert not quadrature._plan

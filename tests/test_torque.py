@@ -44,12 +44,12 @@ from nanospin.quadrature import resolved
 from nanospin.greens import abs2_transverse_sum, im_g_self_transverse_sum
 from nanospin.torque import (
     SPIN_DIRECT_FLOOR,
-    _gamma_b_results,
+    _gamma_b_result,
     _mutual_torques,
     _thermal_breakpoints,
     _vacuum_torques,
     clear_memo,
-    sweep_friction_coefficients,
+    gamma_b_sign_edge,
 )
 
 from test_quadrature import reference_integrate
@@ -341,56 +341,58 @@ class TestCoefficients:
         assert gamma_s(particle, ThermalState(T=600.0, T0=300.0), quad) > 0.0
 
 
-def abs2_one_distance(d, w):
-    """2|g_t|^2 for one float distance, with d**6 in Python's float power."""
-    k = w / CONSTANTS.c
-    u = (k * d) ** 2
-    return 2.0 * (u * u - u + 1.0) / (k**4 * d**6)
+def quadpack_gap(d, particle, quad, T=300.0, warn="error"):
+    """gamma_b at d from the direct per-distance kernel 4 * 2|g_t|^2 * W' * s,
+    built from public functions and integrated by QUADPACK at epsrel 1e-11
+    over the gap window, with points at both resonances and at k_B T /
+    hbar: the value and QUADPACK's error estimate, both scaled. An
+    IntegrationWarning fails unless warn is "ignore"."""
+
+    def kernel(w):
+        x = np.array([w])
+        return float((4.0 * abs2_transverse_sum(d, x) * d_weight_oracle(x, particle, T) * im_polarizability(x, particle))[0])
+
+    hi = default_omega_max(ThermalState(T, T), particle)
+    points = [particle.dielectric.omega_T, particle.dielectric.omega_L, CONSTANTS.k_B * T / CONSTANTS.hbar]
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn, IntegrationWarning)
+        value, error = quadpack(kernel, quad.omega_min, hi, points=points, epsrel=1e-11, epsabs=0.0, limit=400)
+    scale = DEFAULT_COUPLING_SCALE * 4.0 * np.pi * CONSTANTS.hbar
+    return scale * value, scale * error
 
 
-class TestSweepCoefficients:
-    # seeded log-uniform separations plus the two frozen-trajectory ones;
-    # numpy's array power rounds d**6 differently for a few percent of them
-    DISTANCES = np.exp(np.random.default_rng(20).uniform(np.log(5e-8), np.log(1e-6), 62)).tolist() + [1e-7, 9.49e-7]
+class TestGapChannelReference:
+    """gamma_b in its moment form, scale*(A/d^2 - B/d^4 + C/d^6), against
+    the direct per-distance kernel integrated by QUADPACK."""
 
-    def test_batched_gamma_b_is_bit_identical_to_one_distance(self, particle, quad):
-        batch = _gamma_b_results(self.DISTANCES, particle, 300.0, quad)
-        q = resolved(quad, default_omega_max(ThermalState(), particle), _thermal_breakpoints(particle, 300.0))
-        scale = DEFAULT_COUPLING_SCALE * 4.0 * np.pi * CONSTANTS.hbar
-        for d, got in zip(self.DISTANCES, batch):
-            assert [got] == _gamma_b_results([d], particle, 300.0, quad), d
-            # and to the one-panel-at-a-time engine on the scalar-distance kernel
-            ref = reference_integrate(
-                lambda w: 4.0
-                * abs2_one_distance(d, w)
-                * d_weight_oracle(w, particle, 300.0)
-                * im_polarizability(w, particle),
-                q,
-            )
-            assert (got.value, got.error_estimate) == (scale * ref.value, scale * ref.error_estimate), d
-            assert (got.panels, got.evaluations) == (ref.panels, ref.evaluations), d
+    # 3.5 um lies past the sign edge, where QUADPACK still converges at 1e-11
+    @pytest.mark.parametrize("d", [5e-8, 1e-7, 9.49e-7, 2e-6, 3.5e-6])
+    def test_certified_distances(self, particle, quad, d):
+        expected, _ = quadpack_gap(d, particle, quad)
+        res = _gamma_b_result(d, particle, 300.0, quad)
+        assert res.value == pytest.approx(expected, rel=1e-8, abs=0.0)
+        assert res.error_estimate <= quad.rel_tol * abs(res.value)
 
-    def test_sweep_matches_friction_coefficients(self, particle, thermal, quad):
-        distances = [5e-8, 1e-7, 4e-8, 9.49e-7]  # 40 nm is below 10*radius
-        results = sweep_friction_coefficients(particle, distances, thermal, quad)
-        assert isinstance(results[2], ConfigError) and "point-dipole" in str(results[2])
-        for i in (0, 1, 3):
-            assert results[i] == friction_coefficients(particle, distances[i], thermal, quad)
+    def test_at_the_sign_edge(self, particle, quad):
+        # at 2.691 um both quadratures end at their roundoff floors:
+        # QUADPACK warns and reports about 1.7e-8 relative, the moments
+        # about 1.1e-8, and the two values lie about 2.4e-8 apart
+        expected, error = quadpack_gap(2.691e-6, particle, quad, warn="ignore")
+        res = _gamma_b_result(2.691e-6, particle, 300.0, quad)
+        assert res.value > 0.0 and expected > 0.0
+        assert res.error_estimate > quad.rel_tol * abs(res.value)  # reported, not certified
+        assert abs(res.value - expected) <= res.error_estimate + error
 
-    def test_a_failing_distance_keeps_its_slot(self, particle, quad):
-        distances = [1e-7, 4e-8, 2e-7]  # 40 nm is below 10*radius
-        batch = _gamma_b_results(distances, particle, 300.0, quad)
-        with pytest.raises(ConfigError) as lone:
-            gamma_b(4e-8, particle, 300.0, quad)
-        assert type(batch[1]) is ConfigError and str(batch[1]) == str(lone.value)
-        for i in (0, 2):
-            assert repr(batch[i]) == repr(_gamma_b_results([distances[i]], particle, 300.0, quad)[0])
-            assert repr(batch[i].value) == repr(gamma_b(distances[i], particle, 300.0, quad))
+    def test_sign_edge_is_a_sign_change(self, particle, quad):
+        edge = gamma_b_sign_edge(particle, 300.0, quad)
+        assert edge == pytest.approx(2.69118e-6, rel=1e-5, abs=0.0)
+        assert gamma_b(edge * (1.0 - 1e-3), particle, 300.0, quad) > 0.0 > gamma_b(edge * (1.0 + 1e-3), particle, 300.0, quad)
 
-    def test_gamma_s_failure_fails_every_distance(self, particle, thermal):
-        low_cutoff = QuadratureConfig(omega_max=2e14)
-        results = sweep_friction_coefficients(particle, [5e-8, 1e-7], thermal, low_cutoff)
-        assert all(isinstance(r, ConfigError) and "omega_max" in str(r) for r in results)
+    def test_strictly_decreasing_over_seeded_distances(self, particle, quad):
+        distances = np.sort(np.exp(np.random.default_rng(20).uniform(np.log(5e-8), np.log(1e-6), 64)))
+        values = [_gamma_b_result(d, particle, 300.0, quad) for d in distances.tolist()]
+        assert all(a.value > b.value > 0.0 for a, b in zip(values, values[1:]))
+        assert all(r.error_estimate <= quad.rel_tol * r.value for r in values)
 
 
 def lobatto_nodes(lo, hi, n=8):
@@ -485,9 +487,9 @@ class TestSpinBatches:
 
 
 class TestMemo:
-    """gamma_s and the vacuum torques are kept for the life of the
-    process, keyed on every input of their integrals; a kept value has
-    the bits of a fresh integral, and errors are not kept."""
+    """gamma_s, the gap moments and the vacuum torques are kept for the
+    life of the process, keyed on every input of their integrals; a kept
+    value has the bits of a fresh integral, and errors are not kept."""
 
     def test_warm_calls_return_the_cold_bits(self, particle, thermal, quad, integrals):
         def calls():
@@ -499,19 +501,20 @@ class TestMemo:
             ]
 
         cold = calls()
-        # one gamma_s; the batch integrates only the two spins not yet kept
+        # one gamma_s and one moment batch; the spin batch integrates only
+        # the two spins not yet kept
         assert integrals == [
             ("_gamma_s_result", 1),
-            ("_gamma_b_results", 1),
+            ("_gap_moments", 3),
             ("_vacuum_torques", 1),
             ("_vacuum_torques", 2),
         ]
         warm = calls()
-        assert integrals[4:] == [("_gamma_b_results", 1)]
+        assert len(integrals) == 4
         assert repr(warm) == repr(cold)
         clear_memo()
         assert repr(calls()) == repr(cold)
-        assert len(integrals) == 9
+        assert len(integrals) == 8
 
     @pytest.mark.parametrize(
         "field, value",
@@ -530,6 +533,17 @@ class TestMemo:
             gamma_s(*inputs)
             vacuum_torque(5e9, *inputs)
         assert integrals == [("_gamma_s_result", 1), ("_vacuum_torques", 1)] * 2
+
+    def test_gap_moments_serve_every_distance_and_coupling_scale(self, particle, quad, integrals):
+        # one moment batch per particle, temperature and quadrature; a
+        # distance that needs tighter moments adds a batch at rel_tol/10
+        values = [gamma_b(d, particle, 300.0, quad, coupling_scale=k) for d in (5e-8, 1e-7, 9.49e-7) for k in (1.0, 2.0)]
+        assert integrals == [("_gap_moments", 3)]
+        assert values[1] == 2.0 * values[0] and values[3] == 2.0 * values[2]
+        gamma_b(2e-6, particle, 300.0, quad)
+        gamma_b(1e-7, particle, 310.0, quad)
+        gamma_b(1e-7, ParticleSpec(radius=6e-9), 300.0, quad)
+        assert integrals == [("_gap_moments", 3)] * 4
 
     def test_allow_small_spins_is_keyed(self, particle, thermal, quad, integrals):
         for allow in (False, True, False, True):
