@@ -311,8 +311,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
 
     nanospin.torque keeps gamma_s, the gap moments and the vacuum node
     torques, so a later run at another distance integrates only the mutual
-    nodes, for the bits a first run returns, seeded from the process's
-    panel plan.
+    nodes, for the bits a first run returns.
 
     coeffs, when given, must be coefficients_for(config). gamma_b < 0
     raises ConfigError: the follower would spin backwards, outside the

@@ -8,27 +8,12 @@ al., 1983). The engine is deterministic: identical inputs produce an
 identical panel sequence and an identical float result.
 
 It also runs many integrands in lockstep, such as the nodes of a torque
-surrogate or the gap channel's three moments, in few kernel calls. Each
-integrand replays the one-split-at-a-time greedy loop over a table of
-evaluated panels. When the loop needs a panel the table lacks, the
-integrand requests the halves and quarters of the panel it is splitting
-(bisection chains toward a resonance) and the halves of its worst
-panels, in heap order, whose errors the tolerance still has to lose; one
-kernel call per round evaluates the requests of every integrand. A panel
-the replay never reaches is neither counted nor able to raise, so each
-integrand keeps the panels and bits it has when integrated alone.
-
-The integrals of every spin-up and sweep share a spectrum dominated by
-the same resonance, so the panels one integral's refinement reached are
-an almost exact first round for the next on the same window (the
-resolved QuadratureConfig). The panel plan keeps, for the life of the
-process, the panels the last lockstep call on each window reached; each
-call's first round also evaluates them for every integrand, and the call
-then leaves its own there. Those are requests like any other, so every
-bit, panel count and evaluation count stays as it is, whatever ran
-before and on whichever thread: only the number of kernel calls changes.
-The plan holds at most _PLAN_WINDOWS windows, dropping the oldest first;
-torque.clear_memo empties it.
+surrogate or the gap channel's three moments: each round splits the
+worst panel of every unfinished integrand, and one kernel call
+evaluates all of that round's halves. An integrand's panels and sums do
+not depend on the others in its batch, so each keeps the panels and
+bits it has when integrated alone, whatever ran before and on whichever
+thread.
 
 An integrand whose splits run out with its error sum at or below
 QUADPACK's roundoff floor, 50 eps times the integral of |f|, is
@@ -47,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -177,7 +161,7 @@ def _panels(kernel, owners: np.ndarray, a: np.ndarray, b: np.ndarray):
         raise ConfigError("kernel must map a float array to a same-shape array")
     finite = np.isfinite(y).all(axis=1)
     if not finite.all():
-        y = np.where(finite[:, None], y, 0.0)  # sums of 0; such a panel raises if it is reached
+        y = np.where(finite[:, None], y, 0.0)  # sums of 0; the panel fails its integrand
     ay = np.abs(y)
     i15 = half * np.vecdot(y, _WEIGHTS_K)
     err = np.abs(i15 - half * np.vecdot(y, _WEIGHTS_G))
@@ -191,13 +175,10 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 class _Integral:
-    """One integrand's greedy refinement, replayed over a table of
-    evaluated panels."""
+    """One integrand's greedy refinement: its panels in a heap by error,
+    its running sums and its outcome."""
 
-    def __init__(self, edges: list[float]) -> None:
-        # (a, b) -> (I15, error, integral of |f|, peak |f|, finite)
-        self.table: dict[tuple[float, float], tuple[float, float, float, float, bool]] = {}
-        self.pending = list(zip(edges[:-1], edges[1:]))  # panels to add next, in order
+    def __init__(self) -> None:
         self.heap: list[tuple[float, int, float, float, float, float]] = []
         self.pushes = itertools.count()  # ties in error pop in insertion order
         self.total = 0.0
@@ -206,122 +187,68 @@ class _Integral:
         self.peak = 0.0
         self.evals = 0
         self.splits = 0
-        self.reached: list[tuple[float, float]] = []  # panels added, in order
         self.outcome: IntegrationResult | NanospinError | None = None
 
-    def tolerance(self, quad: QuadratureConfig) -> float:
-        """The error sum the ordinary stopping test allows."""
-        return quad.rel_tol * abs(self.total)
+    def add(self, panel: tuple[float, float], entry: tuple[float, float, float, float, bool]) -> None:
+        """Add an evaluated panel; a non-finite one fails the integrand."""
+        if self.outcome is not None:
+            return
+        (a, b), (i15, err, resabs, peak, finite) = panel, entry
+        if not finite:
+            self.outcome = ConvergenceError(
+                f"kernel is not finite inside panel [{a:.6e}, {b:.6e}]",
+                worst_panel=(a, b),
+            )
+            return
+        self.total += i15
+        self.err_total += err
+        self.resabs += resabs
+        if peak > self.peak:
+            self.peak = peak
+        self.evals += 15
+        heapq.heappush(self.heap, (-err, next(self.pushes), a, b, i15, resabs))
 
-    def replay(self, quad: QuadratureConfig) -> list[tuple[float, float]]:
-        """Run the greedy loop as far as the table reaches: add the
-        pending panels in order, stop once converged, else split the
-        worst panel. Returns the panels it needs evaluated to go on,
-        none once it has converged or failed."""
-        while True:
-            try:
-                entries = [self.table[p] for p in self.pending]
-            except KeyError:
-                return self.requests(quad)
-            for (a, b), (i15, err, resabs, peak, finite) in zip(self.pending, entries):
-                if not finite:
-                    self.outcome = ConvergenceError(
-                        f"kernel is not finite inside panel [{a:.6e}, {b:.6e}]",
-                        worst_panel=(a, b),
-                    )
-                    return []
-                self.total += i15
-                self.err_total += err
-                self.resabs += resabs
-                if peak > self.peak:
-                    self.peak = peak
-                heapq.heappush(self.heap, (-err, next(self.pushes), a, b, i15, resabs))
-            self.evals += 15 * len(entries)
-            self.reached += self.pending
-            if self.err_total <= self.tolerance(quad):
-                return []
-            if self.splits >= quad.max_subdivisions:
-                if self.err_total <= _ROUNDOFF * self.resabs:
-                    return []  # as far as binary64 resolves it
+    def split(self, quad: QuadratureConfig) -> list[tuple[float, float]]:
+        """The halves of the worst panel, which leaves the sums; none once
+        the integrand has converged or failed."""
+        if self.outcome is not None or self.err_total <= quad.rel_tol * abs(self.total):
+            return []
+        if self.splits >= quad.max_subdivisions:
+            if self.err_total > _ROUNDOFF * self.resabs:  # else as far as binary64 resolves it
                 neg_err, _, a, b, *_ = self.heap[0]
                 self.outcome = ConvergenceError(
                     f"no convergence after {self.splits} subdivisions; "
                     f"worst panel [{a:.6e}, {b:.6e}] error {-neg_err:.3e}",
                     worst_panel=(a, b),
                 )
-                return []
-            neg_err, _, a, b, i15, resabs = heapq.heappop(self.heap)
-            self.total -= i15
-            self.err_total += neg_err
-            self.resabs -= resabs
-            m = 0.5 * (a + b)
-            self.pending = [(a, m), (m, b)]
-            self.splits += 1
-
-    def requests(self, quad: QuadratureConfig) -> list[tuple[float, float]]:
-        """The pending panels; once splitting, also their halves, as
-        refinement chains toward a resonance; then the halves of the
-        worst panels, in heap order, until their errors cover the excess
-        of the error sum over the tolerance (the splits the greedy order
-        makes next unless new halves carry more error), at most as many
-        as the splits left."""
-        want = list(self.pending)
-        if self.splits:
-            for a, b in self.pending:
-                m = 0.5 * (a + b)
-                want += [(a, m), (m, b)]
-        excess = self.err_total - self.tolerance(quad)
-        budget = quad.max_subdivisions - self.splits
-        for neg_err, _, a, b, _, _ in sorted(self.heap):
-            if excess <= 0.0 or budget <= 0:
-                break
-            excess += neg_err
-            budget -= 1
-            m = 0.5 * (a + b)
-            want += [(a, m), (m, b)]
-        return [p for p in want if p not in self.table]
-
-
-# window -> the panels the last lockstep call on it reached; a spin-up
-# with T != T0 alternates two windows
-_PLAN_WINDOWS = 8
-_plan: dict[QuadratureConfig, list[tuple[float, float]]] = {}
-_plan_lock = threading.Lock()
-
-
-def _clear_plan() -> None:
-    with _plan_lock:
-        _plan.clear()
+            return []
+        neg_err, _, a, b, i15, resabs = heapq.heappop(self.heap)
+        self.total -= i15
+        self.err_total += neg_err
+        self.resabs -= resabs
+        self.splits += 1
+        m = 0.5 * (a + b)
+        return [(a, m), (m, b)]
 
 
 def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult | NanospinError]:
     """Integrate n integrands, each exactly as a lone one would be.
 
-    Every round evaluates the panels that all unfinished integrands
-    request in one kernel call, then replays each integrand's greedy
-    loop as far as its table of evaluated panels reaches. The first
-    round also evaluates, for each integrand, the panels the plan holds
-    for quad.
+    Every round splits the worst panel of each unfinished integrand, and
+    one kernel call evaluates all of the round's halves.
     """
     if quad.omega_max is None:
         raise ConfigError("omega_max unresolved; supply a value or use the torque-level entry points")
     lo, hi = quad.omega_min, quad.omega_max
     edges = [lo] + [b for b in quad.breakpoints if lo < b < hi] + [hi]
-    integrals = [_Integral(edges) for _ in range(n)]
-    seed = _plan.get(quad, [])
-    wanted = {j: list(dict.fromkeys(s.requests(quad) + seed)) for j, s in enumerate(integrals)}
-    while wanted:
-        owners = np.repeat(list(wanted), [len(panels) for panels in wanted.values()])
-        a, b = np.array([p for panels in wanted.values() for p in panels]).T
-        entries = _panels(kernel, owners, a, b)
-        for j, panels in wanted.items():  # zip draws from panels first: j takes its own rows
-            integrals[j].table.update(zip(panels, entries))
-        wanted = {j: panels for j in wanted if (panels := integrals[j].replay(quad))}
-    reached = list(dict.fromkeys(p for s in integrals for p in s.reached))
-    with _plan_lock:
-        while quad not in _plan and len(_plan) >= _PLAN_WINDOWS:
-            del _plan[next(iter(_plan))]  # the oldest window
-        _plan[quad] = reached
+    integrals = [_Integral() for _ in range(n)]
+    rows = [(j, panel) for j in range(n) for panel in zip(edges[:-1], edges[1:])]
+    while rows:
+        owners = np.array([j for j, _ in rows])
+        a, b = np.array([panel for _, panel in rows]).T
+        for (j, panel), entry in zip(rows, _panels(kernel, owners, a, b)):
+            integrals[j].add(panel, entry)
+        rows = [(j, panel) for j, s in enumerate(integrals) for panel in s.split(quad)]
 
     done = [j for j, s in enumerate(integrals) if s.outcome is None]
     if done:

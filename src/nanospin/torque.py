@@ -24,12 +24,11 @@ at any magnitude.
 The two torques, gamma_s and the gap moments run as batches through one
 pipeline, a lone call being a batch of one: each item gets a lone call's
 checks in order, the items that pass share one lockstep integral, each
-with the bits it has alone, and each result is scaled once. The window a
-batch passes, _window's resolved QuadratureConfig, is the key of the
-quadrature's process-wide panel plan: with T == T0 both channels share
-one window, so the gap moments start from the panels gamma_s reached,
-and each later batch on that window, in this call or a later one, from
-the panels of the one before.
+with the bits it has alone, and each result is scaled once. Every
+integral starts from panel edges at both resonances, at k_B T / hbar for
+each temperature, and graded around the phonon resonance omega_T, one
+edge per octave of the damping on each side (QUADPACK's points, Piessens
+et al., 1983): a first mesh that resolves the peak before any split.
 
 2|g_t|^2 = 2(1/d^2 - 1/(k^2 d^4) + 1/(k^4 d^6)), so gamma_b(d) is
 scale*(A/d^2 - B/d^4 + C/d^6), three moments free of d in one batch,
@@ -46,7 +45,7 @@ one memo keyed on every input of the integral but coupling_scale, which
 scales after. A kept value is an immutable IntegrationResult with the
 bits a fresh integral returns. Errors are not kept, nothing that depends
 on the distance is kept, and the memo holds at most MEMO_ENTRIES values,
-dropping the oldest first; clear_memo empties it and the panel plan.
+dropping the oldest first; clear_memo empties it.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ import numpy as np
 from .errors import ConfigError, NanospinError, PoleError, SmallSpinError
 from .greens import abs2_transverse_sum, im_g_self_transverse_sum
 from .material import CONSTANTS, ParticleSpec, d_im_polarizability, im_polarizability
-from .quadrature import IntegrationResult, QuadratureConfig, _clear_plan, integrate_with_diagnostics, resolved
+from .quadrature import IntegrationResult, QuadratureConfig, integrate_with_diagnostics, resolved
 from .quadrature import integrate  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.integrate
 
 __all__ = [
@@ -97,8 +96,7 @@ SPIN_DIRECT_FLOOR = 1e6
 DEFAULT_COUPLING_SCALE = 3.81e22
 
 # Bound of the memo: at most 65 node torques and one gamma_s per omega1
-# and setting, and three gap moments per setting and tolerance (the
-# panel plan has its own bound, quadrature._PLAN_WINDOWS windows)
+# and setting, and three gap moments per setting and tolerance
 MEMO_ENTRIES = 4096
 
 _memo: dict[tuple, IntegrationResult] = {}
@@ -113,11 +111,10 @@ def _remember(key: tuple, value: IntegrationResult) -> None:
 
 
 def clear_memo() -> None:
-    """Forget every kept gamma_s, gap moment and vacuum torque, and the
-    panel plan, so the next integrals run as in a fresh process."""
+    """Forget every kept gamma_s, gap moment and vacuum torque, so the
+    next integrals run as in a fresh process."""
     with _memo_lock:
         _memo.clear()
-    _clear_plan()
 
 
 @dataclass(frozen=True)
@@ -230,16 +227,19 @@ def default_omega_max(thermal: ThermalState, particle: ParticleSpec) -> float:
 
 
 def _thermal_breakpoints(particle: ParticleSpec, *temps: float) -> list[float]:
-    # a zero temperature's edge, 0, falls outside the window and is dropped
-    resonances = [particle.dielectric.omega_T, particle.dielectric.omega_L]
-    return resonances + [CONSTANTS.k_B * t / CONSTANTS.hbar for t in temps]
+    # the graded edges omega_T -+ 2**k * gamma, k = -2 .. 7, resolve the
+    # phonon peak in the first mesh; edges outside the window, such as a
+    # zero temperature's 0, are dropped
+    p = particle.dielectric
+    graded = [p.omega_T + sign * 2.0**k * p.gamma for k in range(-2, 8) for sign in (-1.0, 1.0)]
+    return [p.omega_T, p.omega_L] + graded + [CONSTANTS.k_B * t / CONSTANTS.hbar for t in temps]
 
 
 def _window(quad: QuadratureConfig, particle: ParticleSpec, thermal: ThermalState) -> QuadratureConfig:
     """quad over a channel's spectral window: default_omega_max unless
-    omega_max is set, with panel edges at both resonances and at k_B T /
-    hbar for each temperature. The vacuum channel passes its thermal
-    state, the gap channel ThermalState(T, T)."""
+    omega_max is set, with panel edges at both resonances, at k_B T /
+    hbar for each temperature and graded around omega_T. The vacuum
+    channel passes its thermal state, the gap channel ThermalState(T, T)."""
     return resolved(quad, default_omega_max(thermal, particle), _thermal_breakpoints(particle, thermal.T, thermal.T0))
 
 

@@ -1,9 +1,9 @@
-"""The lockstep engine against the engine it replaced: one split per
-integrand per round, each round's halves in one kernel call, and each
-panel's sums as 1-D dot products. The replayed engine evaluates panels
-ahead of need, in far fewer kernel calls; every result, error class and
-message must stay the same, bit for bit, and a panel the greedy order
-never reaches must not matter."""
+"""The lockstep engine against an independent implementation of the
+same algorithm: one split per integrand per round, each round's halves
+in one kernel call, and each panel's sums as 1-D dot products. Every
+result, error class and message must be the same, bit for bit, the
+engine must evaluate no panel the oracle does not, and a prior integral
+on the same window must leave no trace."""
 
 import heapq
 import itertools
@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nanospin import ConfigError, ConvergenceError, NanospinError, QuadratureConfig, TailNotNegligibleError
+from nanospin import ConfigError, ConvergenceError, NanospinError, QuadratureConfig, TailNotNegligibleError, ThermalState
 from nanospin import quadrature, torque
 from nanospin.config import RunConfig
 from nanospin.dynamics import solve_nonlinear
@@ -193,20 +193,12 @@ def assert_same_as_oracle(monkeypatch, route):
 
 
 def seeded(fill, route):
-    """route() on a fresh panel plan that fill(), an earlier and different
-    integral on the same window, has filled; a clear_memo() inside route
-    forgets the memo only. The oracle ignores the plan, so against it
-    every seeded panel is one the replay may or may not reach, and under
-    the NaN-elsewhere pass one that returns NaN."""
+    """route() right after fill(), an earlier and different integral on
+    the same window, on a cold memo; a clear_memo() inside route leaves
+    the engine nothing fill could have passed on."""
     clear_memo()
     fill()
-    windows = set(quadrature._plan)
-    assert windows or quadrature._lockstep is not ENGINE  # the oracle leaves the plan empty
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(torque, "_clear_plan", lambda: None)
-        result = route()
-    assert set(quadrature._plan) == windows  # route ran on a window fill had filled
-    return result
+    return route()
 
 
 def test_gamma_s_matches_oracle(monkeypatch, particle, thermal, quad):
@@ -264,9 +256,9 @@ NODE_SPINS = [(1e10, w) for w in np.linspace(1e9, 9e9, 9).tolist()] + [(1e10, 0.
 
 
 def test_seeded_gamma_b_matches_oracle_batched_and_lone(monkeypatch, particle, quad):
-    # seeded from a mutual node batch on the same window, as at a sweep's
-    # next distance; at 1e-14 the roundoff floor ends every refinement.
-    # The distances certify at rel_tol, so gamma_b stays on the seeded window
+    # after a mutual node batch on the same window, as at a sweep's next
+    # distance; at 1e-14 the roundoff floor ends every refinement. The
+    # distances certify at rel_tol, so gamma_b stays on the batch's window
     def fill(q):
         return lambda: _mutual_torques(NODE_SPINS, 1e-7, particle, 300.0, q)
 
@@ -277,17 +269,20 @@ def test_seeded_gamma_b_matches_oracle_batched_and_lone(monkeypatch, particle, q
         assert_same_as_oracle(monkeypatch, lambda: seeded(fill(quad), gamma_b_at(d, particle, quad)))
 
 
-@pytest.mark.parametrize(("d", "max_subdivisions"), [(1e-7, 200), (9.49e-7, 200), (3e-7, 27)])
+NODE_BATCHES = [(1e-7, 200), (9.49e-7, 200), (3e-7, 27), (9.49e-7, 8)]
+
+
+@pytest.mark.parametrize(("d", "max_subdivisions"), NODE_BATCHES)
 def test_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_subdivisions):
-    # with 27 splits at 300 nm, 7 integrands converge and 3 run out
+    # with 8 splits at 949 nm, 9 integrands converge and 1 runs out; at
+    # 300 nm the graded first mesh leaves 27 splits more than enough
     quad = QuadratureConfig(max_subdivisions=max_subdivisions)
     assert_same_as_oracle(monkeypatch, lambda: _mutual_torques(NODE_SPINS, d, particle, 300.0, quad))
 
 
-@pytest.mark.parametrize(("d", "max_subdivisions"), [(1e-7, 200), (9.49e-7, 200), (3e-7, 27)])
+@pytest.mark.parametrize(("d", "max_subdivisions"), NODE_BATCHES)
 def test_seeded_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_subdivisions):
-    # seeded from the gap moments at the same settings, as in a spin-up;
-    # at 300 nm with 27 splits the batch stays ..F.....FF
+    # after the gap moments at the same settings, as in a spin-up
     quad = QuadratureConfig(max_subdivisions=max_subdivisions)
     assert_same_as_oracle(
         monkeypatch,
@@ -299,8 +294,8 @@ def test_seeded_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_s
 
 
 def test_a_starved_mutual_batch_mixes_outcomes(particle):
-    results = _mutual_torques(NODE_SPINS, 3e-7, particle, 300.0, QuadratureConfig(max_subdivisions=27))
-    assert "".join("F" if isinstance(r, ConvergenceError) else "." for r in results) == "..F.....FF"
+    results = _mutual_torques(NODE_SPINS, 9.49e-7, particle, 300.0, QuadratureConfig(max_subdivisions=8))
+    assert "".join("F" if isinstance(r, ConvergenceError) else "." for r in results) == "........F."
 
 
 def test_floor_resolves_the_sign_change_of_gamma_b(particle, quad):
@@ -309,8 +304,11 @@ def test_floor_resolves_the_sign_change_of_gamma_b(particle, quad):
     # lies within its roundoff floor, so 1e-14 changes nothing, and the
     # value comes back with its estimate, above rel_tol * |gamma_b|
     res = _gamma_b_result(2.691e-6, particle, 300.0, quad)
-    floor = _gap_moments(particle, 300.0, QuadratureConfig(rel_tol=1e-13))
-    assert [m.panels for m in floor] == [quad.max_subdivisions + 4] * 3  # every split made, then the floor
+    tight = QuadratureConfig(rel_tol=1e-13)
+    floor = _gap_moments(particle, 300.0, tight)
+    window = torque._window(tight, particle, ThermalState(300.0, 300.0))
+    first = 1 + sum(window.omega_min < b < window.omega_max for b in window.breakpoints)
+    assert [m.panels for m in floor] == [quad.max_subdivisions + first] * 3  # every split made, then the floor
     assert _gap_moments(particle, 300.0, QuadratureConfig(rel_tol=1e-14)) == floor
     assert res.value > 0.0 and res.error_estimate > quad.rel_tol * res.value
     assert res.panels == sum(m.panels for m in floor)
@@ -339,8 +337,8 @@ def test_synthetic_outcomes_match_oracle(monkeypatch, max_subdivisions):
 
 @pytest.mark.parametrize("max_subdivisions", [1, 7, 30])
 def test_seeded_synthetic_outcomes_match_oracle(monkeypatch, max_subdivisions):
-    # each integrand seeded from another integrand's tree: the batch from
-    # the batch with its owners rotated, a lone integrand from the next one
+    # each integrand after another integrand's integral: the batch after
+    # the batch with its owners rotated, a lone integrand after the next one
     q = QuadratureConfig(omega_min=0.0, omega_max=1.0, max_subdivisions=max_subdivisions, breakpoints=(0.25,))
 
     def rotated():
@@ -372,15 +370,11 @@ def test_vecdot_rows_match_one_dimensional_dots():
 
 
 def test_spin_up_kernel_calls(monkeypatch, particle, thermal, quad):
-    # the four integrals of a cold 1e10 / 100 nm spin-up (gamma_s, the gap
-    # moments and one node batch per channel) take 15 panel calls, each
-    # seeded from the last (14 when gamma_b was one direct integral, whose
-    # kernel asked for fewer panels than the three moments). A later
-    # distance reads gamma_b off the kept moments and integrates the
-    # mutual node batch alone: the second distance's batch starts from the
-    # vacuum node batch that ended the first, and every later one from the
-    # mutual node batch of the distance before (5 and 3 calls with a
-    # gamma_b integral per distance)
+    # the four integrals of a cold 1e10 / 100 nm spin-up take 31 panel
+    # calls, one per round: gamma_s 3, the gap moments 15, the mutual node
+    # batch 10 and the vacuum node batch 3. A later distance reads gamma_b
+    # off the kept moments and the vacuum nodes off the memo, and
+    # integrates the mutual node batch alone, in 10 calls
     calls = []
     panels = quadrature._panels
     monkeypatch.setattr(quadrature, "_panels", lambda *args: calls.append(1) or panels(*args))
@@ -391,9 +385,6 @@ def test_spin_up_kernel_calls(monkeypatch, particle, thermal, quad):
         return len(calls)
 
     clear_memo()
-    assert spin_up(1e-7) <= 15
-    assert spin_up(3.3e-7) <= 4
-    assert spin_up(5e-7) <= 1
-    assert quadrature._plan
-    clear_memo()
-    assert not quadrature._plan
+    assert spin_up(1e-7) == 31
+    assert spin_up(3.3e-7) == 10
+    assert spin_up(5e-7) == 10

@@ -275,6 +275,41 @@ class TestMutualTorque:
         assert mutual_torque(SpinPair(1e8, 0.0), 1e-7, particle, 300.0, quad) > 0.0
 
 
+class TestMutualTorqueReference:
+    """mutual_torque against its kernel built from public functions, the
+    weights with numpy's expm1 instead of nanospin's occupation, and
+    integrated by QUADPACK over the gap window, with points at both
+    resonances, at k_B T / hbar and at omega_T -+ each spin. An
+    IntegrationWarning fails."""
+
+    @pytest.mark.parametrize(
+        "o1, o2", [(1e10, 5e9), (1e10, 2e9), (1e11, 3e10), (1e12, 5e11), (4e12, 1e12)]
+    )
+    def test_at_100_nm(self, particle, quad, o1, o2):
+        d, T = 1e-7, 300.0
+
+        def weight(x):
+            return im_polarizability(x, particle) * (1.0 / np.expm1(CONSTANTS.hbar * x / (CONSTANTS.k_B * T)) + 0.5)
+
+        def kernel(w):
+            x = np.array([w])
+            s1 = im_polarizability(x + o1, particle) + im_polarizability(x - o1, particle)
+            s2 = im_polarizability(x + o2, particle) + im_polarizability(x - o2, particle)
+            f2 = weight(x - o2) - weight(x + o2)
+            h1 = weight(x - o1) - weight(x + o1)
+            return float((abs2_transverse_sum(d, x) * (f2 * s1 - h1 * s2))[0])
+
+        omega_T = particle.dielectric.omega_T
+        points = [omega_T, particle.dielectric.omega_L, CONSTANTS.k_B * T / CONSTANTS.hbar]
+        points += [omega_T + sign * o for o in (o1, o2) for sign in (-1.0, 1.0)]
+        hi = default_omega_max(ThermalState(T, T), particle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            value = quadpack(kernel, quad.omega_min, hi, points=points, epsrel=1e-11, epsabs=0.0, limit=400)[0]
+        expected = DEFAULT_COUPLING_SCALE * 4.0 * np.pi * CONSTANTS.hbar * value
+        assert mutual_torque(SpinPair(o1, o2), d, particle, T, quad) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
 class TestCoefficients:
     def test_gamma_s_frozen_value(self, particle, thermal, quad):
         assert gamma_s(particle, thermal, quad) == pytest.approx(1.152688e-43, rel=1e-5, abs=0)
