@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, NanospinError
+from .errors import ConfigError, ConvergenceError
 from .material import ParticleSpec
 from .torque import FrictionCoefficients, _mutual_torques, _vacuum_torques, friction_coefficients
 from .torque import mutual_torque, vacuum_torque  # noqa: F401 -- bench/tracing.py wraps both in nanospin.dynamics
@@ -44,10 +44,10 @@ __all__ = [
     "sync_time",
 ]
 
-# Smallest spin scale at which the direct kernels still converge at the
-# default tolerance: spectral shifts below ~1e8 rad/s move the thermal
-# weights by so few ulp that adaptive refinement floors above rel_tol.
-# One safety decade on top of the measured boundary.
+# Spin scale from which the nonlinear solver uses direct kernels, above
+# the scales where they converge at the default tolerance (see README):
+# a decade above about 1e8 rad/s, but only about 3x above the
+# clausius_mossotti vacuum torque's floor between 3e8 and 4e8.
 DIRECT_EVAL_FLOOR = 1e9
 
 # Highest Chebyshev degree a torque surrogate may reach before its build
@@ -244,14 +244,6 @@ def solve_linear(omega1: float, inertia: float, coeffs: FrictionCoefficients, t_
     return Trajectory(times=t, omega2=w2, omega1=omega1)
 
 
-def _values(torques: list[float | NanospinError]) -> np.ndarray:
-    """The values of a batch of torques, or the first error among them."""
-    for torque in torques:
-        if isinstance(torque, NanospinError):
-            raise torque
-    return np.array(torques)
-
-
 def _newton(g: Callable, dg: Callable, a: float, b: float, x, tol: float) -> np.ndarray:
     """The root in [a, b] of an increasing g, elementwise over x: Newton
     steps from x, bisecting wherever the slope dg is not positive or a
@@ -338,12 +330,11 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
         stats["direct_torque_calls"] += len(ws)
         pairs = [(omega1, w2) for w2 in ws.tolist()]
         torques = _mutual_torques(pairs, config.distance, particle, config.thermal.T, config.quad, config.coupling_scale)
-        return _values(torques) - gamma_b * (omega1 - ws)
+        return np.array(torques) - gamma_b * (omega1 - ws)
 
     def drag_residuals(ws: np.ndarray) -> np.ndarray:
         stats["direct_torque_calls"] += len(ws)
-        torques = _vacuum_torques(ws.tolist(), particle, config.thermal, config.quad)
-        return _values(torques) - gamma_s * ws
+        return np.array(_vacuum_torques(ws.tolist(), particle, config.thermal, config.quad)) - gamma_s * ws
 
     fit_tol = config.quad.rel_tol * denom * omega1
     floor = DIRECT_EVAL_FLOOR

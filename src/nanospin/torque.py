@@ -22,9 +22,10 @@ allow_small_spins=True since operand-exchange antisymmetry holds exactly
 at any magnitude.
 
 The two torques, gamma_s and the gap moments run as batches through one
-pipeline, a lone call being a batch of one: each item gets a lone call's
-checks in order, the items that pass share one lockstep integral, each
-with the bits it has alone, and each result is scaled once. Every
+pipeline, a lone call being a batch of one: a batch checks its items in
+order and raises at the first that fails, the items not kept share one
+lockstep integral, each with the bits it has alone, each result is
+scaled once, and the first item that fails raises its error. Every
 integral starts from panel edges at both resonances, at k_B T / hbar for
 each temperature, and graded around the phonon resonance omega_T, one
 edge per octave of the damping on each side (QUADPACK's points, Piessens
@@ -42,10 +43,11 @@ synchronization time).
 gamma_s, the vacuum torque at each spin and the gap moments do not
 depend on the distance, so they are kept for the life of the process in
 one memo keyed on every input of the integral but coupling_scale, which
-scales after. A kept value is an immutable IntegrationResult with the
-bits a fresh integral returns. Errors are not kept, nothing that depends
-on the distance is kept, and the memo holds at most MEMO_ENTRIES values,
-dropping the oldest first; clear_memo empties it.
+scales after; checks run before the memo is read, so a kept value never
+spares a call its error. A kept value is an immutable IntegrationResult
+with the bits a fresh integral returns. Errors are not kept, nothing
+that depends on the distance is kept, and the memo holds at most
+MEMO_ENTRIES values, dropping the oldest first; clear_memo empties it.
 """
 
 from __future__ import annotations
@@ -87,9 +89,10 @@ __all__ = [
 
 # Direct kernel evaluation is refused for 0 < |spin| < this (rad/s):
 # the shifted-argument differences fall below binary64 resolution. At the
-# default rel_tol, a direct torque whose smallest spin scale lies between
-# 1e6 and about 1e8 passes and still ends in ConvergenceError after 200
-# subdivisions: 2e6, 1e7 and 3e7 fail, 1e8 converges (see README).
+# default rel_tol, spin scales above it pass and may still end in
+# ConvergenceError: the direct torques converge from about 1e8, except
+# the clausius_mossotti vacuum torque, which fails at 1e8 and 3e8 and
+# converges from 4e8 (see README).
 SPIN_DIRECT_FLOOR = 1e6
 
 # Mutual-channel magnitude calibration; see module docstring.
@@ -255,40 +258,33 @@ def check_point_dipole(d: float, particle: ParticleSpec) -> None:
 
 def _integrals(
     items: Sequence[tuple],
-    check: Callable[..., tuple | None],
-    window: Callable[[], QuadratureConfig],
     kernel_at: Callable[[np.ndarray], Callable],
     scale: float,
+    window: tuple[QuadratureConfig, ParticleSpec, ThermalState],
     memo: tuple | None = None,
-) -> list[IntegrationResult | NanospinError]:
-    """scale times the integral, with its diagnostics, for each item, or
-    the error the item raises. An item kept under memo + item takes the
-    kept value; the others get a lone call's checks in order: check(*item),
-    which raises or returns the spins the kernel shifts by, window(), then
-    the band check of those spins. The items that pass share one lockstep
-    integral, rows of kernel_at(columns) owned by pending item i reading
-    columns[i], and with memo their values are kept."""
-    results: list[IntegrationResult | NanospinError | None] = []
-    q = None
-    for item in items:
-        res = None if memo is None else _memo.get(memo + item)
-        if res is None:
-            try:
-                spins = check(*item) or ()
-                if q is None:
-                    q = window()
-                # shifted kernel arguments omega -+ spin must stay strictly
-                # positive on the grid; half the infrared cutoff leaves a margin
-                for s in spins:
-                    if abs(s) > 0.5 * q.omega_min:
-                        raise ConfigError(
-                            f"|spin| = {abs(s):.3e} exceeds half the infrared cutoff "
-                            f"{q.omega_min:.3e}; shifted kernel arguments would cross zero"
-                        )
-            except NanospinError as exc:
-                res = exc
-        results.append(res)
+    spins: bool = False,
+) -> list[IntegrationResult]:
+    """scale times the integral, with its diagnostics, for each item, whose
+    own checks the caller has run. An item kept under memo + item takes
+    the kept value; the others are band-checked on _window(*window) when
+    the items are spins, and those that pass share one lockstep integral,
+    rows of kernel_at(columns) owned by pending item i reading columns[i].
+    With memo their values are kept. The first item that fails, in item
+    order, raises the error a lone call raises."""
+    results: list = [None if memo is None else _memo.get(memo + item) for item in items]
     pending = [i for i, r in enumerate(results) if r is None]
+    if pending:
+        q = _window(*window)
+        for i in pending:
+            # shifted kernel arguments omega -+ spin must stay strictly
+            # positive on the grid; half the infrared cutoff leaves a margin
+            wide = [abs(s) for s in items[i] if spins and abs(s) > 0.5 * q.omega_min]
+            if wide:
+                results[i] = ConfigError(
+                    f"|spin| = {wide[0]:.3e} exceeds half the infrared cutoff "
+                    f"{q.omega_min:.3e}; shifted kernel arguments would cross zero"
+                )
+        pending = [i for i in pending if results[i] is None]
     if pending:
         columns = np.array([items[i] for i in pending], dtype=float)
         for i, res in zip(pending, integrate_with_diagnostics(kernel_at(columns), q, len(pending))):
@@ -297,15 +293,10 @@ def _integrals(
                 if memo is not None:
                     _remember(memo + items[i], res)
             results[i] = res
+    for res in results:
+        if isinstance(res, NanospinError):
+            raise res
     return results
-
-
-def _alone(results: list):
-    """The one entry of a batch of one, raised when it is an error."""
-    (res,) = results
-    if isinstance(res, NanospinError):
-        raise res
-    return res
 
 
 _VACUUM_SCALE = -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2))
@@ -321,12 +312,12 @@ def _vacuum_torques(
     thermal: ThermalState,
     quad: QuadratureConfig,
     allow_small_spins: bool = False,
-) -> list[float | NanospinError]:
-    """vacuum_torque at each spin: its value, bit for bit, or the error it
-    raises there. Values come from the memo; one lockstep integral covers
-    the spins it lacks, and their values are kept."""
-
-    def check(omega0: float) -> tuple[float]:
+) -> list[float]:
+    """vacuum_torque at each spin, bit for bit; the first spin that fails
+    raises the error vacuum_torque raises there. Values come from the
+    memo; one lockstep integral covers the spins it lacks, and their
+    values are kept."""
+    for omega0 in spins:
         if not np.isfinite(omega0):
             raise ConfigError("omega0 must be finite")
         if 0.0 < abs(omega0) < SPIN_DIRECT_FLOOR and not allow_small_spins:
@@ -334,8 +325,6 @@ def _vacuum_torques(
                 f"|omega0| = {abs(omega0):.3e} is below the direct-evaluation "
                 f"floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_s or pass allow_small_spins=True"
             )
-        return (omega0,)
-
     T, T0 = thermal.T, thermal.T0
 
     def kernel_at(columns: np.ndarray):
@@ -352,11 +341,8 @@ def _vacuum_torques(
 
         return kernel
 
-    memo = ("vacuum", particle, thermal, quad, allow_small_spins)
-    results = _integrals(
-        [(s,) for s in spins], check, lambda: _window(quad, particle, thermal), kernel_at, _VACUUM_SCALE, memo
-    )
-    return [r if isinstance(r, NanospinError) else r.value for r in results]
+    window, memo = (quad, particle, thermal), ("vacuum", particle, thermal, quad)
+    return [r.value for r in _integrals([(s,) for s in spins], kernel_at, _VACUUM_SCALE, window, memo, spins=True)]
 
 
 def vacuum_torque(
@@ -373,7 +359,7 @@ def vacuum_torque(
     zero at omega0 = 0 with T = T0. Refuses 0 < |omega0| <
     SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_s there).
     """
-    return _alone(_vacuum_torques([omega0], particle, thermal, quad, allow_small_spins))
+    return _vacuum_torques([omega0], particle, thermal, quad, allow_small_spins)[0]
 
 
 def _mutual_torques(
@@ -384,11 +370,11 @@ def _mutual_torques(
     quad: QuadratureConfig,
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
     allow_small_spins: bool = False,
-) -> list[float | NanospinError]:
-    """mutual_torque at each (omega01, omega02): its value, bit for bit,
-    or the error it raises there. One lockstep integral for all pairs."""
-
-    def check(o1: float, o2: float) -> tuple[float, float]:
+) -> list[float]:
+    """mutual_torque at each (omega01, omega02), bit for bit; the first
+    pair that fails raises the error mutual_torque raises there. One
+    lockstep integral for all pairs."""
+    for o1, o2 in spins:
         SpinPair(o1, o2)
         check_point_dipole(d, particle)
         if o1 != o2 and not allow_small_spins:
@@ -399,7 +385,6 @@ def _mutual_torques(
                     f"direct-evaluation floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_b "
                     "or pass allow_small_spins=True"
                 )
-        return (o1, o2)
 
     def kernel_at(columns: np.ndarray):
         def kernel(w, owners):
@@ -414,10 +399,8 @@ def _mutual_torques(
 
         return kernel
 
-    results = _integrals(
-        spins, check, lambda: _window(quad, particle, ThermalState(T, T)), kernel_at, _gap_scale(coupling_scale)
-    )
-    return [r if isinstance(r, NanospinError) else r.value for r in results]
+    window = (quad, particle, ThermalState(T, T))
+    return [r.value for r in _integrals(spins, kernel_at, _gap_scale(coupling_scale), window, spins=True)]
 
 
 def mutual_torque(
@@ -438,7 +421,7 @@ def mutual_torque(
     SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_b there).
     """
     pair = (spins.omega01, spins.omega02)
-    return _alone(_mutual_torques([pair], d, particle, T, quad, coupling_scale, allow_small_spins))
+    return _mutual_torques([pair], d, particle, T, quad, coupling_scale, allow_small_spins)[0]
 
 
 def _gamma_s_result(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> IntegrationResult:
@@ -455,10 +438,7 @@ def _gamma_s_result(particle: ParticleSpec, thermal: ThermalState, quad: Quadrat
         return 2.0 * w * w * im_g_self_transverse_sum(w) * expanded
 
     memo = ("gamma_s", particle, thermal, quad)
-    results = _integrals(
-        [()], lambda: None, lambda: _window(quad, particle, thermal), lambda columns: kernel, _VACUUM_SCALE, memo
-    )
-    return _alone(results)
+    return _integrals([()], lambda columns: kernel, _VACUUM_SCALE, (quad, particle, thermal), memo)[0]
 
 
 def gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> float:
@@ -484,10 +464,7 @@ def _gap_moments(particle: ParticleSpec, T: float, quad: QuadratureConfig) -> li
         return kernel
 
     memo = ("gap", particle, T, quad)
-    results = _integrals(
-        [(0.0,), (1.0,), (2.0,)], lambda j: None, lambda: _window(quad, particle, ThermalState(T, T)), kernel_at, 1.0, memo
-    )
-    return [_alone([r]) for r in results]
+    return _integrals([(0.0,), (1.0,), (2.0,)], kernel_at, 1.0, (quad, particle, ThermalState(T, T)), memo)
 
 
 def _gamma_b_result(

@@ -42,7 +42,7 @@ def integrals(monkeypatch):
     """The (integrand, lockstep batch size) of every integral
     nanospin.torque runs during the test; the integrand is named by the
     batch function that defines its kernel: _gamma_s_result (a batch of
-    one), _gamma_b_results, _vacuum_torques or _mutual_torques."""
+    one), _gap_moments, _vacuum_torques or _mutual_torques."""
     seen = []
     real = torque_mod.integrate_with_diagnostics
 

@@ -144,6 +144,18 @@ class TestNonlinearRun:
         assert 0.0 < solver["plateau_rad_per_s"] < 1e10 and solver["kappa_per_s"] > 0.0
         assert solver["piece_nodes"] and all(n >= 9 for n in solver["piece_nodes"])
 
+    @pytest.mark.parametrize("omega1", [1e10, 2e10])
+    @pytest.mark.parametrize("distance", [5e-8, 2e-6])
+    def test_clausius_mossotti_direct_kernel_run_exits_0(self, tmp_path, distance, omega1):
+        # this model's vacuum torque converges only from about 4e8 rad/s,
+        # under the 1e9 at which the surrogates start
+        doc = {"distance_m": distance, "omega1_rad_per_s": omega1, "polarizability_model": "clausius_mossotti"}
+        cfg, out = write_config(tmp_path / "c.json", doc), tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out), "--mode", "nonlinear"]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        jsonschema.validate(summary, load_schema("summary.schema.json"))
+        assert summary["solver"]["surrogate_nodes"] == {"mutual": 9, "vacuum": 9}
+
     def test_warm_run_writes_the_cold_bytes(self, tmp_path):
         # the second run reads gamma_s and the vacuum node torques from the
         # memo and must write what the first wrote

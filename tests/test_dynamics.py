@@ -397,14 +397,17 @@ class TestNonlinearDirectKernels:
     def test_first_failing_node_raises(self, particle, thermal, quad, monkeypatch):
         # a batch with several failing nodes raises the error of the first
         # in node order, the one the node-by-node build met first
-        import nanospin.dynamics as dynamics_mod
+        import nanospin.torque as torque_mod
 
-        def failing(spins, *args, **kwargs):
-            out = [0.0] * len(spins)
-            out[5], out[2] = ConvergenceError("node 5"), ConvergenceError("node 2")
+        real = torque_mod.integrate_with_diagnostics
+
+        def failing(kernel, q, n=None):
+            out = real(kernel, q, n)
+            if kernel.__qualname__.startswith("_mutual_torques"):
+                out[5], out[2] = ConvergenceError("node 5"), ConvergenceError("node 2")
             return out
 
-        monkeypatch.setattr(dynamics_mod, "_mutual_torques", failing)
+        monkeypatch.setattr(torque_mod, "integrate_with_diagnostics", failing)
         with pytest.raises(ConvergenceError, match="node 2"):
             solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
 

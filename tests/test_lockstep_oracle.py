@@ -259,8 +259,8 @@ def test_seeded_gamma_b_matches_oracle_batched_and_lone(monkeypatch, particle, q
     # after a mutual node batch on the same window, as at a sweep's next
     # distance; at 1e-14 the roundoff floor ends every refinement. The
     # distances certify at rel_tol, so gamma_b stays on the batch's window
-    def fill(q):
-        return lambda: _mutual_torques(NODE_SPINS, 1e-7, particle, 300.0, q)
+    def fill(q):  # at the tighter tolerances the node batch raises
+        return lambda: outcome(lambda: _mutual_torques(NODE_SPINS, 1e-7, particle, 300.0, q))
 
     for rel_tol in MOMENT_TOLERANCES:
         tight = QuadratureConfig(rel_tol=rel_tol)
@@ -274,10 +274,11 @@ NODE_BATCHES = [(1e-7, 200), (9.49e-7, 200), (3e-7, 27), (9.49e-7, 8)]
 
 @pytest.mark.parametrize(("d", "max_subdivisions"), NODE_BATCHES)
 def test_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_subdivisions):
-    # with 8 splits at 949 nm, 9 integrands converge and 1 runs out; at
-    # 300 nm the graded first mesh leaves 27 splits more than enough
+    # with 8 splits at 949 nm, 9 integrands converge and 1 runs out, and
+    # the batch raises its error; at 300 nm the graded first mesh leaves
+    # 27 splits more than enough
     quad = QuadratureConfig(max_subdivisions=max_subdivisions)
-    assert_same_as_oracle(monkeypatch, lambda: _mutual_torques(NODE_SPINS, d, particle, 300.0, quad))
+    assert_same_as_oracle(monkeypatch, lambda: [outcome(lambda: _mutual_torques(NODE_SPINS, d, particle, 300.0, quad))])
 
 
 @pytest.mark.parametrize(("d", "max_subdivisions"), NODE_BATCHES)
@@ -288,14 +289,28 @@ def test_seeded_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_s
         monkeypatch,
         lambda: seeded(
             lambda: [outcome(lambda: _gap_moments(particle, 300.0, quad))],
-            lambda: _mutual_torques(NODE_SPINS, d, particle, 300.0, quad),
+            lambda: [outcome(lambda: _mutual_torques(NODE_SPINS, d, particle, 300.0, quad))],
         ),
     )
 
 
-def test_a_starved_mutual_batch_mixes_outcomes(particle):
-    results = _mutual_torques(NODE_SPINS, 9.49e-7, particle, 300.0, QuadratureConfig(max_subdivisions=8))
-    assert "".join("F" if isinstance(r, ConvergenceError) else "." for r in results) == "........F."
+def test_a_starved_mutual_batch_raises_its_failing_node(particle, integrals):
+    # with 8 splits at 949 nm only the node (1e10, 9e9) runs out: the
+    # batch raises its lone call's error after integrating every node,
+    # and the first failing entry, in entry order, decides between it
+    # and a spin beyond the band
+    starved = QuadratureConfig(max_subdivisions=8)
+    failing, wide = NODE_SPINS[8], (1e10, 6e12)
+    errors = []
+    for spins in (NODE_SPINS, [failing] + NODE_SPINS[:8], [failing, wide], [wide, failing], [failing]):
+        errors.append(outcome(lambda: _mutual_torques(spins, 9.49e-7, particle, 300.0, starved)))
+    assert errors[0][0] == "ConvergenceError" and errors[:3] == [errors[4]] * 3
+    assert errors[3][0] == "ConfigError" and "half the infrared cutoff" in errors[3][1]
+    assert [n for _, n in integrals] == [10, 9, 1, 1, 1]
+    rest = NODE_SPINS[:8] + NODE_SPINS[9:]
+    assert _mutual_torques(rest, 9.49e-7, particle, 300.0, starved) == [
+        _mutual_torques([pair], 9.49e-7, particle, 300.0, starved)[0] for pair in rest
+    ]
 
 
 def test_floor_resolves_the_sign_change_of_gamma_b(particle, quad):

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nanospin.cli as cli
-from nanospin import parse_config
+from nanospin import DEFAULT_COUPLING_SCALE, parse_config
 from nanospin.cli import main
 
 from test_config import load_schema
@@ -53,6 +53,8 @@ def documents(draw, sweep=False):
         "rel_tol": draw(log_uniform(-11.0, -3.0)),
         "polarizability_model": draw(st.sampled_from(["bare", "clausius_mossotti"])),
         "sync_threshold": draw(st.floats(1e-4, 0.99)),
+        "coupling_scale": draw(st.sampled_from([0.0, 1.0, DEFAULT_COUPLING_SCALE]) | log_uniform(18.0, 24.0)),
+        "omega_min_rad_per_s": draw(log_uniform(11.0, 13.0)),
     }
 
 

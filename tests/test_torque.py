@@ -488,37 +488,42 @@ class TestSpinBatches:
             )
             assert got == scale * reference_integrate(kernel, q).value, o2
 
-    def test_small_spin_fails_its_entry_alone(self, particle, thermal, quad):
+    def test_small_spin_raises_the_lone_error(self, particle, thermal, quad, integrals):
+        # the checks of every entry run before any integral
         small = 0.5 * SPIN_DIRECT_FLOOR
-        spins = [3e9, small, 7e9]
-        batch = _vacuum_torques(spins, particle, thermal, quad)
+        with pytest.raises(SmallSpinError) as batch:
+            _vacuum_torques([3e9, small, 7e9], particle, thermal, quad)
         with pytest.raises(SmallSpinError) as lone:
             vacuum_torque(small, particle, thermal, quad)
-        assert type(batch[1]) is SmallSpinError and str(batch[1]) == str(lone.value)
-        clear_memo()
-        assert [batch[0], batch[2]] == [vacuum_torque(w, particle, thermal, quad) for w in (3e9, 7e9)]
+        assert str(batch.value) == str(lone.value)
 
         o1 = self.OMEGA1
         pairs = [(o1, 3e9), (o1, o1 - small), (o1, 7e9)]
-        batch = _mutual_torques(pairs, 1e-7, particle, 300.0, quad)
+        with pytest.raises(SmallSpinError) as batch:
+            _mutual_torques(pairs, 1e-7, particle, 300.0, quad)
         with pytest.raises(SmallSpinError) as lone:
             mutual_torque(SpinPair(*pairs[1]), 1e-7, particle, 300.0, quad)
-        assert type(batch[1]) is SmallSpinError and str(batch[1]) == str(lone.value)
-        assert [batch[0], batch[2]] == [mutual_torque(SpinPair(*p), 1e-7, particle, 300.0, quad) for p in pairs[::2]]
+        assert str(batch.value) == str(lone.value)
+        assert integrals == []
 
-    def test_each_entry_keeps_the_lone_error(self, particle, quad):
-        # non-finite spin, spin beyond the band: each fails as a lone call
-        # would, the valid pair still integrates
-        pairs = [(1e10, float("nan")), (1e10, 6e12), (1e10, 2e9)]
-        batch = _mutual_torques(pairs, 1e-7, particle, 300.0, quad)
-        for pair, got in zip(pairs[:2], batch):
+    def test_each_entry_keeps_the_lone_error(self, particle, thermal, quad, integrals):
+        # non-finite spin, spin beyond the band, distance inside the
+        # point-dipole regime: a batch whose first failing entry it is
+        # raises the error of its lone call
+        valid = (1e10, 2e9)
+        for pair, d in [((1e10, float("nan")), 1e-7), ((1e10, 6e12), 1e-7), (valid, 4e-8)]:
+            with pytest.raises(ConfigError) as batch:
+                _mutual_torques([valid, pair, (1e10, 6e12)], d, particle, 300.0, quad)
             with pytest.raises(ConfigError) as lone:
-                mutual_torque(SpinPair(*pair), 1e-7, particle, 300.0, quad)
-            assert type(got) is ConfigError and str(got) == str(lone.value)
-        assert batch[2] == mutual_torque(SpinPair(*pairs[2]), 1e-7, particle, 300.0, quad)
-        # the point-dipole guard fails every entry
-        too_close = _mutual_torques(pairs[2:], 4e-8, particle, 300.0, quad)
-        assert isinstance(too_close[0], ConfigError) and "point-dipole" in str(too_close[0])
+                mutual_torque(SpinPair(*pair), d, particle, 300.0, quad)
+            assert type(batch.value) is ConfigError and str(batch.value) == str(lone.value)
+        with pytest.raises(ConfigError, match="half the infrared cutoff") as batch:
+            _vacuum_torques([5e9, 6e12], particle, thermal, quad)
+        with pytest.raises(ConfigError) as lone:
+            vacuum_torque(6e12, particle, thermal, quad)
+        assert str(batch.value) == str(lone.value)
+        # a spin beyond the band fails after the checks: its batch mates integrate
+        assert integrals == [("_mutual_torques", 1), ("_vacuum_torques", 1)]
 
 
 class TestMemo:
@@ -580,9 +585,17 @@ class TestMemo:
         gamma_b(1e-7, ParticleSpec(radius=6e-9), 300.0, quad)
         assert integrals == [("_gap_moments", 3)] * 4
 
-    def test_allow_small_spins_is_keyed(self, particle, thermal, quad, integrals):
+    def test_allow_small_spins_is_not_keyed(self, particle, thermal, integrals):
+        # the flag is no input of the integral: a value kept under it does
+        # not spare a later call without it its refusal
+        loose = QuadratureConfig(rel_tol=1e-6)  # 5e5 rad/s converges here, not at 1e-9
+        kept = vacuum_torque(5e5, particle, thermal, loose, allow_small_spins=True)
+        with pytest.raises(SmallSpinError):
+            vacuum_torque(5e5, particle, thermal, loose)
+        assert vacuum_torque(5e5, particle, thermal, loose, allow_small_spins=True) == kept
+        assert integrals == [("_vacuum_torques", 1)]
         for allow in (False, True, False, True):
-            vacuum_torque(5e9, particle, thermal, quad, allow_small_spins=allow)
+            vacuum_torque(5e9, particle, thermal, loose, allow_small_spins=allow)
         assert integrals == [("_vacuum_torques", 1)] * 2
 
     def test_failures_are_not_kept(self, particle, thermal, integrals):
@@ -594,19 +607,24 @@ class TestMemo:
             with pytest.raises(ConvergenceError) as exc:
                 gamma_s(particle, thermal, starved)
             errors.append(exc.value)
-            (res,) = _vacuum_torques([5e9], particle, thermal, starved)
-            assert isinstance(res, ConvergenceError)
-            errors.append(res)
+            with pytest.raises(ConvergenceError) as exc:
+                _vacuum_torques([5e9], particle, thermal, starved)
+            errors.append(exc.value)
         assert integrals == [("_gamma_s_result", 1), ("_vacuum_torques", 1)] * 2
         assert len({id(e) for e in errors}) == 4  # each call raised a fresh error
         assert torque_mod._memo == {}
 
-        # a spin refused before integration fails again; its batch mate is kept
+        # a spin refused before integration fails again, and its batch
+        # mate is not integrated; a spin beyond the band fails again,
+        # and its batch mate is kept
         small = 0.5 * SPIN_DIRECT_FLOOR
-        first = _vacuum_torques([5e9, small], particle, thermal, QuadratureConfig())
-        second = _vacuum_torques([5e9, small], particle, thermal, QuadratureConfig())
-        assert isinstance(second[1], SmallSpinError) and second[1] is not first[1]
-        assert second[0] == first[0] and len(torque_mod._memo) == 1
+        for spins, error, kept in (([5e9, small], SmallSpinError, 0), ([5e9, 6e12], ConfigError, 1)):
+            raised = []
+            for _ in range(2):
+                with pytest.raises(error) as exc:
+                    _vacuum_torques(spins, particle, thermal, QuadratureConfig())
+                raised.append(exc.value)
+            assert raised[0] is not raised[1] and len(torque_mod._memo) == kept
 
     def test_memo_never_grows_past_its_bound(self, particle, thermal, quad, monkeypatch):
         import nanospin.torque as torque_mod
