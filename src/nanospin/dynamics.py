@@ -47,7 +47,7 @@ __all__ = [
 # Spin scale from which the nonlinear solver uses direct kernels, above
 # the scales where they converge at the default tolerance (see README):
 # a decade above about 1e8 rad/s, but only about 3x above the
-# clausius_mossotti vacuum torque's floor between 3e8 and 4e8.
+# clausius_mossotti vacuum torque's floor between 2.5e8 and 3e8.
 DIRECT_EVAL_FLOOR = 1e9
 
 # Highest Chebyshev degree a torque surrogate may reach before its build

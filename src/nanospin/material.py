@@ -5,9 +5,10 @@ Single-resonance Lorentz oscillator permittivity
     eps(w) = eps_inf * (1 + (wL^2 - wT^2) / (wT^2 - w^2 - i*G*w))
 
 plus the particle-level quantities built on it: Im alpha(w) in volume
-units (the vacuum permittivity is folded into the torque prefactors)
-and its analytic frequency derivative, needed by the linearized
-friction kernels where finite differences would cancel away.
+units (the vacuum permittivity is folded into the torque prefactors), a
+real Lorentzian in closed form, and its analytic frequency derivative,
+needed by the linearized friction kernels where finite differences would
+cancel away.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -25,7 +26,7 @@ __all__ = [
     "SIC",
     "ParticleSpec",
     "permittivity",
-    "d_permittivity",
+    "lorentzian",
     "im_polarizability",
     "d_im_polarizability",
 ]
@@ -116,37 +117,36 @@ def permittivity(omega, params: DielectricParams = SIC):
     return out if out.ndim else complex(out)
 
 
-def d_permittivity(omega, params: DielectricParams = SIC):
-    """Analytic d(eps)/d(omega)."""
-    w = np.asarray(omega, dtype=float)
-    den = params.omega_T**2 - w * w - 1j * params.gamma * w
-    out = params.eps_inf * (params.omega_L**2 - params.omega_T**2) * (2.0 * w + 1j * params.gamma) / (den * den)
-    return out if out.ndim else complex(out)
+def lorentzian(particle: ParticleSpec) -> tuple[float, float]:
+    """(S, omega0) of the particle's Im alpha(w) = S*gamma*w / ((omega0^2 -
+    w^2)^2 + gamma^2 w^2), with D = omega_L^2 - omega_T^2. bare, V Im[eps - 1]:
+    S = V eps_inf D, omega0 = omega_T. clausius_mossotti, a sphere's
+    Im[3V (eps - 1)/(eps + 2)]: S = 9V eps_inf D/(eps_inf + 2)^2 and
+    omega0^2 = omega_T^2 + eps_inf D/(eps_inf + 2), the Froehlich frequency."""
+    p = particle.dielectric
+    eps_d = p.eps_inf * (p.omega_L**2 - p.omega_T**2)
+    if particle.polarizability_model == "bare":
+        return particle.volume * eps_d, p.omega_T
+    return 9.0 * particle.volume * eps_d / (p.eps_inf + 2.0) ** 2, (p.omega_T**2 + eps_d / (p.eps_inf + 2.0)) ** 0.5
 
 
 def im_polarizability(omega, particle: ParticleSpec):
-    """Im alpha(w) in m^3 for the particle's polarizability model.
-
-    bare:              V * Im[eps - 1]
-    clausius_mossotti: Im[3V (eps - 1) / (eps + 2)]
-
-    Odd in omega under both models (reality condition of eps).
-    """
-    eps = permittivity(omega, particle.dielectric)
-    if particle.polarizability_model == "bare":
-        out = particle.volume * np.imag(eps)
-    else:
-        out = np.imag(3.0 * particle.volume * (eps - 1.0) / (eps + 2.0))
-    return out if np.ndim(out) else float(out)
+    """Im alpha(w) in m^3 for the particle's polarizability model (see
+    lorentzian). Odd in omega."""
+    strength, omega0 = lorentzian(particle)
+    gamma = particle.dielectric.gamma
+    w = np.asarray(omega, dtype=float)
+    x = omega0**2 - w * w
+    out = strength * gamma * w / (x * x + (gamma * w) ** 2)
+    return out if out.ndim else float(out)
 
 
 def d_im_polarizability(omega, particle: ParticleSpec):
     """Analytic d/d(omega) of im_polarizability, in m^3*s. Even in omega."""
-    deps = d_permittivity(omega, particle.dielectric)
-    if particle.polarizability_model == "bare":
-        out = particle.volume * np.imag(deps)
-    else:
-        # d/dw [3V(eps-1)/(eps+2)] = 9V eps' / (eps+2)^2
-        eps = permittivity(omega, particle.dielectric)
-        out = np.imag(9.0 * particle.volume * deps / (eps + 2.0) ** 2)
-    return out if np.ndim(out) else float(out)
+    strength, omega0 = lorentzian(particle)
+    gamma = particle.dielectric.gamma
+    w = np.asarray(omega, dtype=float)
+    x = omega0**2 - w * w
+    gw2 = (gamma * w) ** 2
+    out = strength * gamma * (x * (omega0**2 + 3.0 * w * w) - gw2) / (x * x + gw2) ** 2
+    return out if out.ndim else float(out)

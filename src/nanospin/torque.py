@@ -27,7 +27,7 @@ order and raises at the first that fails, the items not kept share one
 lockstep integral, each with the bits it has alone, each result is
 scaled once, and the first item that fails raises its error. Every
 integral starts from panel edges at both resonances, at k_B T / hbar for
-each temperature, and graded around the phonon resonance omega_T, one
+each temperature, and graded around the model's peak (lorentzian), one
 edge per octave of the damping on each side (QUADPACK's points, Piessens
 et al., 1983): a first mesh that resolves the peak before any split.
 
@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ConfigError, NanospinError, PoleError, SmallSpinError
 from .greens import abs2_transverse_sum, im_g_self_transverse_sum
-from .material import CONSTANTS, ParticleSpec, d_im_polarizability, im_polarizability
+from .material import CONSTANTS, ParticleSpec, d_im_polarizability, im_polarizability, lorentzian
 from .quadrature import IntegrationResult, QuadratureConfig, integrate_with_diagnostics, resolved
 from .quadrature import integrate  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.integrate
 
@@ -91,8 +91,8 @@ __all__ = [
 # the shifted-argument differences fall below binary64 resolution. At the
 # default rel_tol, spin scales above it pass and may still end in
 # ConvergenceError: the direct torques converge from about 1e8, except
-# the clausius_mossotti vacuum torque, which fails at 1e8 and 3e8 and
-# converges from 4e8 (see README).
+# the clausius_mossotti vacuum torque, which fails at 1e8 and 2.5e8 and
+# converges from 3e8 (see README).
 SPIN_DIRECT_FLOOR = 1e6
 
 # Mutual-channel magnitude calibration; see module docstring.
@@ -230,18 +230,18 @@ def default_omega_max(thermal: ThermalState, particle: ParticleSpec) -> float:
 
 
 def _thermal_breakpoints(particle: ParticleSpec, *temps: float) -> list[float]:
-    # the graded edges omega_T -+ 2**k * gamma, k = -2 .. 7, resolve the
-    # phonon peak in the first mesh; edges outside the window, such as a
-    # zero temperature's 0, are dropped
-    p = particle.dielectric
-    graded = [p.omega_T + sign * 2.0**k * p.gamma for k in range(-2, 8) for sign in (-1.0, 1.0)]
+    # the graded edges omega0 -+ 2**k * gamma, k = -2 .. 7, resolve the
+    # model's own peak omega0 in the first mesh; edges outside the window,
+    # such as a zero temperature's 0, are dropped
+    p, peak = particle.dielectric, lorentzian(particle)[1]
+    graded = [peak + sign * 2.0**k * p.gamma for k in range(-2, 8) for sign in (-1.0, 1.0)]
     return [p.omega_T, p.omega_L] + graded + [CONSTANTS.k_B * t / CONSTANTS.hbar for t in temps]
 
 
 def _window(quad: QuadratureConfig, particle: ParticleSpec, thermal: ThermalState) -> QuadratureConfig:
     """quad over a channel's spectral window: default_omega_max unless
     omega_max is set, with panel edges at both resonances, at k_B T /
-    hbar for each temperature and graded around omega_T. The vacuum
+    hbar for each temperature and graded around the model's peak. The vacuum
     channel passes its thermal state, the gap channel ThermalState(T, T)."""
     return resolved(quad, default_omega_max(thermal, particle), _thermal_breakpoints(particle, thermal.T, thermal.T0))
 

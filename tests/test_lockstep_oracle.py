@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nanospin import ConfigError, ConvergenceError, NanospinError, QuadratureConfig, TailNotNegligibleError, ThermalState
+from nanospin import ConfigError, ConvergenceError, NanospinError, ParticleSpec, QuadratureConfig, TailNotNegligibleError, ThermalState
 from nanospin import quadrature, torque
 from nanospin.config import RunConfig
 from nanospin.dynamics import solve_nonlinear
@@ -384,22 +384,25 @@ def test_vecdot_rows_match_one_dimensional_dots():
             assert got == [float(weights @ row) for row in rows]
 
 
-def test_spin_up_kernel_calls(monkeypatch, particle, thermal, quad):
-    # the four integrals of a cold 1e10 / 100 nm spin-up take 31 panel
+def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
+    # the four integrals of a cold 1e10 / 100 nm bare spin-up take 31 panel
     # calls, one per round: gamma_s 3, the gap moments 15, the mutual node
     # batch 10 and the vacuum node batch 3. A later distance reads gamma_b
     # off the kept moments and the vacuum nodes off the memo, and
-    # integrates the mutual node batch alone, in 10 calls
+    # integrates the mutual node batch alone, in 10 calls. The first mesh
+    # is graded around each model's own peak, so clausius_mossotti, which
+    # peaks at its Froehlich frequency, takes about as few (83, 22 and 57
+    # with the mesh graded around omega_T)
     calls = []
     panels = quadrature._panels
     monkeypatch.setattr(quadrature, "_panels", lambda *args: calls.append(1) or panels(*args))
 
-    def spin_up(d):
+    def spin_up(particle, d):
         calls.clear()
         solve_nonlinear(RunConfig(particle, thermal, quad, distance=d, omega1=1e10, mode="nonlinear"))
         return len(calls)
 
-    clear_memo()
-    assert spin_up(1e-7) == 31
-    assert spin_up(3.3e-7) == 10
-    assert spin_up(5e-7) == 10
+    for model, counts in (("bare", (31, 10, 10)), ("clausius_mossotti", (35, 11, 11))):
+        particle = ParticleSpec(polarizability_model=model)
+        clear_memo()
+        assert tuple(spin_up(particle, d) for d in (1e-7, 3.3e-7, 5e-7)) == counts, model

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nanospin import SIC, DielectricParams, ParticleSpec, d_im_polarizability, im_polarizability, permittivity
-from nanospin.material import d_permittivity
+from nanospin.material import lorentzian
 
 
 def test_static_limit():
@@ -115,12 +115,27 @@ def test_derivative_even_and_positive_at_zero():
     assert d_im_polarizability(0.0, p) > 0.0
 
 
-def test_d_permittivity_matches_difference():
-    # the quotient's rounding error, eps*|eps(w)|/h (1.2e-21 here), is 1.3e-7
-    # of the real part; its O(h^2) truncation is some 1e-12 relative
-    w, h = 3e14, 1e6
-    fd = (permittivity(w + h) - permittivity(w - h)) / (2.0 * h)
-    rounding = np.finfo(float).eps * abs(permittivity(w)) / h
-    got = d_permittivity(w)
-    assert got.real == pytest.approx(fd.real, rel=1e-8, abs=rounding)
-    assert got.imag == pytest.approx(fd.imag, rel=1e-8, abs=rounding)
+@pytest.mark.parametrize("model", ["bare", "clausius_mossotti"])
+def test_closed_forms_match_the_complex_expressions(model):
+    # the references are Im of the complex model expressions built from
+    # permittivity, and their derivative from eps' = eps_inf*D*(2w + i*G)/den^2
+    p = ParticleSpec(polarizability_model=model)
+    w = np.geomspace(1e12, 1e15, 400)
+    eps = permittivity(w)
+    den = SIC.omega_T**2 - w * w - 1j * SIC.gamma * w
+    d_eps = SIC.eps_inf * (SIC.omega_L**2 - SIC.omega_T**2) * (2.0 * w + 1j * SIC.gamma) / den**2
+    if model == "bare":
+        alpha, d_alpha = p.volume * (eps - 1.0), p.volume * d_eps
+    else:
+        alpha, d_alpha = 3.0 * p.volume * (eps - 1.0) / (eps + 2.0), 9.0 * p.volume * d_eps / (eps + 2.0) ** 2
+    assert np.max(np.abs(im_polarizability(w, p) / alpha.imag - 1.0)) <= 1e-12
+    assert np.max(np.abs(d_im_polarizability(w, p) - d_alpha.imag)) <= 1e-12 * np.max(np.abs(d_alpha.imag))
+
+
+def test_clausius_mossotti_peaks_at_the_froehlich_frequency():
+    # omega0^2 = omega_T^2 + eps_inf*(omega_L^2 - omega_T^2)/(eps_inf + 2),
+    # where the sphere's Re eps = -2 up to the damping
+    omega0 = lorentzian(ParticleSpec(polarizability_model="clausius_mossotti"))[1]
+    assert omega0 == pytest.approx(1.7525e14, rel=1e-4, abs=0)
+    assert permittivity(omega0).real == pytest.approx(-2.0, abs=0.01)
+    assert lorentzian(ParticleSpec())[1] == SIC.omega_T

@@ -42,6 +42,7 @@ def documents(draw, sweep=False):
         place = {"distances_m": draw(st.lists(distance, min_size=2, max_size=4, unique_by=lambda d: f"{d:.6g}"))}
     else:
         place = {"distance_m": draw(distance)}
+    omega_T = draw(log_uniform(13.5, 14.5))  # other materials around SiC's 1.492e14
     return {
         "radius_m": radius,
         **place,
@@ -55,6 +56,10 @@ def documents(draw, sweep=False):
         "sync_threshold": draw(st.floats(1e-4, 0.99)),
         "coupling_scale": draw(st.sampled_from([0.0, 1.0, DEFAULT_COUPLING_SCALE]) | log_uniform(18.0, 24.0)),
         "omega_min_rad_per_s": draw(log_uniform(11.0, 13.0)),
+        "omega_T_rad_per_s": omega_T,
+        "omega_L_rad_per_s": omega_T * draw(st.floats(1.02, 1.6)),
+        "damping_rad_per_s": omega_T * draw(log_uniform(-3.0, -1.3)),
+        "eps_inf": draw(st.floats(1.0, 12.0)),
     }
 
 
