@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2,
-ConvergenceError -> 3, I/O failures -> 4.
+cli.main maps these onto exit codes: ConfigError (TailNotNegligibleError
+included) -> 2, ConvergenceError -> 3, any other NanospinError
+(PoleError, SmallSpinError) -> 2, and an OSError while reading or
+writing files -> 4.
 """
 
 from __future__ import annotations

@@ -87,12 +87,13 @@ __all__ = [
     "clear_memo",
 ]
 
-# Direct kernel evaluation is refused for 0 < |spin| < this (rad/s):
-# the shifted-argument differences fall below binary64 resolution. At the
-# default rel_tol, spin scales above it pass and may still end in
-# ConvergenceError: the direct torques converge from about 1e8, except
-# the clausius_mossotti vacuum torque, which fails at 1e8 and 2.5e8 and
-# converges from 3e8 (see README).
+# Direct kernel evaluation is refused for 0 < |spin| < this (rad/s). The
+# kernels difference values at omega -+ spin, and the error estimate is
+# made from the same rounded values, so at small spin scales a certified
+# value can miss rel_tol: against 40-digit references, by up to 2.6x,
+# wherever spin * rel_tol <= 0.56, at scales from 1e2 to 1e9. Above this
+# floor that band lies below rel_tol 5.6e-7; clearing the default 1e-9
+# would take 5.6e8, under 2x below the spin-up's own 1e9 nodes (README).
 SPIN_DIRECT_FLOOR = 1e6
 
 # Mutual-channel magnitude calibration; see module docstring.

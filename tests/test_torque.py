@@ -310,6 +310,74 @@ class TestMutualTorqueReference:
         assert mutual_torque(SpinPair(o1, o2), d, particle, T, quad) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
+TIGHT = QuadratureConfig(rel_tol=1e-12)
+
+
+def corotation_slope(particle, T, m):
+    """d(mutual_torque)/d(omega1 - omega2) at omega1 = omega2 = m, at 100 nm:
+    the integral of the kernel's exact derivative |g_t|^2 (F G' - F' G),
+    F = W(w - m) - W(w + m) and G = s(w + m) + s(w - m), which takes no
+    difference across the gap."""
+
+    def kernel(w):
+        F = weight_oracle(w - m, particle, T) - weight_oracle(w + m, particle, T)
+        dF = -d_weight_oracle(w - m, particle, T) - d_weight_oracle(w + m, particle, T)
+        G = im_polarizability(w + m, particle) + im_polarizability(w - m, particle)
+        dG = d_im_polarizability(w + m, particle) - d_im_polarizability(w - m, particle)
+        return abs2_transverse_sum(1e-7, w) * (F * dG - dF * G)
+
+    q = resolved(TIGHT, default_omega_max(ThermalState(T, T), particle), _thermal_breakpoints(particle, T))
+    return DEFAULT_COUPLING_SCALE * 4.0 * np.pi * CONSTANTS.hbar * reference_integrate(kernel, q).value
+
+
+def test_small_spins_are_refused_or_certified_within_rel_tol():
+    # Seeded draws over spins 1e0..1e9 of both signs, both models, T = T0
+    # and T != T0, and rel_tol from 1e-6 to 1e-3, where the floor keeps out
+    # the band spin * rel_tol <= 0.56 in which a certificate can be fooled:
+    # the vacuum torque at w, the gap torque at (w, 0) and small gaps g at
+    # mean spins m in 1e9..1e11. Each call is refused, fails its
+    # certificate, or lies within rel_tol plus the curvature allowance of
+    # its linear form: gamma_s*w (relative k w^2 measured at most 9.4e-29),
+    # gamma_b*w (1.25e-24) and corotation_slope(m)*g (7.1e-26 g^2), each
+    # allowed twice its measured size.
+    rng = np.random.default_rng(2610)
+    outcomes = {"refused": 0, "not certified": 0, "certified": 0}
+    for _ in range(50):
+        particle = ParticleSpec(polarizability_model=rng.choice(["bare", "clausius_mossotti"]))
+        thermal = ThermalState(T=rng.choice([300.0, 320.0]), T0=300.0)
+        quad = QuadratureConfig(rel_tol=10.0 ** rng.uniform(-6.0, -3.0))
+        axis, sign = rng.integers(3), rng.choice([-1.0, 1.0])
+        if axis == 0:
+            w = sign * 10.0 ** rng.uniform(0.0, 9.0)
+            scale, expected, allowance = abs(w), gamma_s(particle, thermal, TIGHT) * w, 1.9e-28 * w * w
+            call = lambda: vacuum_torque(w, particle, thermal, quad)  # noqa: E731
+        elif axis == 1:
+            w = sign * 10.0 ** rng.uniform(0.0, 9.0)
+            scale, expected, allowance = abs(w), gamma_b(1e-7, particle, thermal.T, TIGHT) * w, 2.5e-24 * w * w
+            call = lambda: mutual_torque(SpinPair(w, 0.0), 1e-7, particle, thermal.T, quad)  # noqa: E731
+        else:
+            m, g = 10.0 ** rng.uniform(9.0, 11.0), sign * 10.0 ** rng.uniform(0.0, 8.0)
+            spins = SpinPair(m + 0.5 * g, m - 0.5 * g)
+            gap = spins.omega01 - spins.omega02
+            scale = abs(gap)
+            if scale >= SPIN_DIRECT_FLOOR:
+                expected, allowance = corotation_slope(particle, thermal.T, m) * gap, 1.5e-25 * gap * gap
+            call = lambda: mutual_torque(spins, 1e-7, particle, thermal.T, quad)  # noqa: E731
+        if scale < SPIN_DIRECT_FLOOR:
+            with pytest.raises(SmallSpinError):
+                call()
+            outcomes["refused"] += 1
+            continue
+        try:
+            value = call()
+        except ConvergenceError:
+            outcomes["not certified"] += 1
+            continue
+        outcomes["certified"] += 1
+        assert abs(value / expected - 1.0) <= quad.rel_tol + allowance, (particle, thermal, quad, axis, scale)
+    assert outcomes["refused"] >= 5 and outcomes["certified"] >= 5, outcomes
+
+
 class TestCoefficients:
     def test_gamma_s_frozen_value(self, particle, thermal, quad):
         assert gamma_s(particle, thermal, quad) == pytest.approx(1.152688e-43, rel=1e-5, abs=0)
