@@ -15,9 +15,9 @@ gamma_s and the gap moments, which do not depend on distance, are
 integrated once and kept by nanospin.torque. Each distance gets the
 summary.json a lone `run` writes, in d_<distance to 6 significant
 digits>; distances that would share a directory are a configuration
-error. Its trajectory goes into the sweep's one sweep_trajectories.csv
-(distance_m, time_s, omega2_rad_per_s; sorted by distance): the rows a
-lone run's trajectory.csv holds, each behind its distance.
+error. Its trajectory goes into the sweep's one sweep_trajectories.npy
+(fields distance_m, time_s, omega2_rad_per_s, all <f8; sorted by
+distance): the values of a lone run's trajectory.csv, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ _DEFAULT_OUT = "nanospin_out"
 # sweep.csv's columns; the keys a sweep_summary.json run takes from its summary.json
 _SWEEP_COLUMNS = ("distance_m", "gamma_b_Nms", "delta_infinity", "sync_time_s")
 _RUN_SUMMARY_KEYS = ("delta_infinity", "fingerprint_sha256", "gamma_b_Nms", "sync_time_s")
-_TRAJECTORY_COLUMNS = "time_s,omega2_rad_per_s"
+_SWEEP_ROW = np.dtype([("distance_m", "<f8"), ("time_s", "<f8"), ("omega2_rad_per_s", "<f8")])
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _trajectory_rows(traj: Trajectory, prefix: str = "") -> str:
-    """The trajectory's "time_s,omega2_rad_per_s" rows, each after prefix.
-
-    One %-format call for all of them; "%.17g" % x is the text of _fmt(x).
-    prefix holds no "%" (a formatted distance and its comma).
-    """
+def _trajectory_rows(traj: Trajectory) -> str:
+    """The trajectory's rows in one %-format call; "%.17g" % x is the text of _fmt(x)."""
     values = tuple(np.stack((traj.times, traj.omega2), axis=1).ravel().tolist())
-    return (prefix + "%.17g,%.17g\n") * len(traj.times) % values
+    return "%.17g,%.17g\n" * len(traj.times) % values
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -94,7 +90,7 @@ def run(config: RunConfig) -> OutputBundle:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "trajectory.csv"
     summary_path = out_dir / "summary.json"
-    _write_text(csv_path, _TRAJECTORY_COLUMNS + "\n" + _trajectory_rows(traj))
+    _write_text(csv_path, "time_s,omega2_rad_per_s\n" + _trajectory_rows(traj))
     _write_json(summary_path, summary)
     return OutputBundle(out_dir=out_dir, trajectory_csv=csv_path, summary_json=summary_path, summary=summary)
 
@@ -165,10 +161,10 @@ def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
     Distinct distances that share a run directory raise ConfigError
     before anything is solved or written. Each distance then gets the
     summary.json `run` writes for it, and its trajectory rows go into
-    sweep_trajectories.csv, one distance at a time through one open
-    file. A failing distance writes no rows and does not stop the
-    others; the first failure is re-raised after the tables are written,
-    and sweep_summary.json names each failure's error.
+    sweep_trajectories.npy (numpy.save's bytes), one distance at a time
+    through one open file. A failing distance writes no rows and does not
+    stop the others; the first failure is re-raised after the tables are
+    written, and sweep_summary.json names each failure's error.
     """
     root = Path(sweep.base.out_dir or _DEFAULT_OUT)
     ordered = sorted(set(sweep.distances))
@@ -182,8 +178,10 @@ def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
     failures: list[tuple[float, Exception]] = []
     gamma_s = None
     root.mkdir(parents=True, exist_ok=True)
-    with open(root / "sweep_trajectories.csv", "w", encoding="utf-8", newline="\n") as rows:
-        rows.write("distance_m," + _TRAJECTORY_COLUMNS + "\n")
+    header = np.lib.format.header_data_from_array_1_0(np.empty(0, _SWEEP_ROW))
+    n_rows = 0
+    with open(root / "sweep_trajectories.npy", "wb") as rows:
+        np.lib.format.write_array_header_1_0(rows, header)  # padded: rewritten in place below
         for d in ordered:
             out_dir = root / _run_dir_name(d)
             try:
@@ -194,10 +192,15 @@ def run_sweep(sweep: SweepConfig) -> dict[str, Any]:
             except Exception as exc:  # re-raised after the sweep completes
                 failures.append((d, exc))
                 continue
-            rows.write(_trajectory_rows(traj, _fmt(d) + ","))
+            block = np.empty(len(traj.times), _SWEEP_ROW)
+            block["distance_m"], block["time_s"], block["omega2_rad_per_s"] = d, traj.times, traj.omega2
+            rows.write(block.tobytes())
+            n_rows += len(block)
             runs.append({"distance_m": d, "out_dir": str(out_dir)} | {key: summary[key] for key in _RUN_SUMMARY_KEYS})
             if gamma_s is None:
                 gamma_s = summary["gamma_s_Nms"]
+        rows.seek(0)
+        np.lib.format.write_array_header_1_0(rows, header | {"shape": (n_rows,)})
 
     lines = [",".join(_SWEEP_COLUMNS)]
     lines += [",".join(_fmt(r[c]) if r[c] is not None else "" for c in _SWEEP_COLUMNS) for r in runs]

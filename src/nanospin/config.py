@@ -31,8 +31,8 @@ __all__ = ["RunConfig", "SweepConfig", "parse_config", "fingerprint"]
 
 _MODES = ("linear", "nonlinear")
 
-# Largest trajectory sample count: a million rows make about 40 MB of
-# trajectory.csv
+# Largest trajectory sample count: a million rows make about 40 MB of a
+# lone run's trajectory.csv (a sweep stores 24 bytes a row, in binary)
 MAX_SAMPLES = 1_000_000
 
 

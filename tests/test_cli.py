@@ -1,11 +1,13 @@
 """Artifact emission, byte-level determinism, and exit codes."""
 
 import importlib.util
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -34,21 +36,28 @@ def read_rows(csv_path):
     return lines[0], [[float(x) for x in line.split(",")] for line in lines[1:]]
 
 
+SWEEP_ROW = np.dtype([("distance_m", "<f8"), ("time_s", "<f8"), ("omega2_rad_per_s", "<f8")])
+
+
 def long_rows(root):
-    """sweep_trajectories.csv under root as {distance_m text: the text of
-    its rows with the distance_m column stripped}, in file order."""
-    lines = (root / "sweep_trajectories.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-    assert lines[0] == "distance_m,time_s,omega2_rad_per_s\n"
-    rows = {}
-    for line in lines[1:]:
-        d, rest = line.split(",", 1)
-        rows.setdefault(d, []).append(rest)
-    return {d: "".join(r) for d, r in rows.items()}
+    """sweep_trajectories.npy under root as {distance_m: the uint64 bit
+    patterns of its (time_s, omega2_rad_per_s) rows}, in file order; each
+    distance's rows are one block and the blocks are sorted by distance."""
+    table = np.load(root / "sweep_trajectories.npy", allow_pickle=False)
+    assert table.dtype == SWEEP_ROW and table.ndim == 1
+    distances = table["distance_m"]
+    assert np.all(distances[1:] >= distances[:-1])
+    return {
+        d: np.stack((table["time_s"], table["omega2_rad_per_s"]), axis=1)[distances == d].view(np.uint64)
+        for d in dict.fromkeys(distances.tolist())
+    }
 
 
-def csv_body(path):
-    """A trajectory.csv's text after its header line."""
-    return path.read_text(encoding="utf-8").split("\n", 1)[1]
+def csv_bits(path):
+    """The uint64 bit patterns of a trajectory.csv's parsed rows, so that
+    -0.0 and 0.0 differ."""
+    _, rows = read_rows(path)
+    return np.array(rows, dtype=np.float64).reshape(-1, 2).view(np.uint64)
 
 
 @pytest.fixture(scope="module")
@@ -115,16 +124,14 @@ class TestRunArtifacts:
 
 
 def test_trajectory_csv_is_per_value_format():
-    # the rows of a run's trajectory.csv and of a sweep's
-    # sweep_trajectories.csv are formatted in one call per trajectory; their
+    # the rows of a run's trajectory.csv are formatted in one call; their
     # text must be format(x, ".17g") of every value, signed zero, subnormal,
     # the largest double and whole numbers past 2**53 included
     times = [-0.0, 5e-324, 1.0 / 3.0, 2.0**53 + 2.0, 2.0**60, 1e22, 1.7976931348623157e308]
     omega2 = [0.0, -0.0, 5e-324, 1.0, 2.0**53 + 2.0, 123456789012345680.0, 1.7976931348623157e308]
     traj = Trajectory(times=np.array(times), omega2=np.array(omega2), omega1=1.0)
-    for prefix in ("", "1.0000000000000001e-07,"):
-        expected = "".join(f"{prefix}{format(t, '.17g')},{format(w, '.17g')}\n" for t, w in zip(times, omega2))
-        assert _trajectory_rows(traj, prefix) == expected
+    expected = "".join(f"{format(t, '.17g')},{format(w, '.17g')}\n" for t, w in zip(times, omega2))
+    assert _trajectory_rows(traj) == expected
     assert "-0," in expected and "4.9406564584124654e-324" in expected and "9007199254740994," in expected
 
 
@@ -216,16 +223,16 @@ class TestNonlinearRun:
 class TestSweep:
     def test_sweep_matches_run_at_every_distance(self, tmp_path):
         # the sweep's one-pass coefficients must give each distance the
-        # summary a run of that distance alone writes, and the rows of its
+        # summary a run of that distance alone writes, and the bits of its
         # trajectory.csv behind the distance
         distances = [5e-8, 1e-7, 2e-7]
         doc = run_sweep(parse_config(json.dumps({"distances_m": distances, "out_dir": str(tmp_path / "sweep")})))
         rows = long_rows(tmp_path / "sweep")
-        assert list(rows) == [format(d, ".17g") for d in distances]
+        assert list(rows) == distances
         for d in distances:
             alone = run(parse_config(json.dumps({"distance_m": d, "out_dir": str(tmp_path / f"run_{d:.6g}")})))
             sub = tmp_path / "sweep" / f"d_{d:.6g}"
-            assert rows[format(d, ".17g")] == csv_body(alone.trajectory_csv), d
+            assert np.array_equal(rows[d], csv_bits(alone.trajectory_csv)), d
             assert (sub / "summary.json").read_bytes() == alone.summary_json.read_bytes(), d
             assert [p.name for p in sub.iterdir()] == ["summary.json"]
         assert doc["failed_distances_m"] == []
@@ -243,11 +250,11 @@ class TestSweep:
             ["_gamma_s_result", "_gap_moments", "_vacuum_torques"] + ["_mutual_torques"] * 3
         )
         rows = long_rows(tmp_path / "sweep")
-        assert list(rows) == [format(d, ".17g") for d in distances]
+        assert list(rows) == distances
         for d in distances:
             alone = run(parse_config(json.dumps(dict(base, distance_m=d, out_dir=str(tmp_path / f"run_{d:.6g}")))))
             sub = tmp_path / "sweep" / f"d_{d:.6g}"
-            assert rows[format(d, ".17g")] == csv_body(alone.trajectory_csv), d
+            assert np.array_equal(rows[d], csv_bits(alone.trajectory_csv)), d
             assert (sub / "summary.json").read_bytes() == alone.summary_json.read_bytes(), d
 
     def test_sweep_integrates_gamma_s_and_the_moments_alone(self, tmp_path, integrals):
@@ -301,7 +308,7 @@ class TestSweep:
         assert [r["distance_m"] for r in table["runs"]] == [5e-8, 1e-7]
         _, rows = read_rows(tmp_path / "sweep.csv")
         assert [r[0] for r in rows] == [5e-8, 1e-7]
-        assert list(long_rows(tmp_path)) == ["4.9999999999999998e-08", "9.9999999999999995e-08"]
+        assert list(long_rows(tmp_path)) == [5e-8, 1e-7]
 
     def test_every_distance_failing_in_the_coefficient_pass(self, tmp_path, capsys):
         doc = {"distances_m": [2e-7, 1e-7], "max_subdivisions": 1, "out_dir": str(tmp_path)}
@@ -335,7 +342,7 @@ class TestSweep:
         table = json.loads((tmp_path / "sweep_summary.json").read_text(encoding="utf-8"))
         assert table["failures"] == [{"distance_m": 1e-7, "error": "ConfigError", "message": "synthetic coefficient failure"}]
         assert [r["distance_m"] for r in table["runs"]] == [5e-8, 2e-7]
-        assert list(long_rows(tmp_path)) == [format(d, ".17g") for d in (5e-8, 2e-7)]
+        assert list(long_rows(tmp_path)) == [5e-8, 2e-7]
 
     def test_gamma_s_failure_fails_every_distance(self, tmp_path, capsys):
         # 2e14 rad/s cuts into the resonant tail of gamma_s, which every distance needs
@@ -386,10 +393,64 @@ class TestSweep:
         with pytest.raises(ConfigError, match="near-field edge"):
             run_sweep(parse_config(json.dumps({"distances_m": distances, "out_dir": str(tmp_path)})))
         rows = long_rows(tmp_path)
-        assert list(rows) == [format(d, ".17g") for d in (1e-7, 2e-7)]
+        assert list(rows) == [1e-7, 2e-7]
         for d in (1e-7, 2e-7):
             alone = run(parse_config(json.dumps({"distance_m": d, "out_dir": str(tmp_path / f"run_{d:.6g}")})))
-            assert rows[format(d, ".17g")] == csv_body(alone.trajectory_csv), d
+            assert np.array_equal(rows[d], csv_bits(alone.trajectory_csv)), d
+
+    @pytest.mark.parametrize(
+        "distances, failed",
+        [([5e-8, 1e-7, 2e-7], []), ([5e-8, 3e-6, 1e-7], [3e-6]), ([4e-6, 3e-6], [3e-6, 4e-6])],
+        ids=["all-pass", "one-past-the-sign-edge", "all-fail"],
+    )
+    def test_trajectory_file_is_numpy_save_of_the_lone_runs(self, tmp_path, distances, failed):
+        # the streamed file holds the bytes np.save writes for the
+        # concatenated rows of the lone runs that pass, each behind its
+        # distance, and loads without pickle; past gamma_b's sign edge
+        # (2.69 um) a distance fails and writes no rows
+        sweep = parse_config(json.dumps({"distances_m": distances, "out_dir": str(tmp_path / "sweep")}))
+        if failed:
+            with pytest.raises(ConfigError, match="near-field edge"):
+                run_sweep(sweep)
+        else:
+            run_sweep(sweep)
+        table = json.loads((tmp_path / "sweep" / "sweep_summary.json").read_text(encoding="utf-8"))
+        assert table["failed_distances_m"] == failed
+        blocks = [np.empty(0, SWEEP_ROW)]
+        for d in sorted(set(distances) - set(failed)):
+            alone = run(parse_config(json.dumps({"distance_m": d, "out_dir": str(tmp_path / f"run_{d:.6g}")})))
+            _, values = read_rows(alone.trajectory_csv)
+            block = np.empty(len(values), SWEEP_ROW)
+            block["distance_m"] = d
+            block["time_s"], block["omega2_rad_per_s"] = np.array(values).T
+            blocks.append(block)
+        expected = io.BytesIO()
+        np.save(expected, np.concatenate(blocks))
+        path = tmp_path / "sweep" / "sweep_trajectories.npy"
+        assert path.read_bytes() == expected.getvalue()
+        loaded = np.load(path, allow_pickle=False)
+        assert loaded.dtype == SWEEP_ROW
+        assert loaded.shape == (401 * (len(distances) - len(failed)),)
+
+    def test_sweep_holds_one_trajectory_at_a_time(self, tmp_path):
+        # 16 distances at 200,000 samples: one distance's rows take
+        # 200,001 * 24 bytes (4.8 MB), and a sweep that kept every
+        # trajectory would peak above 16 times that. Measured: a peak of
+        # 2.84 such blocks (13.7 MB) with 16 distances and 4, 2.67 with 1
+        # (the trajectory's arrays, its rows and their bytes at once).
+        samples, distances = 200_000, np.geomspace(5e-8, 1e-6, 16).tolist()
+        sweep = parse_config(json.dumps({"distances_m": distances, "samples": samples, "out_dir": str(tmp_path)}))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            run_sweep(sweep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = (samples + 1) * SWEEP_ROW.itemsize
+        assert peak - before < 4 * block
+        assert np.load(tmp_path / "sweep_trajectories.npy", mmap_mode="r").shape == (16 * (samples + 1),)
 
     def test_distances_sharing_a_run_directory_are_refused(self, tmp_path, capsys, monkeypatch):
         # both are d_1e-07: the second run overwrote the first, and
@@ -408,7 +469,7 @@ class TestSweep:
 
     def test_shared_run_directory_exits_before_the_trajectory_file_exists(self, tmp_path, capsys):
         # the out_dir already exists: the refusal still comes before the
-        # sweep opens sweep_trajectories.csv
+        # sweep opens sweep_trajectories.npy
         cfg = write_config(tmp_path / "c.json", {"distances_m": [2e-7, 2.0000001e-7], "out_dir": str(tmp_path)})
         assert main(["sweep", "--config", cfg]) == 2
         assert "would share the run directory d_2e-07" in capsys.readouterr().err

@@ -4,7 +4,7 @@ writes a summary that validates against docs/summary.schema.json
 configuration outside the model's domain, 3 for numerical
 non-convergence). A sweep document does so at each of its distances:
 every distance it writes has a schema-valid summary and its trajectory,
-bit for bit, in sweep_trajectories.csv, and a failing one is named in
+bit for bit, in sweep_trajectories.npy, and a failing one is named in
 sweep_summary.json. Anything else, an uncaught exception or a warning
 included, fails the test."""
 
@@ -130,14 +130,16 @@ def test_every_accepted_document_writes_a_valid_summary_or_exits_typed(tmp_path_
 
 
 def read_long_file(path):
-    """sweep_trajectories.csv as {distance_m: (time_s, omega2) float64 arrays}."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "distance_m,time_s,omega2_rad_per_s"
-    rows = {}
-    for line in lines[1:]:
-        d, t, w2 = line.split(",")
-        rows.setdefault(float(d), []).append((float(t), float(w2)))
-    return {d: tuple(np.array(r).T) for d, r in rows.items()}
+    """sweep_trajectories.npy as {distance_m: (time_s, omega2) float64
+    arrays}, in file order; each distance's rows are one block."""
+    table = np.load(path, allow_pickle=False)
+    assert table.dtype == np.dtype([("distance_m", "<f8"), ("time_s", "<f8"), ("omega2_rad_per_s", "<f8")])
+    distances = table["distance_m"]
+    assert np.all(distances[1:] >= distances[:-1])
+    return {
+        d: (table["time_s"][distances == d], table["omega2_rad_per_s"][distances == d])
+        for d in dict.fromkeys(distances.tolist())
+    }
 
 
 @settings(
@@ -176,7 +178,7 @@ def test_every_accepted_sweep_document_writes_its_distances_or_names_their_failu
         assert [f["distance_m"] for f in table["failures"]] == table["failed_distances_m"] != []
         first = table["failures"][0]["error"]
         assert code == (3 if first == "ConvergenceError" else 2), first
-    rows = read_long_file(out / "sweep_trajectories.csv")
+    rows = read_long_file(out / "sweep_trajectories.npy")
     assert list(rows) == written
     for run in table["runs"]:
         summary = json.loads(Path(run["out_dir"], "summary.json").read_text(encoding="utf-8"))
