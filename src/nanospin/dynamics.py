@@ -119,14 +119,29 @@ class ChebyshevInterpolant:
         return c0 + c1 * x
 
 
+# the type-I DCT matrix cos(pi*j*k/n) of each degree n a fit has reached,
+# read-only; degrees double from 8 to SURROGATE_MAX_DEGREE, so at most four
+_dct_matrices: dict[int, np.ndarray] = {}
+
+
+def _dct_matrix(n: int) -> np.ndarray:
+    """cos(pi*j*k/n), j, k = 0..n, built once per degree."""
+    matrix = _dct_matrices.get(n)
+    if matrix is None:
+        jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)  # exact cosine arguments
+        matrix = np.cos(np.pi * jk / n)
+        matrix.flags.writeable = False
+        matrix = _dct_matrices.setdefault(n, matrix)  # a racing thread keeps the first
+    return matrix
+
+
 def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the degree-n interpolant through values
     at x_j = cos(pi*j/n), j = 0..n (a type-I discrete cosine transform)."""
     n = len(values) - 1
-    jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)  # exact cosine arguments
     halved = np.ones(n + 1)
     halved[[0, -1]] = 0.5
-    coeffs = (2.0 / n) * (np.cos(np.pi * jk / n) @ (halved * values))
+    coeffs = (2.0 / n) * (_dct_matrix(n) @ (halved * values))
     coeffs[[0, -1]] *= 0.5
     return coeffs
 

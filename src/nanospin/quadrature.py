@@ -22,6 +22,19 @@ gap moment tightened past 1e-12, as gamma_b near its 2.69 um sign edge
 asks). The floor is not part of the ordinary stopping test, so no
 integral that meets rel_tol stops earlier than it would without it.
 
+The 7/15 error estimate sees only the kernel's values at a panel's
+nodes. A feature that decays faster than any power and falls between
+the nodes of a first-mesh panel reads as absent, with zero error, so
+that panel is never split. The first mesh must therefore cut any narrow
+feature with no algebraic tail into panels about one feature width wide,
+out to where its remaining weight is below rel_tol; an edge at its peak
+is not enough. On [1e13, 9e14] a Gaussian of width 2e11 at 1.492e14
+integrates to 0.0 with no edge, to 0.4996 of its value with an edge at
+its peak, and misses it by 2.2e-5 with edges one width apart out to 3
+widths and by 1.5e-12 out to 5. A Lorentzian's algebraic tail reaches
+the nodes of every panel, so the estimate sees it; the torque kernels'
+resonances are Lorentzians.
+
 Node and weight tables are the standard published 15-point Kronrod
 extension of 7-point Gauss; the test suite verifies them by polynomial
 exactness (degree 22 for the 15-point rule, degree 13 for the embedded

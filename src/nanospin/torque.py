@@ -317,7 +317,9 @@ def _vacuum_torques(
     """vacuum_torque at each spin, bit for bit; the first spin that fails
     raises the error vacuum_torque raises there. Values come from the
     memo; one lockstep integral covers the spins it lacks, and their
-    values are kept."""
+    values are kept. Each kernel evaluation stacks the two shifted
+    spectra w + omega0 and w - omega0 into one array, so it makes one
+    im_polarizability call and one coth_factor(., T) call for both."""
     for omega0 in spins:
         if not np.isfinite(omega0):
             raise ConfigError("omega0 must be finite")
@@ -331,14 +333,9 @@ def _vacuum_torques(
     def kernel_at(columns: np.ndarray):
         def kernel(w, owners):
             omega0 = columns[owners]  # (rows, 1)
-            a0 = coth_factor(w, T0)
-            wp = w + omega0
-            wm = w - omega0
-            bracket = (
-                im_polarizability(wp, particle) * (coth_factor(wp, T) - a0)
-                - im_polarizability(wm, particle) * (coth_factor(wm, T) - a0)
-            )
-            return w * w * im_g_self_transverse_sum(w) * bracket
+            shifted = np.stack((w + omega0, w - omega0))  # (2, rows, points), elementwise as two calls
+            s, a = im_polarizability(shifted, particle), coth_factor(shifted, T) - coth_factor(w, T0)
+            return w * w * im_g_self_transverse_sum(w) * (s[0] * a[0] - s[1] * a[1])
 
         return kernel
 
@@ -374,7 +371,9 @@ def _mutual_torques(
 ) -> list[float]:
     """mutual_torque at each (omega01, omega02), bit for bit; the first
     pair that fails raises the error mutual_torque raises there. One
-    lockstep integral for all pairs."""
+    lockstep integral for all pairs. Each kernel evaluation stacks the
+    four shifted spectra w -+ omega02 and w +- omega01 into one array, so
+    it makes one im_polarizability call and one _weight call for all four."""
     for o1, o2 in spins:
         SpinPair(o1, o2)
         check_point_dipole(d, particle)
@@ -390,13 +389,10 @@ def _mutual_torques(
     def kernel_at(columns: np.ndarray):
         def kernel(w, owners):
             o1, o2 = columns[owners, 0, None], columns[owners, 1, None]  # (rows, 1) each
-            wm2, wp2, wp1, wm1 = w - o2, w + o2, w + o1, w - o1
-            sm2, sp2, sp1, sm1 = (im_polarizability(x, particle) for x in (wm2, wp2, wp1, wm1))
-            f2 = _weight(sm2, wm2, T) - _weight(sp2, wp2, T)
-            g1 = sp1 + sm1
-            h1 = _weight(sm1, wm1, T) - _weight(sp1, wp1, T)
-            k2 = sp2 + sm2
-            return abs2_transverse_sum(d, w) * (f2 * g1 - h1 * k2)
+            shifted = np.stack((w - o2, w + o2, w + o1, w - o1))  # (4, rows, points), elementwise as four calls
+            sm2, sp2, sp1, sm1 = s = im_polarizability(shifted, particle)
+            wm2, wp2, wp1, wm1 = _weight(s, shifted, T)
+            return abs2_transverse_sum(d, w) * ((wm2 - wp2) * (sp1 + sm1) - (wm1 - wp1) * (sp2 + sm2))
 
         return kernel
 

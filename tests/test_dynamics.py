@@ -35,11 +35,13 @@ from nanospin import (
     sync_time,
     vacuum_torque,
 )
+from nanospin import dynamics
 from nanospin.dynamics import (
     ChebyshevInterpolant,
     _antiderivative,
     _certified_pieces,
     _derivative,
+    _lobatto_coefficients,
     _newton,
     chebyshev_interpolant,
 )
@@ -488,6 +490,28 @@ class TestChebyshevInterpolant:
         with pytest.raises(ConvergenceError, match="not certified at degree 64"):
             chebyshev_interpolant(kink, -1.0, 1.0, 1e-12)
         assert len(calls) == 65
+
+    def test_dct_matrix_is_kept_once_per_degree(self):
+        rng = np.random.default_rng(29)
+        for n in (8, 16, 32, 64):
+            values = rng.standard_normal(n + 1)
+            jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)
+            halved = np.ones(n + 1)
+            halved[[0, -1]] = 0.5
+            want = (2.0 / n) * (np.cos(np.pi * jk / n) @ (halved * values))
+            want[[0, -1]] *= 0.5
+            for _ in range(2):  # the fit that builds the matrix and one that reads it
+                assert (_lobatto_coefficients(values).view(np.uint64) == want.view(np.uint64)).all(), n
+        kept = dict(dynamics._dct_matrices)
+        assert set(kept) == {8, 16, 32, 64}
+        for matrix in kept.values():
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.0
+        for _ in range(2):  # every degree, twice
+            with pytest.raises(ConvergenceError):
+                chebyshev_interpolant(lambda x: np.abs(x - 0.3), -1.0, 1.0, 1e-12)
+        assert dynamics._dct_matrices.keys() == kept.keys()
+        assert all(dynamics._dct_matrices[n] is matrix for n, matrix in kept.items())
 
     def test_discontinuity_cannot_be_bisected_away(self):
         # the piece holding the jump halves until it is two adjacent

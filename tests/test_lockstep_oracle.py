@@ -392,17 +392,28 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
     # integrates the mutual node batch alone, in 10 calls. The first mesh
     # is graded around each model's own peak, so clausius_mossotti, which
     # peaks at its Froehlich frequency, takes about as few (83, 22 and 57
-    # with the mesh graded around omega_T)
-    calls = []
+    # with the mesh graded around omega_T). Every kernel call, each panel
+    # call and each integral's one tail check, makes one im_polarizability
+    # call: the direct kernels stack their spin-shifted spectra (four for
+    # the gap, two for the vacuum) into one array
+    calls, material = [], []
     panels = quadrature._panels
     monkeypatch.setattr(quadrature, "_panels", lambda *args: calls.append(1) or panels(*args))
+    polarizability = torque.im_polarizability
+    monkeypatch.setattr(torque, "im_polarizability", lambda *args: material.append(1) or polarizability(*args))
 
     def spin_up(particle, d):
         calls.clear()
+        material.clear()
         solve_nonlinear(RunConfig(particle, thermal, quad, distance=d, omega1=1e10, mode="nonlinear"))
-        return len(calls)
+        return len(calls), len(material)
 
-    for model, counts in (("bare", (31, 10, 10)), ("clausius_mossotti", (35, 11, 11))):
+    for model, counts, spectra in (
+        ("bare", (31, 10, 10), (35, 11, 11)),
+        ("clausius_mossotti", (35, 11, 11), (39, 12, 12)),
+    ):
         particle = ParticleSpec(polarizability_model=model)
         clear_memo()
-        assert tuple(spin_up(particle, d) for d in (1e-7, 3.3e-7, 5e-7)) == counts, model
+        got = [spin_up(particle, d) for d in (1e-7, 3.3e-7, 5e-7)]
+        assert tuple(panel for panel, _ in got) == counts, model
+        assert tuple(spectrum for _, spectrum in got) == spectra, model

@@ -42,6 +42,7 @@ from nanospin import (
 from nanospin.material import CONSTANTS, d_im_polarizability
 from nanospin.quadrature import resolved
 from nanospin.greens import abs2_transverse_sum, im_g_self_transverse_sum
+import nanospin.torque as torque_mod
 from nanospin.torque import (
     SPIN_DIRECT_FLOOR,
     _gamma_b_result,
@@ -592,6 +593,73 @@ class TestSpinBatches:
         assert str(batch.value) == str(lone.value)
         # a spin beyond the band fails after the checks: its batch mates integrate
         assert integrals == [("_mutual_torques", 1), ("_vacuum_torques", 1)]
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestStackedKernels:
+    """The direct kernels evaluate their spin-shifted spectra as one
+    stacked array, one im_polarizability call for all shifts; every value
+    must carry the bits of the per-shift form, one call per shift."""
+
+    W = np.geomspace(1.2e13, 9e14, 4 * 15).reshape(4, 15)  # four panel rows
+    TAIL = np.full((4, 1), 9e14)  # the shape of the tail check
+
+    @staticmethod
+    def kernel_of(monkeypatch, batch, *args):
+        """The kernel batch(*args) hands to the lockstep integral."""
+
+        def capture(kernel, q, n=None):
+            raise _Captured(kernel)
+
+        monkeypatch.setattr(torque_mod, "integrate_with_diagnostics", capture)
+        with pytest.raises(_Captured) as seen:
+            batch(*args)
+        return seen.value.args[0]
+
+    def assert_same_bits(self, kernel, per_shift, items):
+        for w in (self.W, self.TAIL):
+            owners = np.arange(len(w)) % len(items)
+            got = kernel(w, owners)
+            want = per_shift(w, np.array(items, dtype=float)[owners])
+            assert got.shape == want.shape == w.shape
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+    @pytest.mark.parametrize("model", ["bare", "clausius_mossotti"])
+    @pytest.mark.parametrize("T, T0", [(300.0, 300.0), (320.0, 300.0), (0.0, 300.0)])
+    @pytest.mark.parametrize("spins", [[-3e9], [2e10, -5e11, 1e9]])
+    def test_vacuum_kernel(self, monkeypatch, quad, model, T, T0, spins):
+        particle = ParticleSpec(polarizability_model=model)
+        kernel = self.kernel_of(monkeypatch, _vacuum_torques, spins, particle, ThermalState(T, T0), quad)
+
+        def per_shift(w, spin):  # spin: (rows, 1)
+            a0 = coth_factor(w, T0)
+            wp, wm = w + spin, w - spin
+            bracket = im_polarizability(wp, particle) * (coth_factor(wp, T) - a0) - im_polarizability(
+                wm, particle
+            ) * (coth_factor(wm, T) - a0)
+            return w * w * im_g_self_transverse_sum(w) * bracket
+
+        self.assert_same_bits(kernel, per_shift, [[s] for s in spins])
+
+    @pytest.mark.parametrize("model", ["bare", "clausius_mossotti"])
+    @pytest.mark.parametrize("T", [300.0, 320.0, 0.0])
+    @pytest.mark.parametrize("pairs", [[(1e10, 2e9)], [(-3e9, 5e9), (7e11, -4e10), (2e10, 2e10)]])
+    def test_mutual_kernel(self, monkeypatch, quad, model, T, pairs):
+        particle = ParticleSpec(polarizability_model=model)
+        kernel = self.kernel_of(monkeypatch, _mutual_torques, pairs, 1e-7, particle, T, quad)
+
+        def per_shift(w, spins):
+            o1, o2 = spins[:, 0, None], spins[:, 1, None]
+            f2 = weight_oracle(w - o2, particle, T) - weight_oracle(w + o2, particle, T)
+            g1 = im_polarizability(w + o1, particle) + im_polarizability(w - o1, particle)
+            h1 = weight_oracle(w - o1, particle, T) - weight_oracle(w + o1, particle, T)
+            k2 = im_polarizability(w + o2, particle) + im_polarizability(w - o2, particle)
+            return abs2_transverse_sum(1e-7, w) * (f2 * g1 - h1 * k2)
+
+        self.assert_same_bits(kernel, per_shift, pairs)
 
 
 class TestMemo:
