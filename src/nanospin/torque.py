@@ -331,9 +331,11 @@ def _vacuum_torques(
     T, T0 = thermal.T, thermal.T0
 
     def kernel_at(columns: np.ndarray):
+        # +omega0 and -omega0 of each spin, (2, spins); w + -o has the bits of w - o
+        shifts = np.array([1.0, -1.0])[:, None] * columns.T
+
         def kernel(w, owners):
-            omega0 = columns[owners]  # (rows, 1)
-            shifted = np.stack((w + omega0, w - omega0))  # (2, rows, points), elementwise as two calls
+            shifted = np.add(w, shifts[:, owners, None], order="C")  # (2, rows, points)
             s, a = im_polarizability(shifted, particle), coth_factor(shifted, T) - coth_factor(w, T0)
             return w * w * im_g_self_transverse_sum(w) * (s[0] * a[0] - s[1] * a[1])
 
@@ -387,9 +389,11 @@ def _mutual_torques(
                 )
 
     def kernel_at(columns: np.ndarray):
+        # -omega02, +omega02, +omega01, -omega01 of each pair, (4, pairs); w + -o has the bits of w - o
+        shifts = np.array([-1.0, 1.0, 1.0, -1.0])[:, None] * columns.T[[1, 1, 0, 0]]
+
         def kernel(w, owners):
-            o1, o2 = columns[owners, 0, None], columns[owners, 1, None]  # (rows, 1) each
-            shifted = np.stack((w - o2, w + o2, w + o1, w - o1))  # (4, rows, points), elementwise as four calls
+            shifted = np.add(w, shifts[:, owners, None], order="C")  # (4, rows, points)
             sm2, sp2, sp1, sm1 = s = im_polarizability(shifted, particle)
             wm2, wp2, wp1, wm1 = _weight(s, shifted, T)
             return abs2_transverse_sum(d, w) * ((wm2 - wp2) * (sp1 + sm1) - (wm1 - wp1) * (sp2 + sm2))
