@@ -331,11 +331,9 @@ def _vacuum_torques(
     T, T0 = thermal.T, thermal.T0
 
     def kernel_at(columns: np.ndarray):
-        # +omega0 and -omega0 of each spin, (2, spins); w + -o has the bits of w - o
-        shifts = np.array([1.0, -1.0])[:, None] * columns.T
-
         def kernel(w, owners):
-            shifted = np.add(w, shifts[:, owners, None], order="C")  # (2, rows, points)
+            omega0 = columns[owners]  # (rows, 1)
+            shifted = w + np.stack((omega0, -omega0))  # (2, rows, points); w + -o has the bits of w - o
             s, a = im_polarizability(shifted, particle), coth_factor(shifted, T) - coth_factor(w, T0)
             return w * w * im_g_self_transverse_sum(w) * (s[0] * a[0] - s[1] * a[1])
 
@@ -389,14 +387,13 @@ def _mutual_torques(
                 )
 
     def kernel_at(columns: np.ndarray):
-        # -omega02, +omega02, +omega01, -omega01 of each pair, (4, pairs); w + -o has the bits of w - o
-        shifts = np.array([-1.0, 1.0, 1.0, -1.0])[:, None] * columns.T[[1, 1, 0, 0]]
-
         def kernel(w, owners):
-            shifted = np.add(w, shifts[:, owners, None], order="C")  # (4, rows, points)
+            o1, o2 = columns[owners, 0, None], columns[owners, 1, None]  # (rows, 1) each
+            shifted = w + np.stack((-o2, o2, o1, -o1))  # (4, rows, points); w + -o has the bits of w - o
             sm2, sp2, sp1, sm1 = s = im_polarizability(shifted, particle)
-            wm2, wp2, wp1, wm1 = _weight(s, shifted, T)
-            return abs2_transverse_sum(d, w) * ((wm2 - wp2) * (sp1 + sm1) - (wm1 - wp1) * (sp2 + sm2))
+            qm2, qp2, qp1, qm1 = _weight(s, shifted, T)
+            f2, g1, h1, k2 = qm2 - qp2, sp1 + sm1, qm1 - qp1, sp2 + sm2
+            return abs2_transverse_sum(d, w) * (f2 * g1 - h1 * k2)
 
         return kernel
 
