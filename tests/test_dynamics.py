@@ -500,7 +500,7 @@ class TestChebyshevInterpolant:
             halved[[0, -1]] = 0.5
             want = (2.0 / n) * (np.cos(np.pi * jk / n) @ (halved * values))
             want[[0, -1]] *= 0.5
-            for _ in range(2):  # the fit that builds the matrix and one that reads it
+            for _ in range(2):  # a fit that may build the matrix, then one that reads it
                 assert (_lobatto_coefficients(values).view(np.uint64) == want.view(np.uint64)).all(), n
         kept = dict(dynamics._dct_matrices)
         assert set(kept) == {8, 16, 32, 64}
