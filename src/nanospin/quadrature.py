@@ -9,11 +9,13 @@ identical panel sequence and an identical float result.
 
 It also runs many integrands in lockstep, such as the nodes of a torque
 surrogate or the gap channel's three moments: each round splits the
-worst panel of every unfinished integrand, and one kernel call
-evaluates all of that round's halves. An integrand's panels and sums do
-not depend on the others in its batch, so each keeps the panels and
-bits it has when integrated alone, whatever ran before and on whichever
-thread.
+worst panel of every unfinished integrand, and the round's halves go to
+the kernel in consecutive blocks of at most _ROWS_PER_CALL rows, one
+kernel call per block, their entries added in row order. A row's values
+do not depend on the other rows of its call, and an integrand's panels
+and sums do not depend on the others in its batch, so each keeps the
+panels and bits it has when integrated alone, whatever ran before and
+on whichever thread.
 
 An integrand whose splits run out with its error sum at or below
 QUADPACK's roundoff floor, 50 eps times the integral of |f|, is
@@ -154,9 +156,21 @@ class IntegrationResult:
     evaluations: int
 
 
+# Rows per kernel call: a lockstep round's rows go to the kernel in
+# blocks of at most this many. The gap kernel holds 4 spectra x 15
+# points x 8 B = 480 B per row in each of its temporaries, 60 KiB at 128
+# rows. In one call, the 216 rows of a warm 1e10 spin-up's first round
+# made temporaries of 101 KiB, and the allocator trimmed the heap after
+# them and faulted it in again: 95 minor page faults per spin-up under
+# glibc, none in blocks of 128. Blocks of 32 rows cost more in per-call
+# overhead than the faults did.
+_ROWS_PER_CALL = 128
+
+
 def _panels(kernel, owners: np.ndarray, a: np.ndarray, b: np.ndarray):
     """15-point evaluations of the panels [a[i], b[i]], panel i belonging
-    to integrand owners[i], in one kernel call.
+    to integrand owners[i], in one kernel call; _lockstep passes at most
+    _ROWS_PER_CALL panels.
 
     Returns an iterator of one tuple per panel: I15, |I15 - I7|, the
     15-point integral of |f| and peak |f| (Python floats), and whether
@@ -247,8 +261,11 @@ class _Integral:
 def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult | NanospinError]:
     """Integrate n integrands, each exactly as a lone one would be.
 
-    Every round splits the worst panel of each unfinished integrand, and
-    one kernel call evaluates all of the round's halves.
+    Every round splits the worst panel of each unfinished integrand and
+    evaluates the round's halves in blocks of at most _ROWS_PER_CALL
+    rows, one _panels call per block, adding the entries in row order:
+    the order a lone integrand adds its panels in, so its sums keep
+    their bits.
     """
     if quad.omega_max is None:
         raise ConfigError("omega_max unresolved; supply a value or use the torque-level entry points")
@@ -257,10 +274,12 @@ def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult 
     integrals = [_Integral() for _ in range(n)]
     rows = [(j, panel) for j in range(n) for panel in zip(edges[:-1], edges[1:])]
     while rows:
-        owners = np.array([j for j, _ in rows])
-        a, b = np.array([panel for _, panel in rows]).T
-        for (j, panel), entry in zip(rows, _panels(kernel, owners, a, b)):
-            integrals[j].add(panel, entry)
+        for start in range(0, len(rows), _ROWS_PER_CALL):
+            block = rows[start : start + _ROWS_PER_CALL]
+            owners = np.array([j for j, _ in block])
+            a, b = np.array([panel for _, panel in block]).T
+            for (j, panel), entry in zip(block, _panels(kernel, owners, a, b)):
+                integrals[j].add(panel, entry)
         rows = [(j, panel) for j, s in enumerate(integrals) for panel in s.split(quad)]
 
     done = [j for j, s in enumerate(integrals) if s.outcome is None]
@@ -298,9 +317,13 @@ def integrate_with_diagnostics(
 
     With n, integrates n integrands in lockstep: kernel(w, owners) maps a
     2-D frequency array w to same-shape values, row i belonging to
-    integrand owners[i]. Each integrand gets the panels, sums and result
-    it would get alone, and the return value is a list with, for each
-    integrand, its IntegrationResult or the error it would have raised.
+    integrand owners[i]. Each refinement round passes its rows in blocks
+    of at most _ROWS_PER_CALL (128) rows, one kernel call per block, so
+    a kernel's temporaries stay small however many integrands run; the
+    tail check is one more call, one row per finished integrand. Each
+    integrand gets the panels, sums and result it would get alone, and
+    the return value is a list with, for each integrand, its
+    IntegrationResult or the error it would have raised.
     """
     if n is not None:
         return _lockstep(kernel, quad, n)

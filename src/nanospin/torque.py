@@ -317,9 +317,11 @@ def _vacuum_torques(
     """vacuum_torque at each spin, bit for bit; the first spin that fails
     raises the error vacuum_torque raises there. Values come from the
     memo; one lockstep integral covers the spins it lacks, and their
-    values are kept. Each kernel evaluation stacks the two shifted
-    spectra w + omega0 and w - omega0 into one array, so it makes one
-    im_polarizability call and one coth_factor(., T) call for both."""
+    values are kept. The batch's shifts +omega0 and -omega0 of each spin
+    form one table, and each kernel evaluation adds its rows' columns of
+    it to w in one C-ordered array of the two shifted spectra, so it
+    makes one im_polarizability call and one coth_factor(., T) call for
+    both."""
     for omega0 in spins:
         if not np.isfinite(omega0):
             raise ConfigError("omega0 must be finite")
@@ -331,9 +333,11 @@ def _vacuum_torques(
     T, T0 = thermal.T, thermal.T0
 
     def kernel_at(columns: np.ndarray):
+        # +omega0 and -omega0 of each spin, (2, spins); w + -o has the bits of w - o
+        shifts = np.array([1.0, -1.0])[:, None] * columns.T
+
         def kernel(w, owners):
-            omega0 = columns[owners]  # (rows, 1)
-            shifted = w + np.stack((omega0, -omega0))  # (2, rows, points); w + -o has the bits of w - o
+            shifted = np.add(w, shifts[:, owners, None], order="C")  # (2, rows, points)
             s, a = im_polarizability(shifted, particle), coth_factor(shifted, T) - coth_factor(w, T0)
             return w * w * im_g_self_transverse_sum(w) * (s[0] * a[0] - s[1] * a[1])
 
@@ -371,9 +375,11 @@ def _mutual_torques(
 ) -> list[float]:
     """mutual_torque at each (omega01, omega02), bit for bit; the first
     pair that fails raises the error mutual_torque raises there. One
-    lockstep integral for all pairs. Each kernel evaluation stacks the
-    four shifted spectra w -+ omega02 and w +- omega01 into one array, so
-    it makes one im_polarizability call and one _weight call for all four."""
+    lockstep integral for all pairs. The batch's shifts -+omega02 and
+    +-omega01 of each pair form one table, and each kernel evaluation
+    adds its rows' columns of it to w in one C-ordered array of the four
+    shifted spectra, so it makes one im_polarizability call and one
+    _weight call for all four."""
     for o1, o2 in spins:
         SpinPair(o1, o2)
         check_point_dipole(d, particle)
@@ -387,9 +393,11 @@ def _mutual_torques(
                 )
 
     def kernel_at(columns: np.ndarray):
+        # -omega02, +omega02, +omega01, -omega01 of each pair, (4, pairs); w + -o has the bits of w - o
+        shifts = np.array([-1.0, 1.0, 1.0, -1.0])[:, None] * columns.T[[1, 1, 0, 0]]
+
         def kernel(w, owners):
-            o1, o2 = columns[owners, 0, None], columns[owners, 1, None]  # (rows, 1) each
-            shifted = w + np.stack((-o2, o2, o1, -o1))  # (4, rows, points); w + -o has the bits of w - o
+            shifted = np.add(w, shifts[:, owners, None], order="C")  # (4, rows, points)
             sm2, sp2, sp1, sm1 = s = im_polarizability(shifted, particle)
             qm2, qp2, qp1, qm1 = _weight(s, shifted, T)
             f2, g1, h1, k2 = qm2 - qp2, sp1 + sm1, qm1 - qp1, sp2 + sm2

@@ -1,6 +1,7 @@
 """The lockstep engine against an independent implementation of the
 same algorithm: one split per integrand per round, each round's halves
-in one kernel call, and each panel's sums as 1-D dot products. Every
+in one kernel call (the engine's blocks of at most _ROWS_PER_CALL rows
+must change no bit), and each panel's sums as 1-D dot products. Every
 result, error class and message must be the same, bit for bit, the
 engine must evaluate no panel the oracle does not, and a prior integral
 on the same window must leave no trace."""
@@ -373,6 +374,52 @@ def test_seeded_synthetic_outcomes_match_oracle(monkeypatch, max_subdivisions):
         )
 
 
+def rows_per_panel_call(monkeypatch):
+    """A list that gets the row count of every _panels call from now on."""
+    rows = []
+    panels = quadrature._panels
+
+    def counted(kernel, owners, a, b):
+        rows.append(len(owners))
+        return panels(kernel, owners, a, b)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    return rows
+
+
+# 100 first panels: a batch of three integrands starts with a round of
+# 300 rows, three blocks of at most _ROWS_PER_CALL; a lone one starts
+# with one block of 100
+FINE = tuple(k / 100 for k in range(1, 100))
+
+
+def spread(w, owners):
+    # owner 0 has an integrable singularity that exhausts the splits; 1
+    # converges in the first round, its rows 100-199 astride the first two
+    # blocks, so its sum keeps its bits only if the blocks and their
+    # entries are added in row order; 2 is not finite in its panels
+    # [0.49, 0.5] and [0.5, 0.51], rows 249 and 250, in the second block
+    y = np.exp(-10.0 * w) * (1.0 - w) ** 2 * (1.0 + owners[:, None])
+    y = np.where(owners[:, None] == 0, y / np.sqrt(np.abs(w - 0.03141)), y)
+    return np.where((owners[:, None] == 2) & (np.abs(w - 0.5) < 0.01), np.inf, y)
+
+
+@pytest.mark.parametrize("max_subdivisions", [7, 30])
+def test_blocked_rounds_match_oracle(monkeypatch, max_subdivisions):
+    q = QuadratureConfig(omega_min=0.0, omega_max=1.0, max_subdivisions=max_subdivisions, breakpoints=FINE)
+    assert_same_as_oracle(monkeypatch, lambda: integrate_with_diagnostics(spread, q, 3))
+    for j in range(3):
+        assert_same_as_oracle(
+            monkeypatch, lambda: [outcome(lambda: integrate_with_diagnostics(lambda w: spread(w, np.full(len(w), j)), q))]
+        )
+    rows = rows_per_panel_call(monkeypatch)
+    results = integrate_with_diagnostics(spread, q, 3)
+    assert rows[:3] == [128, 128, 44] and max(rows) <= quadrature._ROWS_PER_CALL
+    assert isinstance(results[0], ConvergenceError) and "subdivisions" in str(results[0])
+    assert isinstance(results[1], IntegrationResult)
+    assert results[2].worst_panel == (0.49, 0.5)
+
+
 def test_vecdot_rows_match_one_dimensional_dots():
     rng = np.random.default_rng(2024)
     n = 4000
@@ -385,20 +432,21 @@ def test_vecdot_rows_match_one_dimensional_dots():
 
 
 def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
-    # the four integrals of a cold 1e10 / 100 nm bare spin-up take 31 panel
-    # calls, one per round: gamma_s 3, the gap moments 15, the mutual node
-    # batch 10 and the vacuum node batch 3. A later distance reads gamma_b
-    # off the kept moments and the vacuum nodes off the memo, and
-    # integrates the mutual node batch alone, in 10 calls. The first mesh
-    # is graded around each model's own peak, so clausius_mossotti, which
+    # the four integrals of a cold 1e10 / 100 nm bare spin-up take 31
+    # refinement rounds: gamma_s 3, the gap moments 15, the mutual node
+    # batch 10 and the vacuum node batch 3. A round makes one panel call
+    # per block of at most _ROWS_PER_CALL rows, and the first round of each
+    # node batch, 9 nodes times 24 first panels = 216 rows, needs two, so
+    # 33 panel calls. A later distance reads gamma_b off the kept
+    # moments and the vacuum nodes off the memo, and integrates the mutual
+    # node batch alone, in 10 rounds and 11 calls. The first mesh is
+    # graded around each model's own peak, so clausius_mossotti, which
     # peaks at its Froehlich frequency, takes about as few (83, 22 and 57
     # with the mesh graded around omega_T). Every kernel call, each panel
     # call and each integral's one tail check, makes one im_polarizability
     # call: the direct kernels stack their spin-shifted spectra (four for
     # the gap, two for the vacuum) into one array
-    calls, material = [], []
-    panels = quadrature._panels
-    monkeypatch.setattr(quadrature, "_panels", lambda *args: calls.append(1) or panels(*args))
+    calls, material = rows_per_panel_call(monkeypatch), []
     polarizability = torque.im_polarizability
     monkeypatch.setattr(torque, "im_polarizability", lambda *args: material.append(1) or polarizability(*args))
 
@@ -406,11 +454,12 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
         calls.clear()
         material.clear()
         solve_nonlinear(RunConfig(particle, thermal, quad, distance=d, omega1=1e10, mode="nonlinear"))
+        assert max(calls) == quadrature._ROWS_PER_CALL  # the first round fills a block
         return len(calls), len(material)
 
     for model, counts, spectra in (
-        ("bare", (31, 10, 10), (35, 11, 11)),
-        ("clausius_mossotti", (35, 11, 11), (39, 12, 12)),
+        ("bare", (33, 11, 11), (37, 12, 12)),
+        ("clausius_mossotti", (37, 12, 12), (41, 13, 13)),
     ):
         particle = ParticleSpec(polarizability_model=model)
         clear_memo()

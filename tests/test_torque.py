@@ -620,12 +620,15 @@ class TestStackedKernels:
         return seen.value.args[0]
 
     def assert_same_bits(self, kernel, per_shift, items):
-        for w in (self.W, self.TAIL):
-            owners = np.arange(len(w)) % len(items)
-            got = kernel(w, owners)
-            want = per_shift(w, np.array(items, dtype=float)[owners])
-            assert got.shape == want.shape == w.shape
-            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+        # in order, and unsorted with repeats: each row must read its own
+        # owner's shifts from the batch table, whatever the order
+        for order in ([0, 1, 2, 3], [2, 0, 2, 1]):
+            owners = np.array(order) % len(items)
+            for w in (self.W, self.TAIL):
+                got = kernel(w, owners)
+                want = per_shift(w, np.array(items, dtype=float)[owners])
+                assert got.shape == want.shape == w.shape
+                assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
     @pytest.mark.parametrize("model", ["bare", "clausius_mossotti"])
     @pytest.mark.parametrize("T, T0", [(300.0, 300.0), (320.0, 300.0), (0.0, 300.0)])
