@@ -29,7 +29,6 @@ from .errors import (
     ConvergenceError,
     NanospinError,
     PoleError,
-    SmallSpinError,
     TailNotNegligibleError,
 )
 from .greens import abs2_transverse_sum, im_g_self_transverse_sum
@@ -46,7 +45,6 @@ from .material import (
 from .quadrature import IntegrationResult, QuadratureConfig, integrate, integrate_with_diagnostics
 from .torque import (
     DEFAULT_COUPLING_SCALE,
-    SPIN_DIRECT_FLOOR,
     FrictionCoefficients,
     SpinPair,
     ThermalState,

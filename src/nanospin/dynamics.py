@@ -44,10 +44,8 @@ __all__ = [
     "sync_time",
 ]
 
-# Spin scale from which the nonlinear solver uses direct kernels, above
-# the scales where they converge at the default tolerance (see README):
-# a decade above about 1e8 rad/s, but only about 3x above the
-# clausius_mossotti vacuum torque's floor between 2.5e8 and 3e8.
+# Spin scale from which the nonlinear solver uses direct kernels; below
+# it each channel takes its linearized form (see README).
 DIRECT_EVAL_FLOOR = 1e9
 
 # Highest Chebyshev degree a torque surrogate may reach before its build

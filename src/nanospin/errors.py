@@ -2,8 +2,7 @@
 
 cli.main maps these onto exit codes: ConfigError (TailNotNegligibleError
 included) -> 2, ConvergenceError -> 3, any other NanospinError
-(PoleError, SmallSpinError) -> 2, and an OSError while reading or
-writing files -> 4.
+(PoleError) -> 2, and an OSError while reading or writing files -> 4.
 """
 
 from __future__ import annotations
@@ -37,14 +36,3 @@ class ConvergenceError(NanospinError):
 
 class PoleError(NanospinError):
     """A thermal factor was evaluated at its omega = 0 pole."""
-
-
-class SmallSpinError(NanospinError):
-    """Direct torque evaluation requested in the cancellation-dominated regime.
-
-    Below ~1e6 rad/s the frequency shifts are so small that binary64
-    rounding in the shifted-argument differences exceeds the physical
-    result. Callers should use the linearized coefficients instead, or
-    pass the explicit override if they know the cancellation is benign
-    (e.g. structural antisymmetry checks).
-    """

@@ -43,9 +43,8 @@ def abs2_transverse_sum(d: float, omega):
     """
     if not d > 0.0:
         raise ValueError("require d > 0")
-    k = _wavenumber(omega)
-    u = (k * d) ** 2
-    return 2.0 * (u * u - u + 1.0) / (k**4 * float(d) ** 6)
+    u = (_wavenumber(omega) * d) ** 2
+    return 2.0 * (u * u - u + 1.0) / (u * u * (d * d))  # k^4 d^6 = u^2 d^2
 
 
 def im_g_self_transverse_sum(omega):

@@ -6,9 +6,7 @@ Single-resonance Lorentz oscillator permittivity
 
 plus the particle-level quantities built on it: Im alpha(w) in volume
 units (the vacuum permittivity is folded into the torque prefactors), a
-real Lorentzian in closed form, and its analytic frequency derivative,
-needed by the linearized friction kernels where finite differences would
-cancel away.
+real Lorentzian in closed form, and its analytic frequency derivative.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -141,7 +139,7 @@ def im_polarizability(omega, particle: ParticleSpec):
     return out if out.ndim else float(out)
 
 
-def d_im_polarizability(omega, particle: ParticleSpec):
+def d_im_polarizability(omega, particle: ParticleSpec):  # no kernel uses it; bench/ calls and wraps it
     """Analytic d/d(omega) of im_polarizability, in m^3*s. Even in omega."""
     strength, omega0 = lorentzian(particle)
     gamma = particle.dielectric.gamma

@@ -30,12 +30,9 @@ the nodes of a first-mesh panel reads as absent, with zero error, so
 that panel is never split. The first mesh must therefore cut any narrow
 feature with no algebraic tail into panels about one feature width wide,
 out to where its remaining weight is below rel_tol; an edge at its peak
-is not enough. On [1e13, 9e14] a Gaussian of width 2e11 at 1.492e14
-integrates to 0.0 with no edge, to 0.4996 of its value with an edge at
-its peak, and misses it by 2.2e-5 with edges one width apart out to 3
-widths and by 1.5e-12 out to 5. A Lorentzian's algebraic tail reaches
-the nodes of every panel, so the estimate sees it; the torque kernels'
-resonances are Lorentzians.
+is not enough (CHANGES.md measures a Gaussian). A Lorentzian's
+algebraic tail reaches the nodes of every panel, so the estimate sees
+it; the torque kernels' resonances are Lorentzians.
 
 Node and weight tables are the standard published 15-point Kronrod
 extension of 7-point Gauss; the test suite verifies them by polynomial
@@ -157,13 +154,11 @@ class IntegrationResult:
 
 
 # Rows per kernel call: a lockstep round's rows go to the kernel in
-# blocks of at most this many. The gap kernel holds 4 spectra x 15
-# points x 8 B = 480 B per row in each of its temporaries, 60 KiB at 128
-# rows. In one call, the 216 rows of a warm 1e10 spin-up's first round
-# made temporaries of 101 KiB, and the allocator trimmed the heap after
-# them and faulted it in again: 95 minor page faults per spin-up under
-# glibc, none in blocks of 128. Blocks of 32 rows cost more in per-call
-# overhead than the faults did.
+# blocks of at most this many, few enough that a kernel's temporaries (4
+# spectra x 15 points per row in the gap kernel) stay under the size
+# past which the allocator trims the heap after them and faults it in
+# again, and enough to spread the per-call overhead (CHANGES.md has the
+# measurements).
 _ROWS_PER_CALL = 128
 
 

@@ -12,14 +12,17 @@ Two channels:
 
 Either temperature may be 0: the thermal factors take their
 zero-temperature limit through hbar/k_B T = inf, the value they also
-take where k_B T underflows, so no function refuses or special-cases it.
+take where k_B T underflows, so no function refuses it, and only
+_occupation_step gives inf a branch of its own.
 
 Both integrands live on [omega_min, omega_max] (see quadrature module for
-the infrared cutoff rationale). Below SPIN_DIRECT_FLOOR the spin shifts
-are unresolvable in binary64 and direct evaluation is refused in favor of
-the linearized coefficients gamma_s / gamma_b; structural checks may pass
-allow_small_spins=True since operand-exchange antisymmetry holds exactly
-at any magnitude.
+the infrared cutoff rationale). Each torque is its spin scale times a
+divided difference: vacuum_torque(spin) = spin * P(|spin|) and
+mutual_torque = (omega01 - omega02) * Q, every difference across the
+spins factored by hand before it is evaluated (_lorentzian_dd,
+_occupation_dd), so no kernel subtracts two nearly equal spectra and
+every spin with |spin| < omega_min/2 is evaluated directly, 0 included.
+gamma_s is P(0), and the gap moments integrate Q's kernel at zero spins.
 
 The two torques, gamma_s and the gap moments run as batches through one
 pipeline, a lone call being a batch of one: a batch checks its items in
@@ -40,7 +43,7 @@ absolute cross-prefactor between the two channels is calibration-grade;
 DEFAULT_COUPLING_SCALE pins the 100 nm default run to a 0.030 s
 synchronization time).
 
-gamma_s, the vacuum torque at each spin and the gap moments do not
+P at each |spin| (gamma_s at 0) and the gap moments do not
 depend on the distance, so they are kept for the life of the process in
 one memo keyed on every input of the integral but coupling_scale, which
 scales after; checks run before the memo is read, so a kept value never
@@ -59,9 +62,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NanospinError, PoleError, SmallSpinError
+from .errors import ConfigError, NanospinError, PoleError
 from .greens import abs2_transverse_sum, im_g_self_transverse_sum
-from .material import CONSTANTS, ParticleSpec, d_im_polarizability, im_polarizability, lorentzian
+from .material import CONSTANTS, ParticleSpec, im_polarizability, lorentzian
+from .material import d_im_polarizability  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.d_im_polarizability
 from .quadrature import IntegrationResult, QuadratureConfig, integrate_with_diagnostics, resolved
 from .quadrature import integrate  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.integrate
 
@@ -69,7 +73,6 @@ __all__ = [
     "ThermalState",
     "SpinPair",
     "FrictionCoefficients",
-    "SPIN_DIRECT_FLOOR",
     "DEFAULT_COUPLING_SCALE",
     "coth_factor",
     "d_coth_factor",
@@ -86,15 +89,6 @@ __all__ = [
     "MEMO_ENTRIES",
     "clear_memo",
 ]
-
-# Direct kernel evaluation is refused for 0 < |spin| < this (rad/s). The
-# kernels difference values at omega -+ spin, and the error estimate is
-# made from the same rounded values, so at small spin scales a certified
-# value can miss rel_tol: against 40-digit references, by up to 2.6x,
-# wherever spin * rel_tol <= 0.56, at scales from 1e2 to 1e9. Above this
-# floor that band lies below rel_tol 5.6e-7; clearing the default 1e-9
-# would take 5.6e8, under 2x below the spin-up's own 1e9 nodes (README).
-SPIN_DIRECT_FLOOR = 1e6
 
 # Mutual-channel magnitude calibration; see module docstring.
 DEFAULT_COUPLING_SCALE = 3.81e22
@@ -160,8 +154,7 @@ class FrictionCoefficients:
 def _beta_scale(T: float) -> float:
     # hbar / k_B T, the inverse thermal frequency; inf at T = 0 and where
     # k_B T underflows to 0 (T below about 4e-301 K). Every thermal factor
-    # takes its zero-temperature limit through this inf, with no branch
-    # of its own.
+    # takes its zero-temperature limit through this inf.
     kT = CONSTANTS.k_B * T
     return CONSTANTS.hbar / kT if kT > 0.0 else math.inf
 
@@ -173,7 +166,7 @@ def coth_factor(omega, T: float):
     return 1.0 + 2.0 * occupation(2.0 * np.asarray(omega, dtype=float), T)
 
 
-def d_coth_factor(omega, T: float):
+def d_coth_factor(omega, T: float):  # no kernel uses it; bench/workloads.py's scipy oracle does
     """d/d(omega) of coth_factor: 4 n'(2 omega) = -b/sinh^2(b*omega),
     b = hbar/k_B T. Zero for T = 0."""
     return 4.0 * d_occupation(2.0 * np.asarray(omega, dtype=float), T)
@@ -186,13 +179,19 @@ def occupation(omega, T: float):
     w = np.asarray(omega, dtype=float)
     if np.any(w == 0.0):
         raise PoleError("occupation pole at omega = 0")
-    x = _beta_scale(T) * w
-    with np.errstate(over="ignore"):
-        out = 1.0 / np.expm1(x)
+    out = _occupation(w, _beta_scale(T))
     return out if out.ndim else float(out)
 
 
-def d_occupation(omega, T: float):
+def _occupation(w: np.ndarray, b: float) -> np.ndarray:
+    """occupation at frequencies w > 0, given b = _beta_scale(T), with no
+    pole check: the kernels' shifted frequencies are positive by the band
+    check."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.expm1(b * w)
+
+
+def d_occupation(omega, T: float):  # no kernel uses it; bench/workloads.py's scipy oracle does
     """d/d(omega) of occupation: -b/(4 sinh^2(b*omega/2)). Zero for T = 0."""
     w = np.asarray(omega, dtype=float)
     if np.any(w == 0.0):
@@ -211,16 +210,45 @@ def d_occupation(omega, T: float):
     return out if out.ndim else float(out)
 
 
-def _weight(s, omega, T: float):
-    """The mutual kernel's symmetrized weight Im alpha * (n + 1/2), given
-    s = im_polarizability(omega)."""
-    return s * (occupation(omega, T) + 0.5)
+def _lorentzian_dd(x, y, sx, sy, h2, particle: ParticleSpec):
+    """s[x, y] = (s(x) - s(y))/(x - y) for s = im_polarizability, given
+    sx = s(x), sy = s(y) and h2 = (x - y)^2; s'(x) at h2 = 0. The
+    Lorentzian's closed form S gamma [omega0^4 + xy(2 omega0^2 - gamma^2
+    - x^2 - xy - y^2)]/(D(x) D(y)), its bracket written as (omega0^2 -
+    xy)(omega0^2 + 3xy) - xy(h2 + gamma^2), and S gamma/D(x) as s(x)/x:
+    nothing is differenced across x - y, and omega0^2 - xy rounds as
+    d_im_polarizability's omega0^2 - x^2 does."""
+    strength, omega0 = lorentzian(particle)
+    sg, w2, g2 = strength * particle.dielectric.gamma, omega0 * omega0, particle.dielectric.gamma ** 2
+    xy = x * y  # ((omega0^2/xy + 3)(omega0^2 - xy) - h2 - gamma^2) s(x) s(y)/(S gamma), in place:
+    out = np.divide(w2 / sg, xy)
+    out += 3.0 / sg
+    out *= np.subtract(w2, xy, out=xy)
+    out -= (h2 + g2) / sg
+    out *= sx
+    out *= sy
+    return out
 
 
-def _d_weight(s, ds, omega, T: float):
-    """Analytic derivative of _weight, given s = im_polarizability(omega)
-    and ds = d_im_polarizability(omega)."""
-    return ds * (occupation(omega, T) + 0.5) + s * d_occupation(omega, T)
+def _occupation_step(b: float, h: float) -> float:
+    """expm1(-b h)/h for h = |x - y| >= 0 and b = hbar/k_B T: the factor
+    of n[x, y] that depends on h alone, one number per kernel row, with
+    its limit -b at h = 0. At b = inf, where n vanishes at positive
+    frequencies, it is -1/h, and -1 at h = 0: a finite stand-in for -inf,
+    so that n[x, y] comes out 0 rather than 0 * inf."""
+    if b == math.inf:
+        return -1.0 / h if h > 0.0 else -1.0
+    t = b * h
+    return -b if t == 0.0 else b * (math.expm1(-t) / t)
+
+
+def _occupation_dd(n_lo, n_hi, step):
+    """n[x, y] = (n(x) - n(y))/(x - y) = -n(x)(1 + n(y)) expm1(b(x - y))/(x - y)
+    for n = occupation at positive x and y, given n_lo and n_hi, n at the
+    smaller and the larger of them, and step = _occupation_step(b, |x - y|):
+    n_lo (1 + n_hi) step, written around the smaller argument so that no
+    factor overflows."""
+    return n_lo * (1.0 + n_hi) * step
 
 
 def default_omega_max(thermal: ThermalState, particle: ParticleSpec) -> float:
@@ -307,61 +335,62 @@ def _gap_scale(coupling_scale: float) -> float:
     return coupling_scale * 4.0 * np.pi * CONSTANTS.hbar
 
 
-def _vacuum_torques(
-    spins: Sequence[float],
-    particle: ParticleSpec,
-    thermal: ThermalState,
-    quad: QuadratureConfig,
-    allow_small_spins: bool = False,
-) -> list[float]:
-    """vacuum_torque at each spin, bit for bit; the first spin that fails
-    raises the error vacuum_torque raises there. Values come from the
-    memo; one lockstep integral covers the spins it lacks, and their
-    values are kept. The batch's shifts +omega0 and -omega0 of each spin
-    form one table, and each kernel evaluation adds its rows' columns of
-    it to w in one C-ordered array of the two shifted spectra, so it
-    makes one im_polarizability call and one coth_factor(., T) call for
-    both."""
+def _vacuum_slopes(
+    spins: Sequence[float], particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig
+) -> list[IntegrationResult]:
+    """P(|spin|) = vacuum_torque(spin)/spin, with its diagnostics, at each
+    spin, P(0) = gamma_s; the first spin that fails raises the error
+    vacuum_torque raises there. Values come from the memo, keyed on
+    |spin|; one lockstep integral covers the spins it lacks, and their
+    values are kept.
+
+    With x, y = omega -+ |spin|, P is the integral of 2K (s[x, y]
+    2(n_T(2x) - n_T0(2 omega)) + s(y) c_T[x, y]), K = omega^2 Im g_self,
+    c_T[x, y] = 4 n_T[2x, 2y]. The batch's shifts and the per-row factor
+    of n_T[2x, 2y] form one table each, and each kernel evaluation adds
+    its rows' shifts to w in one C-ordered array (y, x), so it makes one
+    im_polarizability call and one occupation(., T) call for both."""
     for omega0 in spins:
         if not np.isfinite(omega0):
             raise ConfigError("omega0 must be finite")
-        if 0.0 < abs(omega0) < SPIN_DIRECT_FLOOR and not allow_small_spins:
-            raise SmallSpinError(
-                f"|omega0| = {abs(omega0):.3e} is below the direct-evaluation "
-                f"floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_s or pass allow_small_spins=True"
-            )
-    T, T0 = thermal.T, thermal.T0
+    b, b0 = _beta_scale(thermal.T), _beta_scale(thermal.T0)
 
     def kernel_at(columns: np.ndarray):
-        # +omega0 and -omega0 of each spin, (2, spins); w + -o has the bits of w - o
-        shifts = np.array([1.0, -1.0])[:, None] * columns.T
+        spin = columns[:, 0]
+        shifts, h2 = np.stack((-spin, spin)), 4.0 * spin * spin
+        # c_T[x, y]/2 = 2 n_T[2x, 2y], and 2x - 2y = 4 |spin|
+        steps = np.array([2.0 * _occupation_step(b, 4.0 * o) for o in spin.tolist()])
 
         def kernel(w, owners):
-            shifted = np.add(w, shifts[:, owners, None], order="C")  # (2, rows, points)
-            s, a = im_polarizability(shifted, particle), coth_factor(shifted, T) - coth_factor(w, T0)
-            return w * w * im_g_self_transverse_sum(w) * (s[0] * a[0] - s[1] * a[1])
+            z = np.add(w, shifts[:, owners, None], order="C")  # (2, rows, points): y, x
+            s, n = im_polarizability(z, particle), _occupation(2.0 * z, b)
+            sdd = _lorentzian_dd(z[1], z[0], s[1], s[0], h2[owners, None], particle)
+            half_c = _occupation_dd(n[0], n[1], steps[owners, None])
+            return 4.0 * w * w * im_g_self_transverse_sum(w) * (sdd * (n[1] - _occupation(2.0 * w, b0)) + s[0] * half_c)
 
         return kernel
 
     window, memo = (quad, particle, thermal), ("vacuum", particle, thermal, quad)
-    return [r.value for r in _integrals([(s,) for s in spins], kernel_at, _VACUUM_SCALE, window, memo, spins=True)]
+    return _integrals([(abs(s),) for s in spins], kernel_at, _VACUUM_SCALE, window, memo, spins=True)
 
 
-def vacuum_torque(
-    omega0: float,
-    particle: ParticleSpec,
-    thermal: ThermalState,
-    quad: QuadratureConfig,
-    *,
-    allow_small_spins: bool = False,
-) -> float:
+def _vacuum_torques(
+    spins: Sequence[float], particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig
+) -> list[float]:
+    """vacuum_torque at each spin, bit for bit: spin * P(|spin|) from
+    _vacuum_slopes, whose first failing spin raises."""
+    return [omega0 * res.value for omega0, res in zip(spins, _vacuum_slopes(spins, particle, thermal, quad))]
+
+
+def vacuum_torque(omega0: float, particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> float:
     """Drag torque (N*m) on a particle spinning at omega0 in the vacuum.
 
-    Positive return value opposes the rotation; odd in omega0. Exactly
-    zero at omega0 = 0 with T = T0. Refuses 0 < |omega0| <
-    SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_s there).
+    Positive return value opposes the rotation; exactly odd in omega0 and
+    exactly zero at omega0 = 0. Evaluated directly at every spin with
+    |omega0| < omega_min/2: omega0 times P(|omega0|), whose value at 0 is
+    gamma_s.
     """
-    return _vacuum_torques([omega0], particle, thermal, quad, allow_small_spins)[0]
+    return _vacuum_torques([omega0], particle, thermal, quad)[0]
 
 
 def _mutual_torques(
@@ -371,42 +400,55 @@ def _mutual_torques(
     T: float,
     quad: QuadratureConfig,
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
-    allow_small_spins: bool = False,
 ) -> list[float]:
     """mutual_torque at each (omega01, omega02), bit for bit; the first
     pair that fails raises the error mutual_torque raises there. One
-    lockstep integral for all pairs. The batch's shifts -+omega02 and
-    +-omega01 of each pair form one table, and each kernel evaluation
-    adds its rows' columns of it to w in one C-ordered array of the four
-    shifted spectra, so it makes one im_polarizability call and one
-    _weight call for all four."""
+    lockstep integral for all pairs.
+
+    Each torque is (omega01 - omega02) Q, and Q is evaluated with the
+    larger spin as o1 and the smaller as o2, so exchanging the spins
+    changes no bit of it: Q = u(o2) v[o1, o2] - v(o2) u[o1, o2], with
+    u(o) = W(omega - o) - W(omega + o), v(o) = s(omega + o) + s(omega - o),
+    W = s (n + 1/2), and [., .] their divided differences in o, built
+    from W[x, y] = s[x, y] (n(x) + 1/2) + s(y) n[x, y] on the pairs
+    (omega + o1, omega + o2) and (omega - o2, omega - o1), each written
+    with its larger argument as x. The batch's shifts and the per-row
+    factors of n[x, y] form one table each, and each kernel evaluation
+    adds its rows' shifts to w in one C-ordered array of the four shifted
+    spectra, the two pairs' smaller arguments before their larger, so it
+    makes one im_polarizability call and one occupation call for all
+    four."""
     for o1, o2 in spins:
         SpinPair(o1, o2)
         check_point_dipole(d, particle)
-        if o1 != o2 and not allow_small_spins:
-            scales = [abs(x) for x in (o1, o2, o1 - o2) if x != 0.0]
-            if min(scales) < SPIN_DIRECT_FLOOR:
-                raise SmallSpinError(
-                    f"smallest nonzero spin scale {min(scales):.3e} is below the "
-                    f"direct-evaluation floor {SPIN_DIRECT_FLOOR:.0e}; use gamma_b "
-                    "or pass allow_small_spins=True"
-                )
+    b = _beta_scale(T)
 
     def kernel_at(columns: np.ndarray):
-        # -omega02, +omega02, +omega01, -omega01 of each pair, (4, pairs); w + -o has the bits of w - o
-        shifts = np.array([-1.0, 1.0, 1.0, -1.0])[:, None] * columns.T[[1, 1, 0, 0]]
+        hi, lo = columns.max(axis=1), columns.min(axis=1)
+        # omega + lo, omega - hi, omega + hi, omega - lo: the smaller arguments, then the larger
+        shifts, h = np.stack((lo, -hi, hi, -lo)), hi - lo
+        h2, steps = h * h, np.array([_occupation_step(b, x) for x in h.tolist()])
 
         def kernel(w, owners):
-            shifted = np.add(w, shifts[:, owners, None], order="C")  # (4, rows, points)
-            sm2, sp2, sp1, sm1 = s = im_polarizability(shifted, particle)
-            qm2, qp2, qp1, qm1 = _weight(s, shifted, T)
-            f2, g1, h1, k2 = qm2 - qp2, sp1 + sm1, qm1 - qp1, sp2 + sm2
-            return abs2_transverse_sum(d, w) * (f2 * g1 - h1 * k2)
+            z = np.add(w, shifts[:, owners, None], order="C")  # (4, rows, points)
+            s, n = im_polarizability(z, particle), _occupation(z, b)
+            sdd = _lorentzian_dd(z[2:], z[:2], s[2:], s[:2], h2[owners, None], particle)
+            # in place where it reads as well: fewer temporaries keep a warm
+            # spin-up's heap from being trimmed and faulted in again
+            wdd = _occupation_dd(n[:2], n[2:], steps[owners, None])
+            wdd *= s[:2]
+            n += 0.5
+            wdd += sdd * n[2:]  # W[x, y] = s[x, y] (n(x) + 1/2) + s(y) n[x, y]
+            q = (s[3] * n[3] - s[0] * n[0]) * (sdd[0] - sdd[1])  # u(o2) v[o1, o2]
+            q += (s[0] + s[3]) * (wdd[0] + wdd[1])  # - v(o2) u[o1, o2]
+            q *= abs2_transverse_sum(d, w)
+            return q
 
         return kernel
 
     window = (quad, particle, ThermalState(T, T))
-    return [r.value for r in _integrals(spins, kernel_at, _gap_scale(coupling_scale), window, spins=True)]
+    results = _integrals(spins, kernel_at, _gap_scale(coupling_scale), window, spins=True)
+    return [(o1 - o2) * res.value for (o1, o2), res in zip(spins, results)]
 
 
 def mutual_torque(
@@ -417,55 +459,42 @@ def mutual_torque(
     quad: QuadratureConfig,
     *,
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
-    allow_small_spins: bool = False,
 ) -> float:
     """Torque (N*m) on particle 2 mediated by the gap field.
 
     Positive value drives particle 2 toward particle 1's spin. Exactly
-    antisymmetric under spin exchange, exactly zero at equal spins.
-    Refuses unequal spins whose nonzero scales sit below
-    SPIN_DIRECT_FLOOR unless allow_small_spins (use gamma_b there).
+    antisymmetric under spin exchange, exactly zero at equal spins, and
+    evaluated directly at every pair of spins with |spin| < omega_min/2.
     """
     pair = (spins.omega01, spins.omega02)
-    return _mutual_torques([pair], d, particle, T, quad, coupling_scale, allow_small_spins)[0]
+    return _mutual_torques([pair], d, particle, T, quad, coupling_scale)[0]
 
 
 def _gamma_s_result(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> IntegrationResult:
-    """gamma_s with its diagnostics, from the memo when it holds them."""
-    T, T0 = thermal.T, thermal.T0
-
-    def kernel(w, owners):
-        s = im_polarizability(w, particle)
-        ds = d_im_polarizability(w, particle)
-        da = d_coth_factor(w, T)
-        expanded = s * da
-        if T != T0:
-            expanded = expanded + ds * (coth_factor(w, T) - coth_factor(w, T0))
-        return 2.0 * w * w * im_g_self_transverse_sum(w) * expanded
-
-    memo = ("gamma_s", particle, thermal, quad)
-    return _integrals([()], lambda columns: kernel, _VACUUM_SCALE, (quad, particle, thermal), memo)[0]
+    """gamma_s with its diagnostics: P(0), the vacuum memo entry at spin 0."""
+    return _vacuum_slopes([0.0], particle, thermal, quad)[0]
 
 
 def gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfig) -> float:
-    """Vacuum drag per unit spin (N*m*s): d(vacuum_torque)/d(omega0) at 0.
-
-    Uses the analytically expanded kernel, so it is exact at arbitrarily
-    small spins where direct evaluation cancels away. Independent of d.
+    """Vacuum drag per unit spin (N*m*s): d(vacuum_torque)/d(omega0) at 0,
+    the vacuum kernel's divided difference at zero spin. Independent of d.
     """
     return _gamma_s_result(particle, thermal, quad).value
 
 
 def _gap_moments(particle: ParticleSpec, T: float, quad: QuadratureConfig) -> list[IntegrationResult]:
     """The gap channel's distance-free moments A, B and C, the integrals
-    of 8 k^(-2j) W' s for j = 0, 1, 2, in one lockstep batch, from the
-    memo when it holds them; raises the first error."""
+    of 8 s W[omega, omega] (c/omega)^(2j) for j = 0, 1, 2, W[omega, omega]
+    = W' the weight's divided difference at zero spin, in one lockstep
+    batch, from the memo when it holds them; raises the first error."""
+    b = _beta_scale(T)
+    step = _occupation_step(b, 0.0)
 
     def kernel_at(columns: np.ndarray):
         def kernel(w, owners):
-            s = im_polarizability(w, particle)
-            ds = d_im_polarizability(w, particle)
-            return 8.0 * _d_weight(s, ds, w, T) * s * (CONSTANTS.c / w) ** (2.0 * columns[owners])
+            s, n = im_polarizability(w, particle), _occupation(w, b)
+            dw = _lorentzian_dd(w, w, s, s, 0.0, particle) * (n + 0.5) + s * _occupation_dd(n, n, step)
+            return 8.0 * dw * s * (CONSTANTS.c / w) ** (2.0 * columns[owners])
 
         return kernel
 

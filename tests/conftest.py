@@ -41,8 +41,8 @@ def cold_memo():
 def integrals(monkeypatch):
     """The (integrand, lockstep batch size) of every integral
     nanospin.torque runs during the test; the integrand is named by the
-    batch function that defines its kernel: _gamma_s_result (a batch of
-    one), _gap_moments, _vacuum_torques or _mutual_torques."""
+    batch function that defines its kernel: _vacuum_slopes (gamma_s is
+    its batch of one at spin 0), _gap_moments or _mutual_torques."""
     seen = []
     real = torque_mod.integrate_with_diagnostics
 

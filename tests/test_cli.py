@@ -193,13 +193,27 @@ class TestNonlinearRun:
 
 
     def test_failing_node_exits_3(self, tmp_path, capsys):
-        # at gamma_b's sign change a node of M(omega1, omega2) runs out of
-        # splits above the roundoff floor
+        # starved of splits, a node of M(omega1, omega2) at 4e12 runs out
+        # above the roundoff floor, after gamma_s and the moments certify
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"distance_m": 1e-7, "omega1_rad_per_s": 4e12, "mode": "nonlinear", "max_subdivisions": 20},
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "no convergence after 20 subdivisions" in capsys.readouterr().err
+
+    def test_sign_edge_run_exits_0(self, tmp_path):
+        # at gamma_b's sign change the gap nodes run out of splits within
+        # the quadrature's roundoff floor, where they are accepted (about
+        # 5e-9 relative), and the run writes its summary
         cfg = write_config(
             tmp_path / "c.json", {"distance_m": 2.691e-6, "omega1_rad_per_s": 1e10, "mode": "nonlinear"}
         )
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert "no convergence after 200 subdivisions" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        jsonschema.validate(summary, load_schema("summary.schema.json"))
+        assert summary["solver"]["direct_torque_calls"] > 0
 
     def test_sign_edge_at_the_floor_spin_exits_0(self, tmp_path):
         # at omega1 = DIRECT_EVAL_FLOOR no surrogate is built and no torque
@@ -247,7 +261,7 @@ class TestSweep:
         base = {"omega1_rad_per_s": 1e10, "mode": "nonlinear"}
         run_sweep(parse_config(json.dumps(dict(base, distances_m=distances, out_dir=str(tmp_path / "sweep")))))
         assert sorted(name for name, _ in integrals) == sorted(
-            ["_gamma_s_result", "_gap_moments", "_vacuum_torques"] + ["_mutual_torques"] * 3
+            ["_vacuum_slopes", "_gap_moments", "_vacuum_slopes"] + ["_mutual_torques"] * 3
         )
         rows = long_rows(tmp_path / "sweep")
         assert list(rows) == distances
@@ -264,7 +278,7 @@ class TestSweep:
         distances = np.exp(np.random.default_rng(20).uniform(np.log(5e-8), np.log(1e-6), 64)).tolist()
         doc = run_sweep(parse_config(json.dumps({"distances_m": distances, "out_dir": str(tmp_path)})))
         assert len(doc["runs"]) == 64 and doc["failed_distances_m"] == []
-        assert integrals == [("_gamma_s_result", 1), ("_gap_moments", 3)]
+        assert integrals == [("_vacuum_slopes", 1), ("_gap_moments", 3)]
 
     def test_same_root_rerun_is_byte_identical(self, tmp_path):
         sweep = parse_config(json.dumps({"distances_m": [5e-8, 1e-7], "out_dir": str(tmp_path)}))

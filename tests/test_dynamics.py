@@ -375,7 +375,7 @@ class TestNonlinearDirectKernels:
         import nanospin.torque as torque_mod
 
         solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
-        assert integrals == [("_gamma_s_result", 1), ("_gap_moments", 3), ("_mutual_torques", 9), ("_vacuum_torques", 9)]
+        assert integrals == [("_vacuum_slopes", 1), ("_gap_moments", 3), ("_mutual_torques", 9), ("_vacuum_slopes", 9)]
         config = RunConfig(particle, thermal, quad, distance=3e-7, omega1=1e10)
         warm = solve_nonlinear(config)
         # gamma_b is read off the kept moments: the gap node batch is the one integral

@@ -296,21 +296,22 @@ def test_seeded_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_s
 
 
 def test_a_starved_mutual_batch_raises_its_failing_node(particle, integrals):
-    # with 8 splits at 949 nm only the node (1e10, 9e9) runs out: the
-    # batch raises its lone call's error after integrating every node,
-    # and the first failing entry, in entry order, decides between it
-    # and a spin beyond the band
+    # with 8 splits at 949 nm the nodes of a 1e10 spin-up converge and
+    # the pair (1e12, 5e11), which needs 12, runs out: the batch raises
+    # its lone call's error after integrating every node, and the first
+    # failing entry, in entry order, decides between it and a spin
+    # beyond the band
     starved = QuadratureConfig(max_subdivisions=8)
-    failing, wide = NODE_SPINS[8], (1e10, 6e12)
+    failing, wide = (1e12, 5e11), (1e10, 6e12)
+    batch = NODE_SPINS[:8] + [failing] + NODE_SPINS[9:]
     errors = []
-    for spins in (NODE_SPINS, [failing] + NODE_SPINS[:8], [failing, wide], [wide, failing], [failing]):
+    for spins in (batch, [failing] + NODE_SPINS[:8], [failing, wide], [wide, failing], [failing]):
         errors.append(outcome(lambda: _mutual_torques(spins, 9.49e-7, particle, 300.0, starved)))
     assert errors[0][0] == "ConvergenceError" and errors[:3] == [errors[4]] * 3
     assert errors[3][0] == "ConfigError" and "half the infrared cutoff" in errors[3][1]
     assert [n for _, n in integrals] == [10, 9, 1, 1, 1]
-    rest = NODE_SPINS[:8] + NODE_SPINS[9:]
-    assert _mutual_torques(rest, 9.49e-7, particle, 300.0, starved) == [
-        _mutual_torques([pair], 9.49e-7, particle, 300.0, starved)[0] for pair in rest
+    assert _mutual_torques(NODE_SPINS, 9.49e-7, particle, 300.0, starved) == [
+        _mutual_torques([pair], 9.49e-7, particle, 300.0, starved)[0] for pair in NODE_SPINS
     ]
 
 
@@ -442,7 +443,8 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
     # node batch alone, in 10 rounds and 11 calls. The first mesh is
     # graded around each model's own peak, so clausius_mossotti, which
     # peaks at its Froehlich frequency, takes about as few (83, 22 and 57
-    # with the mesh graded around omega_T). Every kernel call, each panel
+    # with the mesh graded around omega_T): 36 cold, its vacuum node batch
+    # taking 3 rounds as under bare. Every kernel call, each panel
     # call and each integral's one tail check, makes one im_polarizability
     # call: the direct kernels stack their spin-shifted spectra (four for
     # the gap, two for the vacuum) into one array
@@ -459,7 +461,7 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
 
     for model, counts, spectra in (
         ("bare", (33, 11, 11), (37, 12, 12)),
-        ("clausius_mossotti", (37, 12, 12), (41, 13, 13)),
+        ("clausius_mossotti", (36, 12, 12), (40, 13, 13)),
     ):
         particle = ParticleSpec(polarizability_model=model)
         clear_memo()
