@@ -314,9 +314,10 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     switch. Newton steps invert every sample time at once. Below F this
     is the closed form.
 
-    nanospin.torque keeps gamma_s, the gap moments and the vacuum node
-    torques, so a later run at another distance integrates only the mutual
-    nodes, for the bits a first run returns.
+    nanospin.torque keeps gamma_s, the gap moments, the vacuum node
+    torques and the mutual node batches' first rounds free of the
+    distance, so a later run at another distance integrates only the
+    mutual nodes' later rounds, for the bits a first run returns.
 
     coeffs, when given, must be coefficients_for(config). gamma_b < 0
     raises ConfigError: the follower would spin backwards, outside the

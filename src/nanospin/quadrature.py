@@ -15,7 +15,9 @@ kernel call per block, their entries added in row order. A row's values
 do not depend on the other rows of its call, and an integrand's panels
 and sums do not depend on the others in its batch, so each keeps the
 panels and bits it has when integrated alone, whatever ran before and
-on whichever thread.
+on whichever thread. A caller that keeps a batch's kernel values on its
+first mesh may pass them for the first round: the rule sums run on them
+unchanged, and the engine itself keeps nothing between calls.
 
 An integrand whose splits run out with its error sum at or below
 QUADPACK's roundoff floor, 50 eps times the integral of |f|, is
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -162,25 +165,43 @@ class IntegrationResult:
 _ROWS_PER_CALL = 128
 
 
-def _panels(kernel, owners: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """15-point evaluations of the panels [a[i], b[i]], panel i belonging
-    to integrand owners[i], in one kernel call; _lockstep passes at most
-    _ROWS_PER_CALL panels.
+def _first_mesh(quad: QuadratureConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first round of n integrands on quad's window: owners, a and b,
+    row i the panel [a[i], b[i]] of integrand owners[i], each integrand's
+    panels between omega_min, the breakpoints inside the window and
+    omega_max, integrand by integrand. Row i's nodes are _nodes(a, b)[i]."""
+    if quad.omega_max is None:
+        raise ConfigError("omega_max unresolved; supply a value or use the torque-level entry points")
+    lo, hi = quad.omega_min, quad.omega_max
+    edges = [lo] + [b for b in quad.breakpoints if lo < b < hi] + [hi]
+    return np.repeat(np.arange(n), len(edges) - 1), np.tile(edges[:-1], n), np.tile(edges[1:], n)
 
-    Returns an iterator of one tuple per panel: I15, |I15 - I7|, the
-    15-point integral of |f| and peak |f| (Python floats), and whether
-    its kernel values are finite.
+
+def _nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 15 rule nodes of each panel [a[i], b[i]], one row each."""
+    return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _NODES
+
+
+def _panels(kernel, owners: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """_rule_sums of the panels [a[i], b[i]], panel i belonging to
+    integrand owners[i], evaluated in one kernel call; _lockstep passes
+    at most _ROWS_PER_CALL panels."""
+    return _rule_sums(kernel(_nodes(a, b), owners), a, b)
+
+
+def _rule_sums(y, a: np.ndarray, b: np.ndarray):
+    """An iterator of one tuple per panel [a[i], b[i]] with kernel values
+    y[i] at its nodes: I15, |I15 - I7|, the 15-point integral of |f| and
+    peak |f| (Python floats), and whether its kernel values are finite.
 
     The rule sums are np.vecdot over the rows, which makes for each row
     the same BLAS dot as the 1-D product of a lone panel; a 2-D product
     (y @ w, einsum, (y * w).sum(1)) may round differently.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    w = mid[:, None] + half[:, None] * _NODES
-    y = np.ascontiguousarray(kernel(w, owners), dtype=float)
-    if y.shape != w.shape:
+    y = np.ascontiguousarray(y, dtype=float)
+    if y.shape != (len(a), len(_NODES)):
         raise ConfigError("kernel must map a float array to a same-shape array")
+    half = 0.5 * (b - a)
     finite = np.isfinite(y).all(axis=1)
     if not finite.all():
         y = np.where(finite[:, None], y, 0.0)  # sums of 0; the panel fails its integrand
@@ -253,30 +274,35 @@ class _Integral:
         return [(a, m), (m, b)]
 
 
-def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult | NanospinError]:
+def _lockstep(
+    kernel, quad: QuadratureConfig, n: int, first: np.ndarray | None = None
+) -> list[IntegrationResult | NanospinError]:
     """Integrate n integrands, each exactly as a lone one would be.
 
     Every round splits the worst panel of each unfinished integrand and
     evaluates the round's halves in blocks of at most _ROWS_PER_CALL
     rows, one _panels call per block, adding the entries in row order:
     the order a lone integrand adds its panels in, so its sums keep
-    their bits.
+    their bits. first, when given, takes the place of the first round's
+    kernel calls (see integrate_with_diagnostics).
     """
-    if quad.omega_max is None:
-        raise ConfigError("omega_max unresolved; supply a value or use the torque-level entry points")
-    lo, hi = quad.omega_min, quad.omega_max
-    edges = [lo] + [b for b in quad.breakpoints if lo < b < hi] + [hi]
+    owners, a, b = _first_mesh(quad, n)
+    if first is not None and len(first) != len(owners):
+        raise ConfigError(f"first round has {len(first)} rows, the first mesh {len(owners)}")
     integrals = [_Integral() for _ in range(n)]
-    rows = [(j, panel) for j in range(n) for panel in zip(edges[:-1], edges[1:])]
-    while rows:
-        for start in range(0, len(rows), _ROWS_PER_CALL):
-            block = rows[start : start + _ROWS_PER_CALL]
-            owners = np.array([j for j, _ in block])
-            a, b = np.array([panel for _, panel in block]).T
-            for (j, panel), entry in zip(block, _panels(kernel, owners, a, b)):
+    while len(owners):
+        for start in range(0, len(owners), _ROWS_PER_CALL):
+            block = slice(start, start + _ROWS_PER_CALL)
+            aa, bb = a[block], b[block]
+            entries = _panels(kernel, owners[block], aa, bb) if first is None else _rule_sums(first[block], aa, bb)
+            for j, panel, entry in zip(owners[block].tolist(), zip(aa.tolist(), bb.tolist()), entries):
                 integrals[j].add(panel, entry)
+        first = None
         rows = [(j, panel) for j, s in enumerate(integrals) for panel in s.split(quad)]
+        owners = np.array([j for j, _ in rows], dtype=int)
+        a, b = np.array([panel for _, panel in rows]).reshape(-1, 2).T
 
+    hi = quad.omega_max
     done = [j for j, s in enumerate(integrals) if s.outcome is None]
     if done:
         owners = np.array(done)
@@ -284,6 +310,9 @@ def _lockstep(kernel, quad: QuadratureConfig, n: int) -> list[IntegrationResult 
         for j, tail in zip(done, tails.tolist()):
             s = integrals[j]
             s.evals += 1
+            if not math.isfinite(tail):  # max(peak, nan) would keep the peak
+                s.outcome = ConvergenceError(f"kernel is not finite at omega_max={hi:.6e}")
+                continue
             s.peak = max(s.peak, tail)
             if tail > 1e-12 * s.peak:
                 s.outcome = TailNotNegligibleError(
@@ -300,6 +329,8 @@ def integrate_with_diagnostics(
     kernel: Callable[..., np.ndarray],
     quad: QuadratureConfig,
     n: int | None = None,
+    *,
+    first: np.ndarray | None = None,
 ) -> IntegrationResult | list[IntegrationResult | NanospinError]:
     """Globally adaptive integration of kernel over [omega_min, omega_max].
 
@@ -308,7 +339,8 @@ def integrate_with_diagnostics(
     ConvergenceError (with the worst panel bounds) after max_subdivisions,
     unless the error sum then lies within the roundoff floor
     50 * eps * integral(|f|), and TailNotNegligibleError when tail
-    certification fails.
+    certification fails; a kernel that is not finite inside a panel or
+    at omega_max raises ConvergenceError.
 
     With n, integrates n integrands in lockstep: kernel(w, owners) maps a
     2-D frequency array w to same-shape values, row i belonging to
@@ -319,10 +351,16 @@ def integrate_with_diagnostics(
     integrand gets the panels, sums and result it would get alone, and
     the return value is a list with, for each integrand, its
     IntegrationResult or the error it would have raised.
+
+    first, when given, holds the kernel's values on the first round's
+    rows, _first_mesh(quad, n or 1), in row order: a caller that keeps
+    them passes them in place of that round's kernel calls. They must
+    have the bits the kernel returns; the engine itself keeps nothing
+    between calls.
     """
     if n is not None:
-        return _lockstep(kernel, quad, n)
-    (result,) = _lockstep(lambda w, _owners: kernel(w), quad, 1)
+        return _lockstep(kernel, quad, n, first)
+    (result,) = _lockstep(lambda w, _owners: kernel(w), quad, 1, first)
     if isinstance(result, NanospinError):
         raise result
     return result

@@ -50,7 +50,16 @@ scales after; checks run before the memo is read, so a kept value never
 spares a call its error. A kept value is an immutable IntegrationResult
 with the bits a fresh integral returns. Errors are not kept, nothing
 that depends on the distance is kept, and the memo holds at most
-MEMO_ENTRIES values, dropping the oldest first; clear_memo empties it.
+MEMO_ENTRIES values, dropping the oldest first.
+
+The gap kernel is a distance-free spectral factor times 2|g_t(d)|^2,
+its last operation, so next to the memo each gap node batch keeps that
+factor on its first mesh, keyed on the particle, T, the resolved window
+and the batch's spins: 15 values per first-mesh row, 26 KB for the 9
+nodes of a degree-8 batch, for at most _FIRST_ROUNDS batches, dropping
+the oldest first. A later distance takes its first round as the kept
+factor times 2|g_t|^2, the bits the kernel returns, with no kernel call;
+its later rounds run as at the first. clear_memo empties both.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ from .greens import abs2_transverse_sum, im_g_self_transverse_sum
 from .material import CONSTANTS, ParticleSpec, im_polarizability, lorentzian
 from .material import d_im_polarizability  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.d_im_polarizability
 from .quadrature import IntegrationResult, QuadratureConfig, integrate_with_diagnostics, resolved
+from .quadrature import _ROWS_PER_CALL, _first_mesh, _nodes
 from .quadrature import integrate  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.integrate
 
 __all__ = [
@@ -97,22 +107,31 @@ DEFAULT_COUPLING_SCALE = 3.81e22
 # and setting, and three gap moments per setting and tolerance
 MEMO_ENTRIES = 4096
 
+# Bound of _first_rounds, in gap node batches: a spin-up at one omega1
+# keeps one to four, of at most 92 KB each (32 nodes at degree 64)
+_FIRST_ROUNDS = 32
+
 _memo: dict[tuple, IntegrationResult] = {}
+_first_rounds: dict[tuple, np.ndarray] = {}
 _memo_lock = threading.Lock()
 
 
-def _remember(key: tuple, value: IntegrationResult) -> None:
+def _keep(store: dict, bound: int, key: tuple, value) -> None:
+    """store[key] = value, the oldest entries dropped to keep at most
+    bound; store is _memo or _first_rounds."""
     with _memo_lock:
-        while key not in _memo and len(_memo) >= MEMO_ENTRIES:
-            del _memo[next(iter(_memo))]  # the oldest entry
-        _memo[key] = value
+        while key not in store and len(store) >= bound:
+            del store[next(iter(store))]  # the oldest entry
+        store[key] = value
 
 
 def clear_memo() -> None:
-    """Forget every kept gamma_s, gap moment and vacuum torque, so the
-    next integrals run as in a fresh process."""
+    """Forget every kept gamma_s, gap moment, vacuum torque and gap node
+    batch's first round, so the next integrals run as in a fresh
+    process."""
     with _memo_lock:
         _memo.clear()
+        _first_rounds.clear()
 
 
 @dataclass(frozen=True)
@@ -292,14 +311,19 @@ def _integrals(
     window: tuple[QuadratureConfig, ParticleSpec, ThermalState],
     memo: tuple | None = None,
     spins: bool = False,
-) -> list[IntegrationResult]:
+    skip: Callable[[tuple], bool] | None = None,
+    first_round: Callable[[QuadratureConfig, np.ndarray], np.ndarray] | None = None,
+) -> list[IntegrationResult | None]:
     """scale times the integral, with its diagnostics, for each item, whose
     own checks the caller has run. An item kept under memo + item takes
     the kept value; the others are band-checked on _window(*window) when
     the items are spins, and those that pass share one lockstep integral,
-    rows of kernel_at(columns) owned by pending item i reading columns[i].
-    With memo their values are kept. The first item that fails, in item
-    order, raises the error a lone call raises."""
+    rows of kernel_at(columns) owned by pending item i reading columns[i],
+    its first round the values first_round(q, columns) when given, q the
+    resolved window. An item for which skip(item) holds is checked but
+    not integrated, and its result is None. With memo the values are
+    kept. The first item that fails, in item order, raises the error a
+    lone call raises."""
     results: list = [None if memo is None else _memo.get(memo + item) for item in items]
     pending = [i for i, r in enumerate(results) if r is None]
     if pending:
@@ -313,14 +337,15 @@ def _integrals(
                     f"|spin| = {wide[0]:.3e} exceeds half the infrared cutoff "
                     f"{q.omega_min:.3e}; shifted kernel arguments would cross zero"
                 )
-        pending = [i for i in pending if results[i] is None]
+        pending = [i for i in pending if results[i] is None and not (skip and skip(items[i]))]
     if pending:
         columns = np.array([items[i] for i in pending], dtype=float)
-        for i, res in zip(pending, integrate_with_diagnostics(kernel_at(columns), q, len(pending))):
+        first = first_round(q, columns) if first_round else None
+        for i, res in zip(pending, integrate_with_diagnostics(kernel_at(columns), q, len(pending), first=first)):
             if not isinstance(res, NanospinError):
                 res = replace(res, value=scale * res.value, error_estimate=abs(scale) * res.error_estimate)
                 if memo is not None:
-                    _remember(memo + items[i], res)
+                    _keep(_memo, MEMO_ENTRIES, memo + items[i], res)
             results[i] = res
     for res in results:
         if isinstance(res, NanospinError):
@@ -417,19 +442,21 @@ def _mutual_torques(
     adds its rows' shifts to w in one C-ordered array of the four shifted
     spectra, the two pairs' smaller arguments before their larger, so it
     makes one im_polarizability call and one occupation call for all
-    four."""
+    four. That kernel is spectra(w) * 2|g_t(d, w)|^2, and the batch's
+    first round reads spectra from _first_rounds (module docstring).
+    Equal spins are checked but not integrated: their torque is 0.0."""
     for o1, o2 in spins:
         SpinPair(o1, o2)
         check_point_dipole(d, particle)
     b = _beta_scale(T)
 
-    def kernel_at(columns: np.ndarray):
+    def spectra_at(columns: np.ndarray):
         hi, lo = columns.max(axis=1), columns.min(axis=1)
         # omega + lo, omega - hi, omega + hi, omega - lo: the smaller arguments, then the larger
         shifts, h = np.stack((lo, -hi, hi, -lo)), hi - lo
         h2, steps = h * h, np.array([_occupation_step(b, x) for x in h.tolist()])
 
-        def kernel(w, owners):
+        def spectra(w, owners):
             z = np.add(w, shifts[:, owners, None], order="C")  # (4, rows, points)
             s, n = im_polarizability(z, particle), _occupation(z, b)
             sdd = _lorentzian_dd(z[2:], z[:2], s[2:], s[:2], h2[owners, None], particle)
@@ -441,14 +468,38 @@ def _mutual_torques(
             wdd += sdd * n[2:]  # W[x, y] = s[x, y] (n(x) + 1/2) + s(y) n[x, y]
             q = (s[3] * n[3] - s[0] * n[0]) * (sdd[0] - sdd[1])  # u(o2) v[o1, o2]
             q += (s[0] + s[3]) * (wdd[0] + wdd[1])  # - v(o2) u[o1, o2]
+            return q
+
+        return spectra
+
+    def kernel_at(columns: np.ndarray):
+        spectra = spectra_at(columns)
+
+        def kernel(w, owners):
+            q = spectra(w, owners)
             q *= abs2_transverse_sum(d, w)
             return q
 
         return kernel
 
+    def first_round(q: QuadratureConfig, columns: np.ndarray) -> np.ndarray:
+        owners, a, b = _first_mesh(q, len(columns))
+        w = _nodes(a, b)
+        key = (particle, T, q, tuple(map(tuple, columns.tolist())))
+        kept = _first_rounds.get(key)
+        if kept is None:  # in the blocks the engine's kernel calls would take
+            spectra, blocks = spectra_at(columns), range(0, len(w), _ROWS_PER_CALL)
+            kept = np.concatenate([spectra(w[k : k + _ROWS_PER_CALL], owners[k : k + _ROWS_PER_CALL]) for k in blocks])
+            kept.flags.writeable = False
+            _keep(_first_rounds, _FIRST_ROUNDS, key, kept)
+        return kept * abs2_transverse_sum(d, w)
+
     window = (quad, particle, ThermalState(T, T))
-    results = _integrals(spins, kernel_at, _gap_scale(coupling_scale), window, spins=True)
-    return [(o1 - o2) * res.value for (o1, o2), res in zip(spins, results)]
+    results = _integrals(
+        spins, kernel_at, _gap_scale(coupling_scale), window, spins=True,
+        skip=lambda pair: pair[0] == pair[1], first_round=first_round,
+    )
+    return [0.0 if res is None else (o1 - o2) * res.value for (o1, o2), res in zip(spins, results)]
 
 
 def mutual_torque(
@@ -463,8 +514,9 @@ def mutual_torque(
     """Torque (N*m) on particle 2 mediated by the gap field.
 
     Positive value drives particle 2 toward particle 1's spin. Exactly
-    antisymmetric under spin exchange, exactly zero at equal spins, and
-    evaluated directly at every pair of spins with |spin| < omega_min/2.
+    antisymmetric under spin exchange, 0.0 at equal spins with no
+    integral, and evaluated directly at every pair of spins with
+    |spin| < omega_min/2.
     """
     pair = (spins.omega01, spins.omega02)
     return _mutual_torques([pair], d, particle, T, quad, coupling_scale)[0]

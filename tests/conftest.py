@@ -46,9 +46,9 @@ def integrals(monkeypatch):
     seen = []
     real = torque_mod.integrate_with_diagnostics
 
-    def counting(kernel, q, n=None):
+    def counting(kernel, q, n=None, **kwargs):
         seen.append((kernel.__qualname__.split(".")[0], n))
-        return real(kernel, q, n)
+        return real(kernel, q, n, **kwargs)
 
     monkeypatch.setattr(torque_mod, "integrate_with_diagnostics", counting)
     return seen

@@ -403,8 +403,8 @@ class TestNonlinearDirectKernels:
 
         real = torque_mod.integrate_with_diagnostics
 
-        def failing(kernel, q, n=None):
-            out = real(kernel, q, n)
+        def failing(kernel, q, n=None, **kwargs):
+            out = real(kernel, q, n, **kwargs)
             if kernel.__qualname__.startswith("_mutual_torques"):
                 out[5], out[2] = ConvergenceError("node 5"), ConvergenceError("node 2")
             return out

@@ -6,7 +6,9 @@ carries values over, each with the bits a fresh integral returns."""
 import json
 import threading
 
-from nanospin import parse_config, quadrature, solve_nonlinear
+import pytest
+
+from nanospin import parse_config, quadrature, solve_nonlinear, torque
 from nanospin.cli import run
 from nanospin.dynamics import coefficients_for
 from nanospin.torque import clear_memo
@@ -35,6 +37,27 @@ def test_history_does_not_change_a_spin_up(tmp_path):
     spin_up(1e-7, temperature_K=320.0)  # T != T0: two windows of their own
     assert bits(spin_up(1e-7)) == cold
     assert summary(tmp_path / "warm") == cold_summary
+
+
+# at 1e12 the gap batches have 9 and 8 nodes, first rounds of 216 and
+# 192 rows in two blocks each; at 4e12 a degree-32 batch of 16 more nodes
+# starts with 384 rows, three blocks
+@pytest.mark.parametrize("model", ["bare", "clausius_mossotti"])
+@pytest.mark.parametrize(
+    "omega1, keys, batch_rows",
+    [(1e10, {}, [216]), (1e10, {"temperature_K": 320.0}, [216]), (1e12, {}, [216, 192]), (4e12, {}, [216, 192, 384])],
+)
+def test_a_kept_first_round_gives_a_cold_spin_ups_bits(model, omega1, keys, batch_rows):
+    # the gap node batches' first rounds come from factors kept at 100 nm
+    keys = {"polarizability_model": model, **keys}
+    clear_memo()
+    cold = bits(spin_up(3.3e-7, omega1, **keys))
+    clear_memo()
+    spin_up(1e-7, omega1, **keys)
+    kept = dict(torque._first_rounds)
+    assert [len(k) for k in kept.values()] == batch_rows
+    assert bits(spin_up(3.3e-7, omega1, **keys)) == cold
+    assert torque._first_rounds.keys() == kept.keys()
 
 
 def test_threads_get_the_serial_bits():

@@ -67,10 +67,13 @@ class OracleIntegral:
         return a, b
 
 
-def oracle_lockstep(kernel, quad, n):
+def oracle_lockstep(kernel, quad, n, first=None):
     """Every round splits the worst panel of each unfinished integrand;
     an integrand out of splits whose error sum lies within the roundoff
-    floor 50*eps*integral(|f|) is done, any other fails."""
+    floor 50*eps*integral(|f|) is done, any other fails. first, the
+    values a caller keeps for the first round, is ignored: the oracle
+    evaluates the kernel there too, so kept values that differ from the
+    kernel's own fail the comparison."""
     if quad.omega_max is None:
         raise ConfigError("omega_max unresolved")
     lo, hi = quad.omega_min, quad.omega_max
@@ -117,6 +120,9 @@ def oracle_lockstep(kernel, quad, n):
         for j, tail in zip(done, tails.tolist()):
             s = integrals[j]
             s.evals += 1
+            if not np.isfinite(tail):
+                s.outcome = ConvergenceError(f"kernel is not finite at omega_max={hi:.6e}")
+                continue
             s.peak = max(s.peak, tail)
             if tail > 1e-12 * s.peak:
                 s.outcome = TailNotNegligibleError(
@@ -163,7 +169,7 @@ def assert_same_as_oracle(monkeypatch, route):
     # panels are neither counted nor able to raise
     seen = []
 
-    def recording(kernel, quad, n):
+    def recording(kernel, quad, n, first=None):
         rows = set()
         seen.append(rows)
 
@@ -175,7 +181,7 @@ def assert_same_as_oracle(monkeypatch, route):
 
     calls = iter(seen)
 
-    def nan_elsewhere(kernel, quad, n):
+    def nan_elsewhere(kernel, quad, n, first=None):
         rows = next(calls)
 
         def kernel_nan(w, owners):
@@ -184,7 +190,7 @@ def assert_same_as_oracle(monkeypatch, route):
             y[np.array(unseen, dtype=bool)] = np.nan
             return y
 
-        return ENGINE(kernel_nan, quad, n)
+        return ENGINE(kernel_nan, quad, n, first)
 
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_lockstep", recording)
@@ -375,6 +381,21 @@ def test_seeded_synthetic_outcomes_match_oracle(monkeypatch, max_subdivisions):
         )
 
 
+def non_finite_tails(w, owners):
+    # owners 1, 2 and 3 read nan, inf and -inf at the cutoff 1, which no
+    # panel node reaches: only the tail check sees them
+    bad = np.array([0.0, np.nan, np.inf, -np.inf])[owners][:, None]
+    return np.where((w == 1.0) & (owners[:, None] > 0), bad, np.exp(-80.0 * w))
+
+
+def test_non_finite_tails_match_oracle(monkeypatch):
+    q = QuadratureConfig(omega_min=0.0, omega_max=1.0)
+    assert_same_as_oracle(monkeypatch, lambda: integrate_with_diagnostics(non_finite_tails, q, 4))
+    results = integrate_with_diagnostics(non_finite_tails, q, 4)
+    assert isinstance(results[0], IntegrationResult)
+    assert [type(r) for r in results[1:]] == [ConvergenceError] * 3
+
+
 def rows_per_panel_call(monkeypatch):
     """A list that gets the row count of every _panels call from now on."""
     rows = []
@@ -437,17 +458,21 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
     # refinement rounds: gamma_s 3, the gap moments 15, the mutual node
     # batch 10 and the vacuum node batch 3. A round makes one panel call
     # per block of at most _ROWS_PER_CALL rows, and the first round of each
-    # node batch, 9 nodes times 24 first panels = 216 rows, needs two, so
-    # 33 panel calls. A later distance reads gamma_b off the kept
-    # moments and the vacuum nodes off the memo, and integrates the mutual
-    # node batch alone, in 10 rounds and 11 calls. The first mesh is
-    # graded around each model's own peak, so clausius_mossotti, which
-    # peaks at its Froehlich frequency, takes about as few (83, 22 and 57
-    # with the mesh graded around omega_T): 36 cold, its vacuum node batch
-    # taking 3 rounds as under bare. Every kernel call, each panel
-    # call and each integral's one tail check, makes one im_polarizability
-    # call: the direct kernels stack their spin-shifted spectra (four for
-    # the gap, two for the vacuum) into one array
+    # node batch, 9 nodes times 24 first panels = 216 rows, needs two. The
+    # gap batch's first round is its kept distance-free factor, evaluated
+    # in those two blocks outside the engine, times 2|g_t|^2, so 31 panel
+    # calls. A later distance reads gamma_b off the kept moments, the
+    # vacuum nodes off the memo and the gap batch's first round off the
+    # kept factor, and integrates the gap batch's 9 later rounds alone,
+    # in 9 calls of at most 18 rows. The first mesh is graded around
+    # each model's own peak, so clausius_mossotti, which peaks at its
+    # Froehlich frequency, takes about as few (83, 22 and 57 with the mesh
+    # graded around omega_T): 34 cold, its vacuum node batch taking 3
+    # rounds as under bare. Every kernel call, each panel call, each
+    # block of a kept factor and each integral's one tail check, makes
+    # one im_polarizability call: the direct kernels stack their
+    # spin-shifted spectra (four for the gap, two for the vacuum) into
+    # one array
     calls, material = rows_per_panel_call(monkeypatch), []
     polarizability = torque.im_polarizability
     monkeypatch.setattr(torque, "im_polarizability", lambda *args: material.append(1) or polarizability(*args))
@@ -456,15 +481,17 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
         calls.clear()
         material.clear()
         solve_nonlinear(RunConfig(particle, thermal, quad, distance=d, omega1=1e10, mode="nonlinear"))
-        assert max(calls) == quadrature._ROWS_PER_CALL  # the first round fills a block
-        return len(calls), len(material)
+        return len(calls), len(material), max(calls)
 
     for model, counts, spectra in (
-        ("bare", (33, 11, 11), (37, 12, 12)),
-        ("clausius_mossotti", (36, 12, 12), (40, 13, 13)),
+        ("bare", (31, 9, 9), (37, 10, 10)),
+        ("clausius_mossotti", (34, 10, 10), (40, 11, 11)),
     ):
         particle = ParticleSpec(polarizability_model=model)
         clear_memo()
         got = [spin_up(particle, d) for d in (1e-7, 3.3e-7, 5e-7)]
-        assert tuple(panel for panel, _ in got) == counts, model
-        assert tuple(spectrum for _, spectrum in got) == spectra, model
+        assert tuple(panel for panel, _, _ in got) == counts, model
+        assert tuple(spectrum for _, spectrum, _ in got) == spectra, model
+        # the cold vacuum node batch's first round fills a block; a warm
+        # spin-up's largest round is 2 halves of each of the 9 gap nodes
+        assert tuple(rows for _, _, rows in got) == (quadrature._ROWS_PER_CALL, 18, 18), model

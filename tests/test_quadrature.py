@@ -115,6 +115,23 @@ def test_tail_certification():
     assert integrate(lambda w: np.exp(-80.0 * w), q) > 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_tail_fails_its_integrand(bad):
+    # no panel node reaches omega_max = 1, so only the tail check sees the
+    # value there: max(peak, nan) keeps the peak, and inf would raise the
+    # peak before the test compares the tail with it
+    q = QuadratureConfig(omega_min=0.0, omega_max=1.0)
+
+    def kernel(w, owners):
+        return np.where((w == 1.0) & (owners[:, None] == 1), bad, np.exp(-80.0 * w))
+
+    with pytest.raises(ConvergenceError, match="not finite at omega_max=1.000000e[+]00"):
+        integrate(lambda w: kernel(w, np.ones(len(w), dtype=int)), q)
+    fine, failed = integrate_with_diagnostics(kernel, q, 2)
+    assert fine == integrate_with_diagnostics(lambda w: np.exp(-80.0 * w), q)
+    assert isinstance(failed, ConvergenceError) and "not finite at omega_max" in str(failed)
+
+
 def test_zero_kernel():
     q = QuadratureConfig(omega_min=1e13, omega_max=9e14)
     assert integrate(lambda w: 0.0 * w, q) == 0.0

@@ -268,6 +268,32 @@ class TestMutualTorque:
         for x in (0.0, 1e4, 1e8):
             assert mutual_torque(SpinPair(x, x), 1e-7, particle, 300.0, quad) == 0.0
 
+    def test_equal_spins_are_checked_but_not_integrated(self, particle, quad, monkeypatch):
+        # the torque is (omega01 - omega02) Q, so at equal spins it is
+        # +0.0 without an integral of Q; the spin, band and dipole checks
+        # still run, and in a batch an equal pair keeps its place in the
+        # order the errors are raised in
+        import nanospin.quadrature as quadrature_mod
+
+        batches, engine = [], quadrature_mod._lockstep
+        monkeypatch.setattr(quadrature_mod, "_lockstep", lambda kernel, q, n, first=None: batches.append(n) or engine(kernel, q, n, first))
+        for x in (1e8, 4e12, -3e9, 0.0):
+            assert repr(mutual_torque(SpinPair(x, x), 1e-7, particle, 300.0, quad)) == "0.0"
+        assert batches == []
+        for pair, d, match in [
+            ((float("nan"),) * 2, 1e-7, "finite"),
+            ((6e12, 6e12), 1e-7, "half the infrared cutoff"),
+            ((1e10, 1e10), 4e-8, "point-dipole"),
+        ]:
+            with pytest.raises(ConfigError, match=match):
+                _mutual_torques([pair], d, particle, 300.0, quad)
+        assert batches == []
+        with pytest.raises(ConfigError, match="half the infrared cutoff"):
+            _mutual_torques([(6e12, 6e12), (1e10, 6e12)], 1e-7, particle, 300.0, quad)
+        lone = mutual_torque(SpinPair(1e10, 2e9), 1e-7, particle, 300.0, quad)
+        assert _mutual_torques([(1e10, 1e10), (1e10, 2e9), (5e9, 5e9)], 1e-7, particle, 300.0, quad) == [0.0, lone, 0.0]
+        assert batches == [1, 1]
+
     def test_exchange_antisymmetry_seeded(self, particle):
         # Q is evaluated with the larger spin first, so exchanging the
         # spins flips the sign of omega01 - omega02 and no other bit
@@ -649,7 +675,7 @@ class TestStackedKernels:
     def kernel_of(monkeypatch, batch, *args):
         """The kernel batch(*args) hands to the lockstep integral."""
 
-        def capture(kernel, q, n=None):
+        def capture(kernel, q, n=None, **kwargs):
             raise _Captured(kernel)
 
         monkeypatch.setattr(torque_mod, "integrate_with_diagnostics", capture)
@@ -682,7 +708,8 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("model", ["bare", "clausius_mossotti"])
     @pytest.mark.parametrize("T", [300.0, 320.0, 0.0])
-    @pytest.mark.parametrize("pairs", [[(1e10, 2e9)], [(-3e9, 5e9), (7e11, -4e10), (2e10, 2e10)]])
+    # equal spins are not integrated; 2e10 and 2e10 - 1 are 1 rad/s apart
+    @pytest.mark.parametrize("pairs", [[(1e10, 2e9)], [(-3e9, 5e9), (7e11, -4e10), (2e10, 2e10 - 1.0)]])
     def test_mutual_kernel(self, monkeypatch, quad, model, T, pairs):
         particle = ParticleSpec(polarizability_model=model)
         kernel = self.kernel_of(monkeypatch, _mutual_torques, pairs, 1e-7, particle, T, quad)
@@ -790,21 +817,58 @@ class TestMemo:
         assert _vacuum_torques(spins, particle, thermal, quad) == cold
         assert len(torque_mod._memo) == 4
 
+    def test_kept_first_rounds_keep_their_bound(self, particle, quad, monkeypatch):
+        # a gap node batch keeps its distance-free factor on its first
+        # mesh, 15 values per row, read-only; the oldest batch goes first,
+        # and one that was dropped integrates its first round again
+        batches = [[(1e10, w), (1e10, w + 1e9)] for w in (2e9, 4e9, 6e9)]
+        cold = [_mutual_torques(spins, 2e-7, particle, 300.0, quad) for spins in batches]
+        rows = 2 * 24  # two nodes times the window's 24 first panels
+        assert [kept.shape for kept in torque_mod._first_rounds.values()] == [(rows, 15)] * 3
+        assert not any(kept.flags.writeable for kept in torque_mod._first_rounds.values())
+        clear_memo()
+        assert torque_mod._first_rounds == {}
+        monkeypatch.setattr(torque_mod, "_FIRST_ROUNDS", 2)
+        for _ in range(2):
+            assert [_mutual_torques(spins, 2e-7, particle, 300.0, quad) for spins in batches] == cold
+            assert [key[-1] for key in torque_mod._first_rounds] == [tuple(spins) for spins in batches[1:]]
+
+    def test_a_kept_first_round_serves_only_its_own_particle(self, quad):
+        # a larger radius scales Im alpha but moves no panel edge of the window
+        spins, large = [(1e10, 2e9), (1e10, 5e9)], ParticleSpec(radius=6e-9)
+        cold = _mutual_torques(spins, 2e-7, large, 300.0, quad)
+        clear_memo()
+        _mutual_torques(spins, 1e-7, ParticleSpec(), 300.0, quad)
+        assert _mutual_torques(spins, 2e-7, large, 300.0, quad) == cold
+
+    def test_a_spin_up_keeps_its_node_batches_first_rounds(self, particle, thermal, quad):
+        # at 4e12 the gap surrogate reaches degree 32: batches of 9, 8 and
+        # 16 nodes, whose first rounds of 216, 192 and 384 rows span two,
+        # two and three blocks; the degree-8 one is 26 KB
+        from nanospin.config import RunConfig
+        from nanospin.dynamics import solve_nonlinear
+
+        solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=4e12, mode="nonlinear"))
+        kept = list(torque_mod._first_rounds.values())
+        assert [len(k) for k in kept] == [216, 192, 384] and kept[0].nbytes == 25920
+        assert len(kept) <= torque_mod._FIRST_ROUNDS
+
     def test_concurrent_inserts_keep_the_bound(self, monkeypatch):
         # eviction reads the oldest key and deletes it; without the lock two
-        # threads can pick the same key and one raises KeyError
+        # threads can pick the same key and one raises KeyError. The memo
+        # and the kept first rounds share the insert and its lock
         import sys
         import threading
 
-        import nanospin.torque as torque_mod
-
         monkeypatch.setattr(torque_mod, "MEMO_ENTRIES", 8)
+        monkeypatch.setattr(torque_mod, "_FIRST_ROUNDS", 8)
         errors = []
 
         def insert(worker):
             try:
                 for k in range(2000):
-                    torque_mod._remember(("stress", worker, k), float(k))
+                    torque_mod._keep(torque_mod._memo, torque_mod.MEMO_ENTRIES, ("stress", worker, k), float(k))
+                    torque_mod._keep(torque_mod._first_rounds, torque_mod._FIRST_ROUNDS, ("stress", worker, k), float(k))
             except Exception as exc:  # any lost race fails the test below
                 errors.append(exc)
 
@@ -820,4 +884,4 @@ class TestMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(torque_mod._memo) == 8
+        assert len(torque_mod._memo) == len(torque_mod._first_rounds) == 8
