@@ -43,7 +43,12 @@ def abs2_transverse_sum(d: float, omega):
     """
     if not d > 0.0:
         raise ValueError("require d > 0")
-    u = (_wavenumber(omega) * d) ** 2
+    return _abs2_transverse(_wavenumber(omega), d)
+
+
+def _abs2_transverse(k: np.ndarray, d: float) -> np.ndarray:
+    """abs2_transverse_sum at wavenumbers k, for a d and k > 0 checked by the caller."""
+    u = (k * d) ** 2
     return 2.0 * (u * u - u + 1.0) / (u * u * (d * d))  # k^4 d^6 = u^2 d^2
 
 

@@ -16,8 +16,8 @@ do not depend on the other rows of its call, and an integrand's panels
 and sums do not depend on the others in its batch, so each keeps the
 panels and bits it has when integrated alone, whatever ran before and
 on whichever thread. A caller that keeps a batch's kernel values on its
-first mesh may pass them for the first round: the rule sums run on them
-unchanged, and the engine itself keeps nothing between calls.
+first mesh and at omega_max may pass them for the first round and the
+tail check; the engine itself keeps nothing between calls.
 
 An integrand whose splits run out with its error sum at or below
 QUADPACK's roundoff floor, 50 eps times the integral of |f|, is
@@ -251,31 +251,33 @@ class _Integral:
         self.evals += 15
         heapq.heappush(self.heap, (-err, next(self.pushes), a, b, i15, resabs))
 
-    def split(self, quad: QuadratureConfig) -> list[tuple[float, float]]:
-        """The halves of the worst panel, which leaves the sums; none once
-        the integrand has converged or failed."""
+    def split(self, quad: QuadratureConfig, j: int, owners: list, a: list, b: list) -> None:
+        """Add the halves of the worst panel, which leaves the sums, to the
+        round's owners (as j), a and b; none once converged or failed."""
         if self.outcome is not None or self.err_total <= quad.rel_tol * abs(self.total):
-            return []
+            return
         if self.splits >= quad.max_subdivisions:
             if self.err_total > _ROUNDOFF * self.resabs:  # else as far as binary64 resolves it
-                neg_err, _, a, b, *_ = self.heap[0]
+                neg_err, _, lo, hi, *_ = self.heap[0]
                 self.outcome = ConvergenceError(
                     f"no convergence after {self.splits} subdivisions; "
-                    f"worst panel [{a:.6e}, {b:.6e}] error {-neg_err:.3e}",
-                    worst_panel=(a, b),
+                    f"worst panel [{lo:.6e}, {hi:.6e}] error {-neg_err:.3e}",
+                    worst_panel=(lo, hi),
                 )
-            return []
-        neg_err, _, a, b, i15, resabs = heapq.heappop(self.heap)
+            return
+        neg_err, _, lo, hi, i15, resabs = heapq.heappop(self.heap)
         self.total -= i15
         self.err_total += neg_err
         self.resabs -= resabs
         self.splits += 1
-        m = 0.5 * (a + b)
-        return [(a, m), (m, b)]
+        m = 0.5 * (lo + hi)
+        owners += j, j
+        a += lo, m
+        b += m, hi
 
 
 def _lockstep(
-    kernel, quad: QuadratureConfig, n: int, first: np.ndarray | None = None
+    kernel, quad: QuadratureConfig, n: int, first: tuple[np.ndarray, np.ndarray] | None = None
 ) -> list[IntegrationResult | NanospinError]:
     """Integrate n integrands, each exactly as a lone one would be.
 
@@ -284,30 +286,30 @@ def _lockstep(
     rows, one _panels call per block, adding the entries in row order:
     the order a lone integrand adds its panels in, so its sums keep
     their bits. first, when given, takes the place of the first round's
-    kernel calls (see integrate_with_diagnostics).
+    and the tail check's kernel calls (see integrate_with_diagnostics).
     """
     owners, a, b = _first_mesh(quad, n)
-    if first is not None and len(first) != len(owners):
-        raise ConfigError(f"first round has {len(first)} rows, the first mesh {len(owners)}")
+    rows, tails = (None, None) if first is None else first
+    if rows is not None and len(rows) != len(owners):
+        raise ConfigError(f"first round has {len(rows)} rows, the first mesh {len(owners)}")
     integrals = [_Integral() for _ in range(n)]
     while len(owners):
         for start in range(0, len(owners), _ROWS_PER_CALL):
             block = slice(start, start + _ROWS_PER_CALL)
             aa, bb = a[block], b[block]
-            entries = _panels(kernel, owners[block], aa, bb) if first is None else _rule_sums(first[block], aa, bb)
+            entries = _panels(kernel, owners[block], aa, bb) if rows is None else _rule_sums(rows[block], aa, bb)
             for j, panel, entry in zip(owners[block].tolist(), zip(aa.tolist(), bb.tolist()), entries):
                 integrals[j].add(panel, entry)
-        first = None
-        rows = [(j, panel) for j, s in enumerate(integrals) for panel in s.split(quad)]
-        owners = np.array([j for j, _ in rows], dtype=int)
-        a, b = np.array([panel for _, panel in rows]).reshape(-1, 2).T
+        rows, owners, a, b = None, [], [], []
+        for j, s in enumerate(integrals):
+            s.split(quad, j, owners, a, b)
+        owners, a, b = np.array(owners, dtype=int), np.array(a), np.array(b)
 
     hi = quad.omega_max
     done = [j for j, s in enumerate(integrals) if s.outcome is None]
     if done:
-        owners = np.array(done)
-        tails = np.abs(np.asarray(kernel(np.full((len(done), 1), hi), owners), dtype=float)).reshape(-1)
-        for j, tail in zip(done, tails.tolist()):
+        y = kernel(np.full((len(done), 1), hi), np.array(done)) if tails is None else np.asarray(tails)[done]
+        for j, tail in zip(done, np.abs(np.asarray(y, dtype=float)).reshape(-1).tolist()):
             s = integrals[j]
             s.evals += 1
             if not math.isfinite(tail):  # max(peak, nan) would keep the peak
@@ -330,7 +332,7 @@ def integrate_with_diagnostics(
     quad: QuadratureConfig,
     n: int | None = None,
     *,
-    first: np.ndarray | None = None,
+    first: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> IntegrationResult | list[IntegrationResult | NanospinError]:
     """Globally adaptive integration of kernel over [omega_min, omega_max].
 
@@ -352,11 +354,11 @@ def integrate_with_diagnostics(
     the return value is a list with, for each integrand, its
     IntegrationResult or the error it would have raised.
 
-    first, when given, holds the kernel's values on the first round's
-    rows, _first_mesh(quad, n or 1), in row order: a caller that keeps
-    them passes them in place of that round's kernel calls. They must
-    have the bits the kernel returns; the engine itself keeps nothing
-    between calls.
+    first, when given, pairs the kernel's values on the first round's
+    rows, _first_mesh(quad, n or 1), in row order, with its value at
+    omega_max for each integrand, read only for those that finish: a
+    caller that keeps them passes them in place of those kernel calls.
+    They must have the bits the kernel returns; the engine keeps nothing.
     """
     if n is not None:
         return _lockstep(kernel, quad, n, first)

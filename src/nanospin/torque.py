@@ -54,12 +54,13 @@ MEMO_ENTRIES values, dropping the oldest first.
 
 The gap kernel is a distance-free spectral factor times 2|g_t(d)|^2,
 its last operation, so next to the memo each gap node batch keeps that
-factor on its first mesh, keyed on the particle, T, the resolved window
-and the batch's spins: 15 values per first-mesh row, 26 KB for the 9
-nodes of a degree-8 batch, for at most _FIRST_ROUNDS batches, dropping
-the oldest first. A later distance takes its first round as the kept
-factor times 2|g_t|^2, the bits the kernel returns, with no kernel call;
-its later rounds run as at the first. clear_memo empties both.
+factor on its first mesh and at omega_max, with the wavenumbers of both
+(one node's mesh serves all), keyed on the particle, T, the resolved
+window and the batch's spins: 29 KB for the 9 nodes of a degree-8
+batch, for at most _FIRST_ROUNDS batches, dropping the oldest first. A
+later distance takes its first round and tail checks as the kept factor
+times 2|g_t|^2, the bits the kernel returns, with no kernel call; its
+later rounds run as at the first. clear_memo empties both.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, NanospinError, PoleError
-from .greens import abs2_transverse_sum, im_g_self_transverse_sum
+from .greens import _abs2_transverse, im_g_self_transverse_sum
+from .greens import abs2_transverse_sum  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.abs2_transverse_sum
 from .material import CONSTANTS, ParticleSpec, im_polarizability, lorentzian
 from .material import d_im_polarizability  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.d_im_polarizability
 from .quadrature import IntegrationResult, QuadratureConfig, integrate_with_diagnostics, resolved
@@ -108,11 +110,11 @@ DEFAULT_COUPLING_SCALE = 3.81e22
 MEMO_ENTRIES = 4096
 
 # Bound of _first_rounds, in gap node batches: a spin-up at one omega1
-# keeps one to four, of at most 92 KB each (32 nodes at degree 64)
+# keeps one to four, of at most 95 KB each (32 nodes at degree 64)
 _FIRST_ROUNDS = 32
 
 _memo: dict[tuple, IntegrationResult] = {}
-_first_rounds: dict[tuple, np.ndarray] = {}
+_first_rounds: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _memo_lock = threading.Lock()
 
 
@@ -312,15 +314,15 @@ def _integrals(
     memo: tuple | None = None,
     spins: bool = False,
     skip: Callable[[tuple], bool] | None = None,
-    first_round: Callable[[QuadratureConfig, np.ndarray], np.ndarray] | None = None,
+    first_round: Callable[[QuadratureConfig, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[IntegrationResult | None]:
     """scale times the integral, with its diagnostics, for each item, whose
     own checks the caller has run. An item kept under memo + item takes
     the kept value; the others are band-checked on _window(*window) when
     the items are spins, and those that pass share one lockstep integral,
     rows of kernel_at(columns) owned by pending item i reading columns[i],
-    its first round the values first_round(q, columns) when given, q the
-    resolved window. An item for which skip(item) holds is checked but
+    its first round and tails the pair first_round(q, columns) when given,
+    q the resolved window. An item for which skip(item) holds is checked but
     not integrated, and its result is None. With memo the values are
     kept. The first item that fails, in item order, raises the error a
     lone call raises."""
@@ -442,8 +444,8 @@ def _mutual_torques(
     adds its rows' shifts to w in one C-ordered array of the four shifted
     spectra, the two pairs' smaller arguments before their larger, so it
     makes one im_polarizability call and one occupation call for all
-    four. That kernel is spectra(w) * 2|g_t(d, w)|^2, and the batch's
-    first round reads spectra from _first_rounds (module docstring).
+    four. That kernel is spectra(w) * 2|g_t|^2 at k = w/c, and the
+    batch's first round and tails read both from _first_rounds.
     Equal spins are checked but not integrated: their torque is 0.0."""
     for o1, o2 in spins:
         SpinPair(o1, o2)
@@ -477,22 +479,26 @@ def _mutual_torques(
 
         def kernel(w, owners):
             q = spectra(w, owners)
-            q *= abs2_transverse_sum(d, w)
+            q *= _abs2_transverse(w / CONSTANTS.c, d)
             return q
 
         return kernel
 
-    def first_round(q: QuadratureConfig, columns: np.ndarray) -> np.ndarray:
-        owners, a, b = _first_mesh(q, len(columns))
-        w = _nodes(a, b)
-        key = (particle, T, q, tuple(map(tuple, columns.tolist())))
+    def first_round(q: QuadratureConfig, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n, key = len(columns), (particle, T, q, tuple(map(tuple, columns.tolist())))
         kept = _first_rounds.get(key)
         if kept is None:  # in the blocks the engine's kernel calls would take
-            spectra, blocks = spectra_at(columns), range(0, len(w), _ROWS_PER_CALL)
-            kept = np.concatenate([spectra(w[k : k + _ROWS_PER_CALL], owners[k : k + _ROWS_PER_CALL]) for k in blocks])
-            kept.flags.writeable = False
+            owners, a, b = _first_mesh(q, n)
+            w, spectra, blocks = _nodes(a, b), spectra_at(columns), range(0, len(a), _ROWS_PER_CALL)
+            rows = np.concatenate([spectra(w[k : k + _ROWS_PER_CALL], owners[k : k + _ROWS_PER_CALL]) for k in blocks])
+            tails = spectra(np.full((n, 1), q.omega_max), np.arange(n)).reshape(-1)
+            kept = rows.reshape(n, -1, 15), tails, np.append(w[: len(w) // n], q.omega_max) / CONSTANTS.c
+            for array in kept:
+                array.flags.writeable = False
             _keep(_first_rounds, _FIRST_ROUNDS, key, kept)
-        return kept * abs2_transverse_sum(d, w)
+        spectra, tails, k = kept
+        g = _abs2_transverse(k, d)  # on one integrand's first mesh, then at omega_max
+        return (spectra * g[:-1].reshape(-1, 15)).reshape(-1, 15), tails * g[-1]
 
     window = (quad, particle, ThermalState(T, T))
     results = _integrals(

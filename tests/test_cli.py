@@ -603,6 +603,27 @@ class TestMain:
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
 
+    def test_near_zero_temperatures_fail_on_gamma_s(self, tmp_path, capsys):
+        # exited 3 when gamma_b's moment A, at its roundoff floor at T = 0,
+        # ran before the gamma_s sign check; gamma_s is -0 here
+        doc = {
+            "distance_m": 6.04e-7, "radius_m": 7.6e-9, "polarizability_model": "clausius_mossotti",
+            "temperature_K": 5e-324, "vacuum_temperature_K": 2.8e-188, "omega_T_rad_per_s": 1.237e14, "rel_tol": 4.6e-4,
+        }
+        cfg = write_config(tmp_path / "c.json", dict(doc, out_dir=str(tmp_path / "o")))
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "gamma_s = -0 N m s" in err and "a run needs gamma_s > 0" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_tight_run_between_temperatures_exits_0(self, tmp_path, capsys):
+        # gamma_s ran out of subdivisions at the phonon resonance at rel_tol
+        # 1e-11 with T != T0; its divided-difference kernel certifies
+        doc = {"distance_m": 1e-7, "radius_m": 1e-9, "temperature_K": 122.4, "vacuum_temperature_K": 157.0, "rel_tol": 1e-11}
+        cfg = write_config(tmp_path / "c.json", dict(doc, out_dir=str(tmp_path / "o")))
+        assert main(["run", "--config", cfg]) == 0
+        assert (tmp_path / "o" / "summary.json").is_file()
+
     @pytest.mark.parametrize("distance", ["nan", "inf"])
     def test_coeffs_refuses_a_non_finite_distance(self, tmp_path, capsys, distance):
         # with --config the distance skipped parse_config and exited 3 from

@@ -55,7 +55,7 @@ def test_a_kept_first_round_gives_a_cold_spin_ups_bits(model, omega1, keys, batc
     clear_memo()
     spin_up(1e-7, omega1, **keys)
     kept = dict(torque._first_rounds)
-    assert [len(k) for k in kept.values()] == batch_rows
+    assert [spectra.size // 15 for spectra, _, _ in kept.values()] == batch_rows
     assert bits(spin_up(3.3e-7, omega1, **keys)) == cold
     assert torque._first_rounds.keys() == kept.keys()
 

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nanospin import ConfigError, ConvergenceError, NanospinError, ParticleSpec, QuadratureConfig, TailNotNegligibleError, ThermalState
+from nanospin import CONSTANTS, ConfigError, ConvergenceError, NanospinError, ParticleSpec, QuadratureConfig, TailNotNegligibleError, ThermalState
 from nanospin import quadrature, torque
 from nanospin.config import RunConfig
 from nanospin.dynamics import solve_nonlinear
@@ -301,6 +301,40 @@ def test_seeded_mutual_node_batch_matches_oracle(monkeypatch, particle, d, max_s
     )
 
 
+@pytest.mark.parametrize("case", ["resonant_tail", "non_finite_tail"])
+def test_a_warm_gap_batch_fails_its_tail_check_as_a_cold_one(monkeypatch, particle, case):
+    # a warm gap node batch takes its tails as the factor kept at
+    # omega_max times 2|g_t(d, omega_max)|^2, with no kernel call; it must
+    # fail as a cold batch and the oracle fail, which call the kernel there:
+    # an omega_max inside the resonance's tail, and a 2|g_t|^2 that is not
+    # finite at omega_max, a frequency no panel node reaches
+    spins = NODE_SPINS[:9]
+    if case == "resonant_tail":
+        quad, error = QuadratureConfig(omega_max=2e14), "TailNotNegligibleError"
+    else:
+        quad, error = QuadratureConfig(), "ConvergenceError"
+        k_max = torque._window(quad, particle, ThermalState(300.0, 300.0)).omega_max / CONSTANTS.c
+        closed_form = torque._abs2_transverse
+        monkeypatch.setattr(torque, "_abs2_transverse", lambda k, d: np.where(k == k_max, np.nan, closed_form(k, d)))
+
+    def batch(d):
+        return [outcome(lambda: _mutual_torques(spins, d, particle, 300.0, quad))]
+
+    def warm():  # after a batch at 100 nm, whose failure keeps its factors
+        clear_memo()
+        batch(1e-7)
+        assert len(torque._first_rounds) == 1
+        return batch(3.3e-7)
+
+    def cold():
+        clear_memo()
+        return batch(3.3e-7)
+
+    assert_same_as_oracle(monkeypatch, warm)
+    (got,) = warm()
+    assert [got] == cold() and got[0] == error and "omega_max" in got[1]
+
+
 def test_a_starved_mutual_batch_raises_its_failing_node(particle, integrals):
     # with 8 splits at 949 nm the nodes of a 1e10 spin-up converge and
     # the pair (1e12, 5e11), which needs 12, runs out: the batch raises
@@ -459,20 +493,21 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
     # batch 10 and the vacuum node batch 3. A round makes one panel call
     # per block of at most _ROWS_PER_CALL rows, and the first round of each
     # node batch, 9 nodes times 24 first panels = 216 rows, needs two. The
-    # gap batch's first round is its kept distance-free factor, evaluated
-    # in those two blocks outside the engine, times 2|g_t|^2, so 31 panel
-    # calls. A later distance reads gamma_b off the kept moments, the
-    # vacuum nodes off the memo and the gap batch's first round off the
-    # kept factor, and integrates the gap batch's 9 later rounds alone,
-    # in 9 calls of at most 18 rows. The first mesh is graded around
-    # each model's own peak, so clausius_mossotti, which peaks at its
-    # Froehlich frequency, takes about as few (83, 22 and 57 with the mesh
-    # graded around omega_T): 34 cold, its vacuum node batch taking 3
-    # rounds as under bare. Every kernel call, each panel call, each
-    # block of a kept factor and each integral's one tail check, makes
-    # one im_polarizability call: the direct kernels stack their
-    # spin-shifted spectra (four for the gap, two for the vacuum) into
-    # one array
+    # gap batch's first round and tail check are its kept distance-free
+    # factor, evaluated in those two blocks and at omega_max outside the
+    # engine, times 2|g_t|^2, so 31 panel calls. A later distance reads
+    # gamma_b off the kept moments, the vacuum nodes off the memo and the
+    # gap batch's first round and tails off the kept factor, and
+    # integrates the gap batch's 9 later rounds alone, in 9 calls of at
+    # most 18 rows, with no tail-check call. The first mesh is graded
+    # around each model's own peak, so clausius_mossotti, which peaks at
+    # its Froehlich frequency, takes about as few (83, 22 and 57 with the
+    # mesh graded around omega_T): 34 cold, its vacuum node batch taking
+    # 3 rounds as under bare. Every kernel call, each panel call, each
+    # block of a kept factor, its tails and each other integral's one
+    # tail check, makes one im_polarizability call: the direct kernels
+    # stack their spin-shifted spectra (four for the gap, two for the
+    # vacuum) into one array
     calls, material = rows_per_panel_call(monkeypatch), []
     polarizability = torque.im_polarizability
     monkeypatch.setattr(torque, "im_polarizability", lambda *args: material.append(1) or polarizability(*args))
@@ -484,8 +519,8 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
         return len(calls), len(material), max(calls)
 
     for model, counts, spectra in (
-        ("bare", (31, 9, 9), (37, 10, 10)),
-        ("clausius_mossotti", (34, 10, 10), (40, 11, 11)),
+        ("bare", (31, 9, 9), (37, 9, 9)),
+        ("clausius_mossotti", (34, 10, 10), (40, 10, 10)),
     ):
         particle = ParticleSpec(polarizability_model=model)
         clear_memo()

@@ -351,6 +351,70 @@ class TestMutualTorqueReference:
         assert mutual_torque(SpinPair(o1, o2), d, particle, T, quad) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
+
+def occupation_reference(x, T):
+    """1/(e^{hbar x/k_B T} - 1) for x > 0 and T > 0 with numpy's expm1;
+    0 where the exponential overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.expm1(CONSTANTS.hbar * x / (CONSTANTS.k_B * T))
+
+
+def quadpack_window(kernel, particle, T, spins, quad):
+    """QUADPACK's integral of kernel over the window at T = T0, with
+    points at both resonances, at k_B T / hbar and at omega_T -+ each
+    spin; an IntegrationWarning fails."""
+    hi = default_omega_max(ThermalState(T, T), particle)
+    omega_T = particle.dielectric.omega_T
+    points = [omega_T, particle.dielectric.omega_L, CONSTANTS.k_B * T / CONSTANTS.hbar]
+    points += [omega_T + sign * o for o in spins for sign in (-1.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        points = [x for x in points if quad.omega_min < x < hi]
+        return quadpack(kernel, quad.omega_min, hi, points=points, epsrel=1e-11, epsabs=0.0, limit=400)[0]
+
+
+@pytest.mark.parametrize("T", [30.0, 3.0])
+class TestLowTemperatureReference:
+    """Both torques at nonzero spins at 30 K and 3 K (T = T0) against the
+    per-shift form, each thermal weight written with numpy's expm1 and
+    each shifted spectrum evaluated on its own, integrated by QUADPACK.
+    That form subtracts spectra across the spins, so the spins are those
+    where it loses under 4 digits: the vacuum bracket n(2(w + o)) -
+    n(2w) about log10(1/(2 b o)), 2.3 digits at 30 K and 1e10 rad/s
+    (b = hbar/k_B T), and the gap's W(w - o2) - W(w + o2), W about s/2
+    at these temperatures, about log10(damping/(2 o2)), 2 digits at 5e9."""
+
+    @pytest.mark.parametrize("omega0", [1e10, 1e11, 1e12])
+    def test_vacuum_torque(self, particle, quad, T, omega0):
+        def kernel(w):
+            x = np.array([w])
+            c0 = 2.0 * occupation_reference(2.0 * x, T)  # coth(y) - 1 = 2 n(2y)
+            up = im_polarizability(x + omega0, particle) * (2.0 * occupation_reference(2.0 * (x + omega0), T) - c0)
+            down = im_polarizability(x - omega0, particle) * (2.0 * occupation_reference(2.0 * (x - omega0), T) - c0)
+            return float((x * x * im_g_self_transverse_sum(x) * (up - down))[0])
+
+        expected = -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2)) * quadpack_window(kernel, particle, T, [omega0], quad)
+        got = vacuum_torque(omega0, particle, ThermalState(T, T), quad)
+        assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("o1, o2", [(1e10, 5e9), (1e11, 3e10), (1e12, 5e11)])
+    def test_mutual_torque(self, particle, quad, T, o1, o2):
+        d = 1e-7
+
+        def weight(x):
+            return im_polarizability(x, particle) * (occupation_reference(x, T) + 0.5)
+
+        def kernel(w):
+            x = np.array([w])
+            s1 = im_polarizability(x + o1, particle) + im_polarizability(x - o1, particle)
+            s2 = im_polarizability(x + o2, particle) + im_polarizability(x - o2, particle)
+            f2, h1 = weight(x - o2) - weight(x + o2), weight(x - o1) - weight(x + o1)
+            return float((abs2_transverse_sum(d, x) * (f2 * s1 - h1 * s2))[0])
+
+        expected = DEFAULT_COUPLING_SCALE * 4.0 * np.pi * CONSTANTS.hbar * quadpack_window(kernel, particle, T, [o1, o2], quad)
+        assert mutual_torque(SpinPair(o1, o2), d, particle, T, quad) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
 TIGHT = QuadratureConfig(rel_tol=1e-12)
 
 
@@ -819,13 +883,15 @@ class TestMemo:
 
     def test_kept_first_rounds_keep_their_bound(self, particle, quad, monkeypatch):
         # a gap node batch keeps its distance-free factor on its first
-        # mesh, 15 values per row, read-only; the oldest batch goes first,
-        # and one that was dropped integrates its first round again
+        # mesh, 15 values per panel, and at omega_max, and the wavenumbers
+        # of the window's 24 first panels and of omega_max, read-only; the
+        # oldest batch goes first, and one that was dropped integrates its
+        # first round again
         batches = [[(1e10, w), (1e10, w + 1e9)] for w in (2e9, 4e9, 6e9)]
         cold = [_mutual_torques(spins, 2e-7, particle, 300.0, quad) for spins in batches]
-        rows = 2 * 24  # two nodes times the window's 24 first panels
-        assert [kept.shape for kept in torque_mod._first_rounds.values()] == [(rows, 15)] * 3
-        assert not any(kept.flags.writeable for kept in torque_mod._first_rounds.values())
+        shapes = ((2, 24, 15), (2,), (24 * 15 + 1,))  # two nodes
+        assert [tuple(a.shape for a in kept) for kept in torque_mod._first_rounds.values()] == [shapes] * 3
+        assert not any(a.flags.writeable for kept in torque_mod._first_rounds.values() for a in kept)
         clear_memo()
         assert torque_mod._first_rounds == {}
         monkeypatch.setattr(torque_mod, "_FIRST_ROUNDS", 2)
@@ -844,13 +910,14 @@ class TestMemo:
     def test_a_spin_up_keeps_its_node_batches_first_rounds(self, particle, thermal, quad):
         # at 4e12 the gap surrogate reaches degree 32: batches of 9, 8 and
         # 16 nodes, whose first rounds of 216, 192 and 384 rows span two,
-        # two and three blocks; the degree-8 one is 26 KB
+        # two and three blocks; the degree-8 one keeps 29 KB
         from nanospin.config import RunConfig
         from nanospin.dynamics import solve_nonlinear
 
         solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=4e12, mode="nonlinear"))
         kept = list(torque_mod._first_rounds.values())
-        assert [len(k) for k in kept] == [216, 192, 384] and kept[0].nbytes == 25920
+        assert [spectra.size // 15 for spectra, _, _ in kept] == [216, 192, 384]
+        assert sum(a.nbytes for a in kept[0]) == 25920 + 72 + 2888
         assert len(kept) <= torque_mod._FIRST_ROUNDS
 
     def test_concurrent_inserts_keep_the_bound(self, monkeypatch):
