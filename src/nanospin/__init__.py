@@ -13,7 +13,6 @@ Library layout:
 
 from .config import RunConfig, SweepConfig, fingerprint, parse_config
 from .dynamics import (
-    DIRECT_EVAL_FLOOR,
     Trajectory,
     coefficients_for,
     default_time_grid,

@@ -29,7 +29,6 @@ if TYPE_CHECKING:
     from .config import RunConfig
 
 __all__ = [
-    "DIRECT_EVAL_FLOOR",
     "SURROGATE_MAX_DEGREE",
     "ChebyshevInterpolant",
     "Trajectory",
@@ -43,10 +42,6 @@ __all__ = [
     "solve_nonlinear",
     "sync_time",
 ]
-
-# Spin scale from which the nonlinear solver uses direct kernels; below
-# it each channel takes its linearized form (see README).
-DIRECT_EVAL_FLOOR = 1e9
 
 # Highest Chebyshev degree a torque surrogate may reach before its build
 # gives up; the default materials certify at degree 8 or 16.
@@ -295,24 +290,24 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     channel's torque is its linearized form plus a residual,
     R_b(w) = mutual_torque(omega1, w) - gamma_b*(omega1 - w) and
     R_s(w) = vacuum_torque(w) - gamma_s*w, each a chebyshev_interpolant
-    of direct kernel values certified to fit_tol = quad.rel_tol *
-    (gamma_s + gamma_b) * omega1 on [F, omega1 - F] and [F, omega1]
-    respectively (F = DIRECT_EVAL_FLOOR; one lockstep call per channel and
-    degree; none where the interval is empty), and zero, the linearized
-    form, elsewhere. f is smooth between the switches.
+    of direct kernel values on [0, omega1] certified to fit_tol =
+    quad.rel_tol * (gamma_s + gamma_b) * omega1, one lockstep call per
+    channel and degree. Its nodes include both ends: R_s(0) is 0 times
+    the memo's P(0), and the gap torque at omega1 is 0.0 with no
+    integral. So f is one smooth function on [0, omega1].
 
-    f(0) = gamma_b*omega1/I > 0 and f < 0 past omega1, so the follower
-    stops at the plateau omega*: the first root of f, kappa = -f'(omega*),
-    or a switch across which f changes sign, reached in finite time
-    (kappa None). The equation separates: with u = omega* - omega2 and
-    s = -ln(u/omega*), dt/ds = u/f. Its plateau value 1/kappa integrates
-    in closed form; the rest is a chebyshev_interpolant in s on each
-    piece, certified to the error that a drift error of fit_tol/I puts
-    into u/f, bisected until it certifies, and integrated exactly. The
-    table ends where u*|1 - kappa*u/f| <= rel_tol*omega1; past it
-    omega2 = omega* - u_end*exp(-kappa*(t - t_end)), or omega* at a
-    switch. Newton steps invert every sample time at once. Below F this
-    is the closed form.
+    The follower stops at the plateau omega*, the first root of f, with
+    kappa = -f'(omega*), or kappa None where f'(omega*) >= 0 or f > 0 on
+    all of [0, omega1] (omega* = omega1); where f(0) <= 0 it stays at
+    rest (omega* = 0, kappa None). The equation separates: with
+    u = omega* - omega2 and s = -ln(u/omega*), dt/ds = u/f. Its plateau
+    value 1/kappa integrates in closed form; the rest is a
+    chebyshev_interpolant in s on [0, s_end], certified to the error
+    that a drift error of fit_tol/I puts into u/f, bisected until it
+    certifies, and integrated exactly. The table ends where
+    u*|1 - kappa*u/f| <= rel_tol*omega1; past it
+    omega2 = omega* - u_end*exp(-kappa*(t - t_end)), or omega* when
+    kappa is None. Newton steps invert every sample time at once.
 
     nanospin.torque keeps gamma_s, the gap moments, the vacuum node
     torques and the mutual node batches' first rounds free of the
@@ -322,8 +317,8 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     coeffs, when given, must be coefficients_for(config). gamma_b < 0
     raises ConfigError: the follower would spin backwards, outside the
     surrogates. Trajectory.solver records the surrogate nodes per channel
-    (0 where none was built), the direct torque calls (every node), the
-    plateau, kappa and each time piece's nodes.
+    (0 when gamma_s + gamma_b = 0), the direct torque calls (every node),
+    the plateau, kappa and each time piece's nodes.
     """
     particle = config.particle
     inertia = moment_of_inertia(particle)
@@ -351,65 +346,48 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
         return np.array(_vacuum_torques(ws.tolist(), particle, config.thermal, config.quad)) - gamma_s * ws
 
     fit_tol = config.quad.rel_tol * denom * omega1
-    floor = DIRECT_EVAL_FLOOR
-    fits = []  # (sign in f, residual interpolant)
-    channels = (("mutual", 1.0, drive_residuals, omega1 - floor), ("vacuum", -1.0, drag_residuals, omega1))
-    for channel, sign, residuals, hi in channels:
-        if hi > floor:
-            fits.append((sign, chebyshev_interpolant(residuals, floor, hi, fit_tol)))
-            nodes[channel] = fits[-1][1].nodes
+    gap = chebyshev_interpolant(drive_residuals, 0.0, omega1, fit_tol)
+    drag = chebyshev_interpolant(drag_residuals, 0.0, omega1, fit_tol)
+    nodes["mutual"], nodes["vacuum"] = gap.nodes, drag.nodes
+    dgap, ddrag = _derivative(gap), _derivative(drag)
 
-    def drift(lo: float, hi: float) -> tuple[Callable, Callable]:
-        """f and f' on the piece [lo, hi] between switches."""
-        on = [(sign, fit) for sign, fit in fits if fit.lo <= lo and hi <= fit.hi]
-        slopes = [(sign, _derivative(fit)) for sign, fit in on]
-        return (
-            lambda w: (gamma_b * (omega1 - w) - gamma_s * w + sum(sign * fit(w) for sign, fit in on)) / inertia,
-            lambda w: (sum(sign * slope(w) for sign, slope in slopes) - denom) / inertia,
-        )
+    def f(w):
+        return (gamma_b * (omega1 - w) - gamma_s * w + (gap(w) - drag(w))) / inertia
 
-    # the pieces the follower crosses, up to the plateau star
-    edges = sorted({0.0, omega1}.union(*({fit.lo, fit.hi} for _, fit in fits)))
-    crossed, star, kappa = [], omega1, None  # f > 0 throughout: the switch to the linear form at omega1
-    for lo, hi in zip(edges, edges[1:]):
-        f, df = drift(lo, hi)
-        w = np.linspace(lo, hi, 65)
-        v = f(w)
-        if not v[0] > 0.0:  # f changes sign across the switch at lo
-            star = lo
-            break
-        crossed.append((lo, f))
-        if np.any(v <= 0.0):
-            j = int(np.argmax(v <= 0.0))
-            star = float(_newton(lambda x: -f(x), lambda x: -df(x), w[j - 1], w[j], w[j], 1e-15))
-            kappa = -df(star) if df(star) < 0.0 else None
-            break
+    def df(w):
+        return (dgap(w) - ddrag(w) - denom) / inertia
+
+    # the plateau star: the first root of f, 0 if the follower cannot start
+    w = np.linspace(0.0, omega1, 65)
+    v = f(w)
+    star, kappa = omega1, None  # f > 0 throughout: the follower reaches omega1
+    if not v[0] > 0.0:
+        star = 0.0
+    elif np.any(v <= 0.0):
+        j = int(np.argmax(v <= 0.0))
+        star = float(_newton(lambda x: -f(x), lambda x: -df(x), w[j - 1], w[j], w[j], 1e-15))
+        kappa = -df(star) if df(star) < 0.0 else None
     stats["plateau_rad_per_s"], stats["kappa_per_s"] = star, kappa
 
-    # t(s) table, piece by piece: t0 + c0*(s - lo) + the integral of the rest
+    # t(s) table on [0, s_end] (empty at star = 0): t0 + c0*(s - lo) + the integral of the rest
     spin_tol, c0 = config.quad.rel_tol * omega1, 1.0 / kappa if kappa else 0.0
-    table, t_end, s_end = [], 0.0, 0.0  # table: (t0, interpolant of dt/ds - c0, its antiderivative)
-    if crossed:
-        lo, f = crossed[-1]
-        u = (star - lo) * 0.5 ** np.arange(40)
-        u = u[u > spin_tol]
-        outside = np.flatnonzero(u * np.abs(1.0 - (kappa or 0.0) * u / f(star - u)) > spin_tol)
-        j = outside[-1] + 1 if outside.size else 0  # from u[j] on, the tail holds
-        bounds = [-math.log1p(-lo / star) for lo, _ in crossed]
-        bounds.append(bounds[-1] if j == 0 else math.log(star / (u[j] if j < u.size else spin_tol)))
-        for (lo, f), s0, s1 in zip(crossed, bounds, bounds[1:]):
+    u = star * 0.5 ** np.arange(40)
+    u = u[u > spin_tol]
+    outside = np.flatnonzero(u * np.abs(1.0 - (kappa or 0.0) * u / f(star - u)) > spin_tol)
+    j = outside[-1] + 1 if outside.size else 0  # from u[j] on, the tail holds
+    s_end = 0.0 if j == 0 else math.log(star / (u[j] if j < u.size else spin_tol))
 
-            def rest(s, f=f):
-                return star * np.exp(-s) / f(-star * np.expm1(-s)) - c0
+    def rest(s):
+        return star * np.exp(-s) / f(-star * np.expm1(-s)) - c0
 
-            def tol(s, f=f):
-                return fit_tol / inertia * star * math.exp(-s) / f(-star * math.expm1(-s)) ** 2
+    def tol(s):
+        return fit_tol / inertia * star * math.exp(-s) / f(-star * math.expm1(-s)) ** 2
 
-            for piece in _certified_pieces(rest, tol, s0, s1) if s1 > s0 else []:
-                integral = _antiderivative(piece)
-                table.append((t_end, piece, integral))
-                t_end += c0 * (piece.hi - piece.lo) + (integral(piece.hi) - integral(piece.lo))
-        s_end = bounds[-1]
+    table, t_end = [], 0.0  # table: (t0, interpolant of dt/ds - c0, its antiderivative)
+    for piece in _certified_pieces(rest, tol, 0.0, s_end) if s_end > 0.0 else []:
+        integral = _antiderivative(piece)
+        table.append((t_end, piece, integral))
+        t_end += c0 * (piece.hi - piece.lo) + (integral(piece.hi) - integral(piece.lo))
     stats["piece_nodes"] = [piece.nodes for _, piece, _ in table]
 
     s = np.empty_like(grid)

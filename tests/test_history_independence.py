@@ -39,13 +39,14 @@ def test_history_does_not_change_a_spin_up(tmp_path):
     assert summary(tmp_path / "warm") == cold_summary
 
 
-# at 1e12 the gap batches have 9 and 8 nodes, first rounds of 216 and
-# 192 rows in two blocks each; at 4e12 a degree-32 batch of 16 more nodes
-# starts with 384 rows, three blocks
+# the degree-8 gap batch integrates 8 of its 9 nodes (the torque at
+# omega1 is 0.0), a first round of 192 rows; at 1e12 the degree-16 batch
+# adds 8 nodes, 192 rows, two blocks each; at 4e12 a degree-32 batch of
+# 16 more nodes starts with 384 rows, three blocks
 @pytest.mark.parametrize("model", ["bare", "clausius_mossotti"])
 @pytest.mark.parametrize(
     "omega1, keys, batch_rows",
-    [(1e10, {}, [216]), (1e10, {"temperature_K": 320.0}, [216]), (1e12, {}, [216, 192]), (4e12, {}, [216, 192, 384])],
+    [(1e10, {}, [192]), (1e10, {"temperature_K": 320.0}, [192]), (1e12, {}, [192, 192]), (4e12, {}, [192, 192, 384])],
 )
 def test_a_kept_first_round_gives_a_cold_spin_ups_bits(model, omega1, keys, batch_rows):
     # the gap node batches' first rounds come from factors kept at 100 nm

@@ -492,14 +492,16 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
     # refinement rounds: gamma_s 3, the gap moments 15, the mutual node
     # batch 10 and the vacuum node batch 3. A round makes one panel call
     # per block of at most _ROWS_PER_CALL rows, and the first round of each
-    # node batch, 9 nodes times 24 first panels = 216 rows, needs two. The
+    # node batch needs two: of its 9 nodes the gap torque at omega1 and
+    # the vacuum torque at 0 need no integral, and 8 nodes times 24 first
+    # panels make 192 rows. The
     # gap batch's first round and tail check are its kept distance-free
     # factor, evaluated in those two blocks and at omega_max outside the
     # engine, times 2|g_t|^2, so 31 panel calls. A later distance reads
     # gamma_b off the kept moments, the vacuum nodes off the memo and the
     # gap batch's first round and tails off the kept factor, and
     # integrates the gap batch's 9 later rounds alone, in 9 calls of at
-    # most 18 rows, with no tail-check call. The first mesh is graded
+    # most 16 rows, with no tail-check call. The first mesh is graded
     # around each model's own peak, so clausius_mossotti, which peaks at
     # its Froehlich frequency, takes about as few (83, 22 and 57 with the
     # mesh graded around omega_T): 34 cold, its vacuum node batch taking
@@ -528,5 +530,6 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
         assert tuple(panel for panel, _, _ in got) == counts, model
         assert tuple(spectrum for _, spectrum, _ in got) == spectra, model
         # the cold vacuum node batch's first round fills a block; a warm
-        # spin-up's largest round is 2 halves of each of the 9 gap nodes
-        assert tuple(rows for _, _, rows in got) == (quadrature._ROWS_PER_CALL, 18, 18), model
+        # spin-up's largest round is 2 halves of each of the 8 integrated
+        # gap nodes
+        assert tuple(rows for _, _, rows in got) == (quadrature._ROWS_PER_CALL, 16, 16), model

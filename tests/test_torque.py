@@ -670,10 +670,9 @@ class TestSpinBatches:
     omega_min, so it never becomes an edge)."""
 
     OMEGA1 = 1e10
-    FLOOR = 1e9  # nanospin.dynamics.DIRECT_EVAL_FLOOR
 
     def test_vacuum_batch_is_bit_identical_to_lone_calls(self, particle, thermal, quad):
-        spins = lobatto_nodes(self.FLOOR, self.OMEGA1)
+        spins = lobatto_nodes(1e9, self.OMEGA1)
         batch = _vacuum_torques(spins, particle, thermal, quad)
         scale = -(CONSTANTS.hbar / (2.0 * np.pi * CONSTANTS.c**2))
         for w0, got in zip(spins, batch):
@@ -688,7 +687,7 @@ class TestSpinBatches:
 
     def test_mutual_batch_is_bit_identical_to_lone_calls(self, particle, quad):
         o1 = self.OMEGA1
-        spins = lobatto_nodes(self.FLOOR, o1 - self.FLOOR)
+        spins = lobatto_nodes(1e9, o1 - 1e9)
         batch = _mutual_torques([(o1, w2) for w2 in spins], 1e-7, particle, 300.0, quad)
         scale = DEFAULT_COUPLING_SCALE * 4.0 * np.pi * CONSTANTS.hbar
         for o2, got in zip(spins, batch):
@@ -909,15 +908,16 @@ class TestMemo:
 
     def test_a_spin_up_keeps_its_node_batches_first_rounds(self, particle, thermal, quad):
         # at 4e12 the gap surrogate reaches degree 32: batches of 9, 8 and
-        # 16 nodes, whose first rounds of 216, 192 and 384 rows span two,
-        # two and three blocks; the degree-8 one keeps 29 KB
+        # 16 nodes, of which the co-rotating one is not integrated, so first
+        # rounds of 192, 192 and 384 rows span two, two and three blocks;
+        # the degree-8 one keeps 26 KB
         from nanospin.config import RunConfig
         from nanospin.dynamics import solve_nonlinear
 
         solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=4e12, mode="nonlinear"))
         kept = list(torque_mod._first_rounds.values())
-        assert [spectra.size // 15 for spectra, _, _ in kept] == [216, 192, 384]
-        assert sum(a.nbytes for a in kept[0]) == 25920 + 72 + 2888
+        assert [spectra.size // 15 for spectra, _, _ in kept] == [192, 192, 384]
+        assert sum(a.nbytes for a in kept[0]) == 23040 + 64 + 2888
         assert len(kept) <= torque_mod._FIRST_ROUNDS
 
     def test_concurrent_inserts_keep_the_bound(self, monkeypatch):
