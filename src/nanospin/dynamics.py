@@ -43,8 +43,8 @@ __all__ = [
     "sync_time",
 ]
 
-# Highest Chebyshev degree a torque surrogate may reach before its build
-# gives up; the default materials certify at degree 8 or 16.
+# Highest Chebyshev degree the spin-up drift may reach before its fit
+# gives up; the default materials certify at degree 8, 16 or 32.
 SURROGATE_MAX_DEGREE = 64
 
 
@@ -286,15 +286,14 @@ def _certified_pieces(g: Callable, tol: Callable, lo: float, hi: float) -> list[
 def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = None) -> Trajectory:
     """The follower's spin-up on the full torque balance, as a quadrature.
 
-    The follower obeys domega2/dt = f(omega2), f = (M - V)/I. Each
-    channel's torque is its linearized form plus a residual,
-    R_b(w) = mutual_torque(omega1, w) - gamma_b*(omega1 - w) and
-    R_s(w) = vacuum_torque(w) - gamma_s*w, each a chebyshev_interpolant
-    of direct kernel values on [0, omega1] certified to fit_tol =
-    quad.rel_tol * (gamma_s + gamma_b) * omega1, one lockstep call per
-    channel and degree. Its nodes include both ends: R_s(0) is 0 times
-    the memo's P(0), and the gap torque at omega1 is 0.0 with no
-    integral. So f is one smooth function on [0, omega1].
+    The follower obeys domega2/dt = f(omega2), the drift
+    f(w) = (mutual_torque(omega1, w) - vacuum_torque(w))/I, one
+    chebyshev_interpolant of direct kernel values on [0, omega1]
+    certified to fit_tol = quad.rel_tol * (gamma_s + gamma_b) * omega1/I.
+    Each degree integrates its new nodes' gap torques in one
+    lockstep call, then their vacuum torques in another. The nodes
+    include both ends: the vacuum torque at 0 is 0 times the memo's
+    P(0), and the gap torque at omega1 is 0.0 with no integral.
 
     The follower stops at the plateau omega*, the first root of f, with
     kappa = -f'(omega*), or kappa None where f'(omega*) >= 0 or f > 0 on
@@ -303,7 +302,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     u = omega* - omega2 and s = -ln(u/omega*), dt/ds = u/f. Its plateau
     value 1/kappa integrates in closed form; the rest is a
     chebyshev_interpolant in s on [0, s_end], certified to the error
-    that a drift error of fit_tol/I puts into u/f, bisected until it
+    that a drift error of fit_tol puts into u/f, bisected until it
     certifies, and integrated exactly. The table ends where
     u*|1 - kappa*u/f| <= rel_tol*omega1; past it
     omega2 = omega* - u_end*exp(-kappa*(t - t_end)), or omega* when
@@ -316,9 +315,10 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
 
     coeffs, when given, must be coefficients_for(config). gamma_b < 0
     raises ConfigError: the follower would spin backwards, outside the
-    surrogates. Trajectory.solver records the surrogate nodes per channel
-    (0 when gamma_s + gamma_b = 0), the direct torque calls (every node),
-    the plateau, kappa and each time piece's nodes.
+    drift's interval. Trajectory.solver records the drift's nodes under
+    each channel, where both torques were evaluated (0 when
+    gamma_s + gamma_b = 0), the direct torque calls (every node of both
+    channels), the plateau, kappa and each time piece's nodes.
     """
     particle = config.particle
     inertia = moment_of_inertia(particle)
@@ -330,32 +330,21 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     stats["surrogate_nodes"] = nodes = {"mutual": 0, "vacuum": 0}
     if denom == 0.0:  # no torque on the follower: it stays at rest
         return Trajectory(times=np.array([0.0, 1.0]), omega2=np.zeros(2), omega1=omega1, solver=stats)
-    gamma_b, gamma_s = coeffs.gamma_b, coeffs.gamma_s
-    if gamma_b < 0.0:
-        raise ConfigError(f"solve_nonlinear needs gamma_b >= 0, got {gamma_b:.6g} N m s")
+    if coeffs.gamma_b < 0.0:
+        raise ConfigError(f"solve_nonlinear needs gamma_b >= 0, got {coeffs.gamma_b:.6g} N m s")
     grid = default_time_grid(inertia / denom, config.samples)
 
-    def drive_residuals(ws: np.ndarray) -> np.ndarray:
-        stats["direct_torque_calls"] += len(ws)
+    def drift(ws: np.ndarray) -> np.ndarray:
+        stats["direct_torque_calls"] += 2 * len(ws)
         pairs = [(omega1, w2) for w2 in ws.tolist()]
-        torques = _mutual_torques(pairs, config.distance, particle, config.thermal.T, config.quad, config.coupling_scale)
-        return np.array(torques) - gamma_b * (omega1 - ws)
+        drive = _mutual_torques(pairs, config.distance, particle, config.thermal.T, config.quad, config.coupling_scale)
+        drag = _vacuum_torques(ws.tolist(), particle, config.thermal, config.quad)
+        return (np.array(drive) - np.array(drag)) / inertia
 
-    def drag_residuals(ws: np.ndarray) -> np.ndarray:
-        stats["direct_torque_calls"] += len(ws)
-        return np.array(_vacuum_torques(ws.tolist(), particle, config.thermal, config.quad)) - gamma_s * ws
-
-    fit_tol = config.quad.rel_tol * denom * omega1
-    gap = chebyshev_interpolant(drive_residuals, 0.0, omega1, fit_tol)
-    drag = chebyshev_interpolant(drag_residuals, 0.0, omega1, fit_tol)
-    nodes["mutual"], nodes["vacuum"] = gap.nodes, drag.nodes
-    dgap, ddrag = _derivative(gap), _derivative(drag)
-
-    def f(w):
-        return (gamma_b * (omega1 - w) - gamma_s * w + (gap(w) - drag(w))) / inertia
-
-    def df(w):
-        return (dgap(w) - ddrag(w) - denom) / inertia
+    fit_tol = config.quad.rel_tol * denom * omega1 / inertia
+    f = chebyshev_interpolant(drift, 0.0, omega1, fit_tol)
+    nodes["mutual"] = nodes["vacuum"] = f.nodes
+    df = _derivative(f)
 
     # the plateau star: the first root of f, 0 if the follower cannot start
     w = np.linspace(0.0, omega1, 65)
@@ -381,7 +370,7 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
         return star * np.exp(-s) / f(-star * np.expm1(-s)) - c0
 
     def tol(s):
-        return fit_tol / inertia * star * math.exp(-s) / f(-star * math.expm1(-s)) ** 2
+        return fit_tol * star * math.exp(-s) / f(-star * math.expm1(-s)) ** 2
 
     table, t_end = [], 0.0  # table: (t0, interpolant of dt/ds - c0, its antiderivative)
     for piece in _certified_pieces(rest, tol, 0.0, s_end) if s_end > 0.0 else []:

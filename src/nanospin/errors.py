@@ -26,8 +26,8 @@ class TailNotNegligibleError(ConfigError):
 
 
 class ConvergenceError(NanospinError):
-    """Adaptive quadrature failed to reach tolerance, or a spin-up
-    surrogate or time piece could not be certified."""
+    """Adaptive quadrature failed to reach tolerance, or a spin-up's
+    drift or time piece could not be certified."""
 
     def __init__(self, message: str, *, worst_panel: tuple[float, float] | None = None):
         super().__init__(message)

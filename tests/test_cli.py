@@ -20,7 +20,7 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import nanospin
-from nanospin import ConfigError, ConvergenceError, Trajectory, parse_config
+from nanospin import ConfigError, ConvergenceError, PoleError, Trajectory, parse_config
 from nanospin.cli import _trajectory_rows, main, run, run_sweep
 
 from test_config import load_schema
@@ -647,6 +647,37 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", cfg, "--jobs", "2"])
         assert exc.value.code == 2
+
+    def test_sweep_of_a_single_distance_config(self, tmp_path, capsys):
+        # a config with distance_m sweeps that one distance
+        cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, "out_dir": str(tmp_path / "o")})
+        assert main(["sweep", "--config", cfg]) == 0
+        assert "swept 1 distances" in capsys.readouterr().out
+        assert list(long_rows(tmp_path / "o")) == [1e-7]
+
+    def test_coeffs_reads_a_sweep_configs_base(self, tmp_path, capsys):
+        # a sweep config gives coeffs its base: the same three lines as the
+        # single-distance config with the same keys
+        keys = {"temperature_K": 320.0, "polarizability_model": "clausius_mossotti"}
+        sweep = write_config(tmp_path / "s.json", {"distances_m": [5e-8, 2e-7], **keys})
+        single = write_config(tmp_path / "c.json", {"distance_m": 5e-8, **keys})
+        assert main(["coeffs", "--distance", "1e-7", "--config", sweep]) == 0
+        from_sweep = capsys.readouterr().out
+        assert main(["coeffs", "--distance", "1e-7", "--config", single]) == 0
+        assert capsys.readouterr().out == from_sweep
+        assert main(["coeffs", "--distance", "1e-7"]) == 0
+        assert capsys.readouterr().out != from_sweep
+
+    def test_other_package_error_exits_2(self, capsys, monkeypatch):
+        # a NanospinError that is neither a ConfigError nor a ConvergenceError
+        import nanospin.cli as cli_mod
+
+        def pole(cfg):
+            raise PoleError("occupation pole at omega = 0")
+
+        monkeypatch.setattr(cli_mod, "coefficients_for", pole)
+        assert main(["coeffs", "--distance", "1e-7"]) == 2
+        assert capsys.readouterr().err == "error: occupation pole at omega = 0\n"
 
     @pytest.mark.parametrize("key, value", [("thermal_weight", "bose"), ("coth_half_argument", True)])
     def test_other_thermal_conventions_are_unknown_keys(self, tmp_path, capsys, key, value):

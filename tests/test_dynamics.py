@@ -329,13 +329,9 @@ class TestNonlinearDirectKernels:
         def vacuum(w):
             return vacuum_torque(w, particle, thermal, quad)
 
-        drive = chebyshev_interpolant(
-            lambda ws: np.array([mutual(w) for w in ws]) - coeffs.gamma_b * (omega1 - ws), 0.0, omega1, tol
-        )
-        drag = chebyshev_interpolant(lambda ws: np.array([vacuum(w) for w in ws]) - coeffs.gamma_s * ws, 0.0, omega1, tol)
+        net = chebyshev_interpolant(lambda ws: np.array([mutual(w) - vacuum(w) for w in ws]), 0.0, omega1, tol)
         for w in (4e8, 1.7e9, 3.3e9, 5.55e9, 8.1e9, 8.95e9, 9.6e9):
-            assert abs(coeffs.gamma_b * (omega1 - w) + drive(w) - mutual(w)) <= tol
-            assert abs(coeffs.gamma_s * w + drag(w) - vacuum(w)) <= tol
+            assert abs(net(w) - (mutual(w) - vacuum(w))) <= tol
 
     def test_direct_calls_are_nodes_plus_rest_torque(self, particle, thermal, quad):
         # every node once and nothing else: the quadrature never reads the
@@ -401,6 +397,27 @@ class TestNonlinearDirectKernels:
         monkeypatch.setattr(torque_mod, "integrate_with_diagnostics", failing)
         with pytest.raises(ConvergenceError, match="node 2"):
             solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e10))
+
+        # each degree integrates its gap nodes, then its vacuum nodes: at
+        # 1e11 the drift reaches degree 16, and a vacuum node failing at
+        # degree 8 raises before a gap node failing at degree 16 is met
+        gap_batches = []
+
+        def vacuum_first(kernel, q, n=None, **kwargs):
+            out = real(kernel, q, n, **kwargs)
+            batch = kernel.__qualname__.split(".")[0]
+            if batch == "_mutual_torques":
+                gap_batches.append(n)
+                if len(gap_batches) == 2:
+                    out[0] = ConvergenceError("gap node at degree 16")
+            elif batch == "_vacuum_slopes" and n == 8:  # not gamma_s, a batch of one at spin 0
+                out[0] = ConvergenceError("vacuum node at degree 8")
+            return out
+
+        monkeypatch.setattr(torque_mod, "integrate_with_diagnostics", vacuum_first)
+        with pytest.raises(ConvergenceError, match="vacuum node at degree 8"):
+            solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=1e11))
+        assert gap_batches == [8]
 
     def test_no_drive_at_rest_keeps_the_follower_at_rest(self, particle, thermal, quad, coeffs, monkeypatch):
         # a vacuum torque lifted by a constant at every node, 0 included,

@@ -63,6 +63,18 @@ def test_rejects_nonpositive_frequency():
         abs2_transverse_sum(1e-7, np.array([1e14, -1.0]))
 
 
+@pytest.mark.parametrize("d", [0.0, -1e-7])
+def test_rejects_nonpositive_distance(d):
+    with pytest.raises(ValueError, match="d > 0"):
+        abs2_transverse_sum(d, 1e14)
+
+
+@pytest.mark.parametrize("omega", [0.0, np.array([1e14, -1.0])])
+def test_self_limit_rejects_nonpositive_frequency(omega):
+    with pytest.raises(ValueError, match="omega > 0"):
+        im_g_self_transverse_sum(omega)
+
+
 def test_abs2_matches_complex_arithmetic():
     rng = np.random.default_rng(11)
     d = rng.uniform(2e-8, 2e-6, size=60)

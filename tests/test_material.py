@@ -57,6 +57,12 @@ def test_param_validation():
         DielectricParams(eps_inf=0.5, omega_L=2e14, omega_T=1e14, gamma=1e11)
 
 
+@pytest.mark.parametrize("density", [0.0, -3210.0])
+def test_nonpositive_mass_density_rejected(density):
+    with pytest.raises(ValueError, match="mass_density > 0"):
+        ParticleSpec(mass_density=density)
+
+
 def test_particle_volume():
     p = ParticleSpec(radius=5e-9)
     assert p.volume == pytest.approx(4.0 * np.pi * (5e-9) ** 3 / 3.0, rel=1e-12, abs=0)

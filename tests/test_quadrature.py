@@ -160,6 +160,26 @@ def test_config_validation():
     assert q.breakpoints == (1.0, 2.0, 3.0)
 
 
+def test_negative_omega_min_rejected():
+    with pytest.raises(ConfigError, match="omega_min must be >= 0"):
+        QuadratureConfig(omega_min=-1.0)
+
+
+def test_kernel_of_another_shape_rejected():
+    # one value per panel instead of one per node
+    q = QuadratureConfig(omega_min=0.0, omega_max=1.0)
+    with pytest.raises(ConfigError, match="same-shape array"):
+        integrate(lambda w: w.sum(axis=-1), q)
+
+
+def test_first_round_of_another_row_count_rejected():
+    # two integrands on a window with no breakpoints have two first-round rows
+    q = QuadratureConfig(omega_min=0.0, omega_max=1.0)
+    first = (np.zeros((1, len(_NODES))), np.zeros(2))
+    with pytest.raises(ConfigError, match="first round has 1 rows, the first mesh 2"):
+        integrate_with_diagnostics(lambda w, owners: w, q, 2, first=first)
+
+
 def test_resolved_fills_and_clips():
     q = QuadratureConfig(omega_max=None, breakpoints=(1e14,))
     r = resolved(q, 5e14, extra_breakpoints=(2e14, 9e14, 0.0))

@@ -1,9 +1,9 @@
 """The spin-up quadrature against an independent ODE solve of the same model.
 
-solve_nonlinear drives the follower with f = (M - V)/I built from two
-certified residual surrogates on [0, omega1], one smooth drift. The
-reference integrates that same f with scipy's DOP853 at rtol = 1e-13 in
-one solve, so the comparison measures the quadrature alone.
+solve_nonlinear drives the follower with f = (M - V)/I, one certified
+interpolant of the direct torque balance on [0, omega1]. The reference
+integrates that same f with scipy's DOP853 at rtol = 1e-13 in one
+solve, so the comparison measures the quadrature alone.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from nanospin import (
     RunConfig,
     SpinPair,
     friction_coefficients,
-    moment_of_inertia,
     mutual_torque,
     solve_nonlinear,
     sync_time,
@@ -24,34 +23,31 @@ from nanospin import (
 
 
 def solve_with_surrogates(config, monkeypatch):
-    """The trajectory, its coefficients and the two residual surrogates
-    (gap, vacuum) that solve_nonlinear built for it."""
+    """The trajectory and the one drift interpolant that solve_nonlinear
+    built for it on [0, omega1]."""
     built = []
     real = dynamics.chebyshev_interpolant
 
     def keep(f, lo, hi, tol):
         fit = real(f, lo, hi, tol)
-        if (lo, hi) == (0.0, config.omega1):  # the residuals, gap first; the time pieces live in s
+        if (lo, hi) == (0.0, config.omega1):  # the drift; the time pieces live in s
             built.append(fit)
         return fit
 
     monkeypatch.setattr(dynamics, "chebyshev_interpolant", keep)
-    coeffs, _ = friction_coefficients(config.particle, config.distance, config.thermal, config.quad)
-    traj = solve_nonlinear(config, coeffs)
-    gap, vacuum = built
-    return traj, coeffs, gap, vacuum
+    traj = solve_nonlinear(config)
+    (drift,) = built
+    return traj, drift
 
 
-def dop853_reference(config, coeffs, gap, vacuum, times):
-    """omega2 at times from one DOP853 solve of the surrogate drift."""
-    omega1, inertia = config.omega1, moment_of_inertia(config.particle)
+def dop853_reference(config, drift, times):
+    """omega2 at times from one DOP853 solve of the interpolated drift."""
 
     def rate(t, y):
-        w = y[0]
-        return [(coeffs.gamma_b * (omega1 - w) - coeffs.gamma_s * w + gap(w) - vacuum(w)) / inertia]
+        return [drift(y[0])]
 
     sol = solve_ivp(
-        rate, (0.0, times[-1]), [0.0], method="DOP853", rtol=1e-13, atol=1e-16 * omega1, dense_output=True
+        rate, (0.0, times[-1]), [0.0], method="DOP853", rtol=1e-13, atol=1e-16 * config.omega1, dense_output=True
     )
     assert sol.success, sol.message
     return sol.sol(times)[0]
@@ -61,8 +57,8 @@ def dop853_reference(config, coeffs, gap, vacuum, times):
 @pytest.mark.parametrize("omega1", [5e8, 1e11, 1e12])
 def test_quadrature_matches_dop853(particle, thermal, quad, monkeypatch, distance, omega1):
     config = RunConfig(particle, thermal, quad, distance=distance, omega1=omega1)
-    traj, coeffs, gap, vacuum = solve_with_surrogates(config, monkeypatch)
-    reference = dop853_reference(config, coeffs, gap, vacuum, traj.times)
+    traj, drift = solve_with_surrogates(config, monkeypatch)
+    reference = dop853_reference(config, drift, traj.times)
     assert np.max(np.abs(traj.omega2 - reference)) <= 1e-7 * omega1
     assert np.all(np.diff(traj.omega2) >= 0.0)
     assert reference[-1] == pytest.approx(traj.solver["plateau_rad_per_s"], rel=1e-9)

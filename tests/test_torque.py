@@ -180,6 +180,16 @@ class TestOccupation:
             fd = (occupation(w + h, 300.0) - occupation(w - h, 300.0)) / (2.0 * h)
             assert d_occupation(w, 300.0) == pytest.approx(fd, rel=1e-7, abs=0)
 
+    def test_derivative_pole(self):
+        with pytest.raises(PoleError, match="d_occupation pole"):
+            d_occupation(np.array([1e13, 0.0]), 300.0)
+
+
+@pytest.mark.parametrize("temps", [{"T": -1.0}, {"T0": -1e-300}])
+def test_negative_temperature_rejected(temps):
+    with pytest.raises(ConfigError, match="temperatures must be >= 0"):
+        ThermalState(**temps)
+
 
 def test_default_omega_max(particle, thermal):
     got = default_omega_max(thermal, particle)
@@ -197,6 +207,11 @@ class TestVacuumTorque:
         m_neg = vacuum_torque(-1e10, particle, thermal, quad)
         assert m > 0.0  # drag opposes the spin
         assert abs(m + m_neg) <= 1e-8 * abs(m)
+
+    @pytest.mark.parametrize("spin", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_spin_rejected(self, particle, thermal, quad, spin):
+        with pytest.raises(ConfigError, match="omega0 must be finite"):
+            vacuum_torque(spin, particle, thermal, quad)
 
     def test_spin_band_guard(self, particle, thermal, quad):
         with pytest.raises(ConfigError):
