@@ -112,55 +112,28 @@ class ChebyshevInterpolant:
         return c0 + c1 * x
 
 
-# the type-I DCT matrix cos(pi*j*k/n) of each degree n a fit has reached,
-# read-only; degrees double from 8 to SURROGATE_MAX_DEGREE, so at most four
-_dct_matrices: dict[int, np.ndarray] = {}
-
-
-def _dct_matrix(n: int) -> np.ndarray:
-    """cos(pi*j*k/n), j, k = 0..n, built once per degree."""
-    matrix = _dct_matrices.get(n)
-    if matrix is None:
-        jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)  # exact cosine arguments
-        matrix = np.cos(np.pi * jk / n)
-        matrix.flags.writeable = False
-        matrix = _dct_matrices.setdefault(n, matrix)  # a racing thread keeps the first
-    return matrix
-
-
+# np.fft and np.polynomial are looked up at call time: numpy loads each on
+# first access, so importing nanospin loads neither
 def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the degree-n interpolant through values
-    at x_j = cos(pi*j/n), j = 0..n (a type-I discrete cosine transform)."""
+    at x_j = cos(pi*j/n), j = 0..n: a type-I discrete cosine transform,
+    one real FFT of the even extension."""
     n = len(values) - 1
-    halved = np.ones(n + 1)
-    halved[[0, -1]] = 0.5
-    coeffs = (2.0 / n) * (_dct_matrix(n) @ (halved * values))
+    coeffs = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
     coeffs[[0, -1]] *= 0.5
     return coeffs
 
 
 def _antiderivative(fit: ChebyshevInterpolant) -> ChebyshevInterpolant:
-    """The integral of fit from fit.lo, exact, one degree higher: T_k
-    integrates to T_(k+1)/(2(k+1)) - T_(k-1)/(2(k-1)), and T_0 to T_1."""
-    c = np.concatenate([fit.coeffs, [0.0, 0.0]])
-    c[0] *= 2.0
-    k = np.arange(1, len(c) - 1)
-    b = np.empty(len(c) - 1)
-    b[1:] = 0.25 * (fit.hi - fit.lo) * (c[:-2] - c[2:]) / k
-    b[0] = -np.dot(b[1:], (-1.0) ** k)  # zero at lo, where T_k = (-1)^k
-    return ChebyshevInterpolant(fit.lo, fit.hi, tuple(b.tolist()))
+    """The integral of fit from fit.lo, exact, one degree higher."""
+    c = np.polynomial.chebyshev.chebint(fit.coeffs, lbnd=-1, scl=0.5 * (fit.hi - fit.lo))
+    return ChebyshevInterpolant(fit.lo, fit.hi, tuple(c.tolist()))
 
 
 def _derivative(fit: ChebyshevInterpolant) -> ChebyshevInterpolant:
-    """The derivative of fit, exact, one degree lower (at least three
-    coefficients, so fit needs four)."""
-    c = fit.coeffs
-    d = [0.0] * (len(c) + 1)
-    for k in range(len(c) - 1, 0, -1):
-        d[k - 1] = d[k + 1] + 2.0 * k * c[k]
-    d[0] *= 0.5
-    scale = 2.0 / (fit.hi - fit.lo)
-    return ChebyshevInterpolant(fit.lo, fit.hi, tuple(scale * x for x in d[: len(c) - 1]))
+    """The derivative of fit, exact, one degree lower."""
+    c = np.polynomial.chebyshev.chebder(fit.coeffs, scl=2.0 / (fit.hi - fit.lo))
+    return ChebyshevInterpolant(fit.lo, fit.hi, tuple(c.tolist()))
 
 
 def chebyshev_interpolant(

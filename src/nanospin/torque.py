@@ -56,11 +56,11 @@ The gap kernel is a distance-free spectral factor times 2|g_t(d)|^2,
 its last operation, so next to the memo each gap node batch keeps that
 factor on its first mesh and at omega_max, with the wavenumbers of both
 (one node's mesh serves all), keyed on the particle, T, the resolved
-window and the batch's spins: 29 KB for the 9 nodes of a degree-8
-batch, for at most _FIRST_ROUNDS batches, dropping the oldest first. A
-later distance takes its first round and tail checks as the kept factor
-times 2|g_t|^2, the bits the kernel returns, with no kernel call; its
-later rounds run as at the first. clear_memo empties both.
+window and the batch's spins, for at most _FIRST_ROUNDS batches,
+dropping the oldest first. A later distance takes its first round and
+tail checks as the kept factor times 2|g_t|^2, the bits the kernel
+returns, with no kernel call; its later rounds run as at the first.
+clear_memo empties both.
 """
 
 from __future__ import annotations

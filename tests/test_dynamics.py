@@ -6,6 +6,7 @@ so most checks here compare against that closed form directly.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -478,27 +479,25 @@ class TestChebyshevInterpolant:
             chebyshev_interpolant(kink, -1.0, 1.0, 1e-12)
         assert len(calls) == 65
 
-    def test_dct_matrix_is_kept_once_per_degree(self):
+    def test_lobatto_coefficients_are_the_cosine_sums(self):
+        # c_k = (2/n) sum'' v_j cos(pi*j*k/n), the end terms of the sum
+        # and c_0, c_n halved; the polynomial they give meets every value
+        # at its node
         rng = np.random.default_rng(29)
         for n in (8, 16, 32, 64):
-            values = rng.standard_normal(n + 1)
-            jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)
+            values = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-20, 20)
+            scale = np.max(np.abs(values))
+            jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)  # exact cosine arguments
             halved = np.ones(n + 1)
             halved[[0, -1]] = 0.5
             want = (2.0 / n) * (np.cos(np.pi * jk / n) @ (halved * values))
             want[[0, -1]] *= 0.5
-            for _ in range(2):  # a fit that may build the matrix, then one that reads it
-                assert (_lobatto_coefficients(values).view(np.uint64) == want.view(np.uint64)).all(), n
-        kept = dict(dynamics._dct_matrices)
-        assert set(kept) == {8, 16, 32, 64}
-        for matrix in kept.values():
-            with pytest.raises(ValueError):
-                matrix[0, 0] = 0.0
-        for _ in range(2):  # every degree, twice
-            with pytest.raises(ConvergenceError):
-                chebyshev_interpolant(lambda x: np.abs(x - 0.3), -1.0, 1.0, 1e-12)
-        assert dynamics._dct_matrices.keys() == kept.keys()
-        assert all(dynamics._dct_matrices[n] is matrix for n, matrix in kept.items())
+            coeffs = _lobatto_coefficients(values)
+            assert coeffs.shape == (n + 1,)
+            assert np.max(np.abs(coeffs - want)) <= 1e-15 * scale, n
+            fit = ChebyshevInterpolant(-1.0, 1.0, tuple(coeffs.tolist()))
+            nodes = np.cos(np.pi * np.arange(n + 1) / n)
+            assert np.max(np.abs(fit(nodes) - values)) <= n * 1e-15 * scale, n  # a sum of n + 1 rounded terms
 
     def test_discontinuity_cannot_be_bisected_away(self):
         # the piece holding the jump halves until it is two adjacent
@@ -508,6 +507,24 @@ class TestChebyshevInterpolant:
 
         with pytest.raises(ConvergenceError, match="not certified"):
             _certified_pieces(step, lambda s: 1e-12, 0.0, 1.0)
+
+    def test_bisection_certifies_what_one_fit_cannot(self):
+        # Runge's function 1/(1 + a(s - 1/2)^2), a = 400, needs more than
+        # degree 64 on [0, 1] at 1e-12, and certifies on the two halves at
+        # 65 nodes each
+        a = 400.0
+
+        def runge(s):
+            return 1.0 / (1.0 + a * (s - 0.5) ** 2)
+
+        with pytest.raises(ConvergenceError, match="not certified at degree 64"):
+            chebyshev_interpolant(runge, 0.0, 1.0, 1e-12)
+        pieces = _certified_pieces(runge, lambda s: 1e-12, 0.0, 1.0)
+        assert [piece.nodes for piece in pieces] == [65, 65]
+        assert pieces[0].lo == 0.0 and pieces[-1].hi == 1.0
+        assert all(left.hi == right.lo for left, right in zip(pieces, pieces[1:]))
+        total = sum(_antiderivative(piece)(piece.hi) for piece in pieces)
+        assert total == pytest.approx(2.0 * math.atan(math.sqrt(a) / 2.0) / math.sqrt(a), rel=0, abs=1e-15)
 
     def test_clenshaw_matches_chebval_bit_for_bit(self):
         from numpy.polynomial.chebyshev import chebval
