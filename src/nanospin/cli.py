@@ -238,7 +238,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run_config(path: str) -> RunConfig | SweepConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"configuration file {path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def _cmd_run(args) -> int:

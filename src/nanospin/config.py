@@ -196,6 +196,8 @@ def parse_config(text: str) -> RunConfig | SweepConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("configuration nests its JSON arrays or objects too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
 

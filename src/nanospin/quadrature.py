@@ -9,15 +9,15 @@ identical panel sequence and an identical float result.
 
 It also runs many integrands in lockstep, such as the nodes of a torque
 surrogate or the gap channel's three moments: each round splits the
-worst panel of every unfinished integrand, and the round's halves go to
-the kernel in consecutive blocks of at most _ROWS_PER_CALL rows, one
-kernel call per block, their entries added in row order. A row's values
-do not depend on the other rows of its call, and an integrand's panels
-and sums do not depend on the others in its batch, so each keeps the
-panels and bits it has when integrated alone, whatever ran before and
-on whichever thread. A caller that keeps a batch's kernel values on its
-first mesh and at omega_max may pass them for the first round and the
-tail check; the engine itself keeps nothing between calls.
+worst panel of every unfinished integrand, and _kernel_rows passes the
+round's halves to the kernel in consecutive blocks of at most
+_ROWS_PER_CALL rows, one call per block. A row's values do not depend
+on the other rows of its call, and an integrand's panels and sums do
+not depend on the others in its batch, so each keeps the panels and
+bits it has when integrated alone, whatever ran before and on whichever
+thread. A caller that keeps a batch's kernel values on its first mesh,
+from _kernel_rows, and at omega_max may pass them for the first round
+and the tail check; the engine itself keeps nothing between calls.
 
 An integrand whose splits run out with its error sum at or below
 QUADPACK's roundoff floor, 50 eps times the integral of |f|, is
@@ -107,8 +107,11 @@ class QuadratureConfig:
     max_subdivisions : panel splits before giving up.
     omega_min : lower integration bound, rad/s. The raw inter-particle
         kernel is infrared-divergent, so the physical integrals start at
-        a small cutoff (default 1e13, ~7% of the phonon resonance); all
-        reported quantities are insensitive to it at the 1e-4 level.
+        a small cutoff (default 1e13, ~7% of the phonon resonance). From
+        it, gamma_s moves -3.3e-3 at 7e13, -3.2e-4 at 3e13 and +1.3e-5 at
+        every omega_min <= 1e12, gamma_b at 100 nm -7.3e-6 at 7e13, +6.2e-5
+        at 1e12, +6.9e-4 at 1e11 and +6.9e-3 at 1e10, and at 1e9 the gap
+        moments raise ConvergenceError (ROADMAP item 23).
     omega_max : upper cutoff; None means "derive from the thermal state"
         (resolved by the torque assemblers before integration).
     breakpoints : initial panel edges (resonances, thermal scale);
@@ -156,12 +159,10 @@ class IntegrationResult:
     evaluations: int
 
 
-# Rows per kernel call: a lockstep round's rows go to the kernel in
-# blocks of at most this many, few enough that a kernel's temporaries (4
-# spectra x 15 points per row in the gap kernel) stay under the size
-# past which the allocator trims the heap after them and faults it in
-# again, and enough to spread the per-call overhead (CHANGES.md has the
-# measurements).
+# Rows per kernel call in _kernel_rows: few enough that a kernel's
+# temporaries (4 spectra x 15 points per row in the gap kernel) stay
+# under the size past which the allocator trims the heap after them and
+# faults it in again, and enough to spread the per-call overhead.
 _ROWS_PER_CALL = 128
 
 
@@ -182,11 +183,18 @@ def _nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _NODES
 
 
-def _panels(kernel, owners: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """_rule_sums of the panels [a[i], b[i]], panel i belonging to
-    integrand owners[i], evaluated in one kernel call; _lockstep passes
-    at most _ROWS_PER_CALL panels."""
-    return _rule_sums(kernel(_nodes(a, b), owners), a, b)
+def _kernel_rows(kernel, w: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """kernel(w, owners), row i of w a panel's nodes in integrand
+    owners[i], in blocks of at most _ROWS_PER_CALL rows, one kernel call
+    per block: a lockstep round's calls, or a kept first round's."""
+    y = np.empty_like(w)
+    for k in range(0, len(w), _ROWS_PER_CALL):
+        block = slice(k, k + _ROWS_PER_CALL)
+        values = np.asarray(kernel(w[block], owners[block]), dtype=float)
+        if values.shape != w[block].shape:
+            raise ConfigError("kernel must map a float array to a same-shape array")
+        y[block] = values
+    return y
 
 
 def _rule_sums(y, a: np.ndarray, b: np.ndarray):
@@ -198,9 +206,6 @@ def _rule_sums(y, a: np.ndarray, b: np.ndarray):
     the same BLAS dot as the 1-D product of a lone panel; a 2-D product
     (y @ w, einsum, (y * w).sum(1)) may round differently.
     """
-    y = np.ascontiguousarray(y, dtype=float)
-    if y.shape != (len(a), len(_NODES)):
-        raise ConfigError("kernel must map a float array to a same-shape array")
     half = 0.5 * (b - a)
     finite = np.isfinite(y).all(axis=1)
     if not finite.all():
@@ -281,25 +286,21 @@ def _lockstep(
 ) -> list[IntegrationResult | NanospinError]:
     """Integrate n integrands, each exactly as a lone one would be.
 
-    Every round splits the worst panel of each unfinished integrand and
-    evaluates the round's halves in blocks of at most _ROWS_PER_CALL
-    rows, one _panels call per block, adding the entries in row order:
-    the order a lone integrand adds its panels in, so its sums keep
-    their bits. first, when given, takes the place of the first round's
-    and the tail check's kernel calls (see integrate_with_diagnostics).
+    Every round splits the worst panel of each unfinished integrand,
+    evaluates the halves with _kernel_rows and adds them in row order,
+    the order a lone integrand adds its panels in, so its sums keep their
+    bits. first, when given, takes the place of the first round's and the
+    tail check's kernel calls (see integrate_with_diagnostics).
     """
     owners, a, b = _first_mesh(quad, n)
     rows, tails = (None, None) if first is None else first
-    if rows is not None and len(rows) != len(owners):
-        raise ConfigError(f"first round has {len(rows)} rows, the first mesh {len(owners)}")
+    if rows is not None and np.shape(rows) != (len(owners), len(_NODES)):
+        raise ConfigError(f"first round has {len(rows)} rows, the first mesh {len(owners)}, each of {len(_NODES)} values")
     integrals = [_Integral() for _ in range(n)]
     while len(owners):
-        for start in range(0, len(owners), _ROWS_PER_CALL):
-            block = slice(start, start + _ROWS_PER_CALL)
-            aa, bb = a[block], b[block]
-            entries = _panels(kernel, owners[block], aa, bb) if rows is None else _rule_sums(rows[block], aa, bb)
-            for j, panel, entry in zip(owners[block].tolist(), zip(aa.tolist(), bb.tolist()), entries):
-                integrals[j].add(panel, entry)
+        y = _kernel_rows(kernel, _nodes(a, b), owners) if rows is None else np.ascontiguousarray(rows, dtype=float)
+        for j, panel, entry in zip(owners.tolist(), zip(a.tolist(), b.tolist()), _rule_sums(y, a, b)):
+            integrals[j].add(panel, entry)
         rows, owners, a, b = None, [], [], []
         for j, s in enumerate(integrals):
             s.split(quad, j, owners, a, b)
@@ -346,9 +347,8 @@ def integrate_with_diagnostics(
 
     With n, integrates n integrands in lockstep: kernel(w, owners) maps a
     2-D frequency array w to same-shape values, row i belonging to
-    integrand owners[i]. Each refinement round passes its rows in blocks
-    of at most _ROWS_PER_CALL (128) rows, one kernel call per block, so
-    a kernel's temporaries stay small however many integrands run; the
+    integrand owners[i], called on blocks of at most _ROWS_PER_CALL (128)
+    rows, so its temporaries stay small however many integrands run; the
     tail check is one more call, one row per finished integrand. Each
     integrand gets the panels, sums and result it would get alone, and
     the return value is a list with, for each integrand, its
@@ -358,7 +358,8 @@ def integrate_with_diagnostics(
     rows, _first_mesh(quad, n or 1), in row order, with its value at
     omega_max for each integrand, read only for those that finish: a
     caller that keeps them passes them in place of those kernel calls.
-    They must have the bits the kernel returns; the engine keeps nothing.
+    They must have the bits the kernel returns, as from _kernel_rows on
+    the first mesh's _nodes; the engine keeps nothing.
     """
     if n is not None:
         return _lockstep(kernel, quad, n, first)

@@ -34,14 +34,9 @@ each temperature, and graded around the model's peak (lorentzian), one
 edge per octave of the damping on each side (QUADPACK's points, Piessens
 et al., 1983): a first mesh that resolves the peak before any split.
 
-2|g_t|^2 = 2(1/d^2 - 1/(k^2 d^4) + 1/(k^4 d^6)), so gamma_b(d) is
-scale*(A/d^2 - B/d^4 + C/d^6), three moments free of d in one batch,
-which each distance tightens until its own value certifies.
-
-The mutual channel carries an overall coupling_scale multiplier (the
-absolute cross-prefactor between the two channels is calibration-grade;
-DEFAULT_COUPLING_SCALE pins the 100 nm default run to a 0.030 s
-synchronization time).
+The mutual channel carries an overall coupling_scale multiplier, a
+calibration constant: DEFAULT_COUPLING_SCALE pins the 100 nm default
+run to a 0.030 s synchronization time.
 
 P at each |spin| (gamma_s at 0) and the gap moments do not
 depend on the distance, so they are kept for the life of the process in
@@ -52,15 +47,19 @@ with the bits a fresh integral returns. Errors are not kept, nothing
 that depends on the distance is kept, and the memo holds at most
 MEMO_ENTRIES values, dropping the oldest first.
 
-The gap kernel is a distance-free spectral factor times 2|g_t(d)|^2,
-its last operation, so next to the memo each gap node batch keeps that
-factor on its first mesh and at omega_max, with the wavenumbers of both
-(one node's mesh serves all), keyed on the particle, T, the resolved
-window and the batch's spins, for at most _FIRST_ROUNDS batches,
-dropping the oldest first. A later distance takes its first round and
-tail checks as the kept factor times 2|g_t|^2, the bits the kernel
-returns, with no kernel call; its later rounds run as at the first.
-clear_memo empties both.
+Every gap kernel is one factor free of the distance, _gap_spectra at
+the batch's spin pairs, times a weight as its last operation: for a
+torque 2|g_t|^2 = 2(1/d^2 - 1/(k^2 d^4) + 1/(k^4 d^6)), so gamma_b(d)
+is scale*(A/d^2 - B/d^4 + C/d^6), the moments the factor at zero spins
+times 2 (c/omega)^(2j) in one batch, which each distance tightens until
+its own value certifies. Next to the memo each gap node batch keeps its
+factor on its first mesh, evaluated by the engine's own _kernel_rows,
+and at omega_max, with the wavenumbers of one node's first-mesh nodes
+and of omega_max, keyed on the particle, T, the resolved window and the
+batch's spins, for at most _FIRST_ROUNDS batches, dropping the oldest
+first. A later distance takes its first round and tail checks as the
+kept factor times 2|g_t|^2, the bits the kernel returns, with no kernel
+call; its later rounds run as at the first. clear_memo empties both.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ from .greens import abs2_transverse_sum  # noqa: F401 -- bench/tracing.py wraps 
 from .material import CONSTANTS, ParticleSpec, im_polarizability, lorentzian
 from .material import d_im_polarizability  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.d_im_polarizability
 from .quadrature import IntegrationResult, QuadratureConfig, integrate_with_diagnostics, resolved
-from .quadrature import _ROWS_PER_CALL, _first_mesh, _nodes
+from .quadrature import _first_mesh, _kernel_rows, _nodes
 from .quadrature import integrate  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.integrate
 
 __all__ = [
@@ -110,7 +109,7 @@ DEFAULT_COUPLING_SCALE = 3.81e22
 MEMO_ENTRIES = 4096
 
 # Bound of _first_rounds, in gap node batches: a spin-up at one omega1
-# keeps one to four, of at most 95 KB each (32 nodes at degree 64)
+# keeps one to four
 _FIRST_ROUNDS = 32
 
 _memo: dict[tuple, IntegrationResult] = {}
@@ -420,6 +419,41 @@ def vacuum_torque(omega0: float, particle: ParticleSpec, thermal: ThermalState, 
     return _vacuum_torques([omega0], particle, thermal, quad)[0]
 
 
+def _gap_spectra(columns: np.ndarray, particle: ParticleSpec, b: float) -> Callable:
+    """spectra(w, owners), the gap kernel's factor free of the distance
+    at the spin pairs columns[owners] and b = hbar/k_B T: times 2|g_t|^2
+    it is the integrand of Q, and at zero spins it is 4 s W[omega, omega].
+    Q takes the larger spin as o1, so exchanging the spins changes no bit
+    of it: Q = u(o2) v[o1, o2] - v(o2) u[o1, o2], u(o) = W(omega - o) -
+    W(omega + o), v(o) = s(omega + o) + s(omega - o), W = s (n + 1/2) and
+    [., .] their divided differences in o, built from W[x, y] = s[x, y]
+    (n(x) + 1/2) + s(y) n[x, y] on the pairs (omega + o1, omega + o2) and
+    (omega - o2, omega - o1), larger argument first. Each call adds its
+    rows' shifts, from one table, to w in one C-ordered array of the four
+    shifted spectra, so it makes one im_polarizability call and one
+    occupation call for all four."""
+    hi, lo = columns.max(axis=1), columns.min(axis=1)
+    # omega + lo, omega - hi, omega + hi, omega - lo: the smaller arguments, then the larger
+    shifts, h = np.stack((lo, -hi, hi, -lo)), hi - lo
+    h2, steps = h * h, np.array([_occupation_step(b, x) for x in h.tolist()])
+
+    def spectra(w, owners):
+        z = np.add(w, shifts[:, owners, None], order="C")  # (4, rows, points)
+        s, n = im_polarizability(z, particle), _occupation(z, b)
+        sdd = _lorentzian_dd(z[2:], z[:2], s[2:], s[:2], h2[owners, None], particle)
+        # in place where it reads as well: fewer temporaries keep a warm
+        # spin-up's heap from being trimmed and faulted in again
+        wdd = _occupation_dd(n[:2], n[2:], steps[owners, None])
+        wdd *= s[:2]
+        n += 0.5
+        wdd += sdd * n[2:]  # W[x, y] = s[x, y] (n(x) + 1/2) + s(y) n[x, y]
+        q = (s[3] * n[3] - s[0] * n[0]) * (sdd[0] - sdd[1])  # u(o2) v[o1, o2]
+        q += (s[0] + s[3]) * (wdd[0] + wdd[1])  # - v(o2) u[o1, o2]
+        return q
+
+    return spectra
+
+
 def _mutual_torques(
     spins: Sequence[tuple[float, float]],
     d: float,
@@ -428,54 +462,19 @@ def _mutual_torques(
     quad: QuadratureConfig,
     coupling_scale: float = DEFAULT_COUPLING_SCALE,
 ) -> list[float]:
-    """mutual_torque at each (omega01, omega02), bit for bit; the first
-    pair that fails raises the error mutual_torque raises there. One
-    lockstep integral for all pairs.
-
-    Each torque is (omega01 - omega02) Q, and Q is evaluated with the
-    larger spin as o1 and the smaller as o2, so exchanging the spins
-    changes no bit of it: Q = u(o2) v[o1, o2] - v(o2) u[o1, o2], with
-    u(o) = W(omega - o) - W(omega + o), v(o) = s(omega + o) + s(omega - o),
-    W = s (n + 1/2), and [., .] their divided differences in o, built
-    from W[x, y] = s[x, y] (n(x) + 1/2) + s(y) n[x, y] on the pairs
-    (omega + o1, omega + o2) and (omega - o2, omega - o1), each written
-    with its larger argument as x. The batch's shifts and the per-row
-    factors of n[x, y] form one table each, and each kernel evaluation
-    adds its rows' shifts to w in one C-ordered array of the four shifted
-    spectra, the two pairs' smaller arguments before their larger, so it
-    makes one im_polarizability call and one occupation call for all
-    four. That kernel is spectra(w) * 2|g_t|^2 at k = w/c, and the
-    batch's first round and tails read both from _first_rounds.
-    Equal spins are checked but not integrated: their torque is 0.0."""
+    """mutual_torque at each (omega01, omega02), bit for bit, from one
+    lockstep integral of Q for all pairs, its kernel _gap_spectra times
+    2|g_t|^2 and its first round and tails the factor kept in
+    _first_rounds times 2|g_t|^2; the first pair that fails raises the
+    error mutual_torque raises there. Equal spins are checked but not
+    integrated: their torque is 0.0."""
     for o1, o2 in spins:
         SpinPair(o1, o2)
         check_point_dipole(d, particle)
     b = _beta_scale(T)
 
-    def spectra_at(columns: np.ndarray):
-        hi, lo = columns.max(axis=1), columns.min(axis=1)
-        # omega + lo, omega - hi, omega + hi, omega - lo: the smaller arguments, then the larger
-        shifts, h = np.stack((lo, -hi, hi, -lo)), hi - lo
-        h2, steps = h * h, np.array([_occupation_step(b, x) for x in h.tolist()])
-
-        def spectra(w, owners):
-            z = np.add(w, shifts[:, owners, None], order="C")  # (4, rows, points)
-            s, n = im_polarizability(z, particle), _occupation(z, b)
-            sdd = _lorentzian_dd(z[2:], z[:2], s[2:], s[:2], h2[owners, None], particle)
-            # in place where it reads as well: fewer temporaries keep a warm
-            # spin-up's heap from being trimmed and faulted in again
-            wdd = _occupation_dd(n[:2], n[2:], steps[owners, None])
-            wdd *= s[:2]
-            n += 0.5
-            wdd += sdd * n[2:]  # W[x, y] = s[x, y] (n(x) + 1/2) + s(y) n[x, y]
-            q = (s[3] * n[3] - s[0] * n[0]) * (sdd[0] - sdd[1])  # u(o2) v[o1, o2]
-            q += (s[0] + s[3]) * (wdd[0] + wdd[1])  # - v(o2) u[o1, o2]
-            return q
-
-        return spectra
-
     def kernel_at(columns: np.ndarray):
-        spectra = spectra_at(columns)
+        spectra = _gap_spectra(columns, particle, b)
 
         def kernel(w, owners):
             q = spectra(w, owners)
@@ -487,12 +486,11 @@ def _mutual_torques(
     def first_round(q: QuadratureConfig, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n, key = len(columns), (particle, T, q, tuple(map(tuple, columns.tolist())))
         kept = _first_rounds.get(key)
-        if kept is None:  # in the blocks the engine's kernel calls would take
-            owners, a, b = _first_mesh(q, n)
-            w, spectra, blocks = _nodes(a, b), spectra_at(columns), range(0, len(a), _ROWS_PER_CALL)
-            rows = np.concatenate([spectra(w[k : k + _ROWS_PER_CALL], owners[k : k + _ROWS_PER_CALL]) for k in blocks])
-            tails = spectra(np.full((n, 1), q.omega_max), np.arange(n)).reshape(-1)
-            kept = rows.reshape(n, -1, 15), tails, np.append(w[: len(w) // n], q.omega_max) / CONSTANTS.c
+        if kept is None:  # the factor's first round, in the engine's own blocks
+            owners, lo, hi = _first_mesh(q, n)
+            w, spectra = _nodes(lo, hi), _gap_spectra(columns, particle, b)
+            rows, tails = _kernel_rows(spectra, w, owners), spectra(np.full((n, 1), q.omega_max), np.arange(n))
+            kept = rows.reshape(n, -1, 15), tails.reshape(-1), np.append(w[: len(w) // n], q.omega_max) / CONSTANTS.c
             for array in kept:
                 array.flags.writeable = False
             _keep(_first_rounds, _FIRST_ROUNDS, key, kept)
@@ -542,19 +540,13 @@ def gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfi
 
 def _gap_moments(particle: ParticleSpec, T: float, quad: QuadratureConfig) -> list[IntegrationResult]:
     """The gap channel's distance-free moments A, B and C, the integrals
-    of 8 s W[omega, omega] (c/omega)^(2j) for j = 0, 1, 2, W[omega, omega]
-    = W' the weight's divided difference at zero spin, in one lockstep
-    batch, from the memo when it holds them; raises the first error."""
-    b = _beta_scale(T)
-    step = _occupation_step(b, 0.0)
-
+    of _gap_spectra at zero spins times 2 (c/omega)^(2j) for j = 0, 1, 2,
+    in one lockstep batch, from the memo when it holds them; raises the
+    first error."""
     def kernel_at(columns: np.ndarray):
-        def kernel(w, owners):
-            s, n = im_polarizability(w, particle), _occupation(w, b)
-            dw = _lorentzian_dd(w, w, s, s, 0.0, particle) * (n + 0.5) + s * _occupation_dd(n, n, step)
-            return 8.0 * dw * s * (CONSTANTS.c / w) ** (2.0 * columns[owners])
+        spectra, powers = _gap_spectra(np.zeros((len(columns), 2)), particle, _beta_scale(T)), 2.0 * columns
 
-        return kernel
+        return lambda w, owners: spectra(w, owners) * 2.0 * (CONSTANTS.c / w) ** powers[owners]
 
     memo = ("gap", particle, T, quad)
     return _integrals([(0.0,), (1.0,), (2.0,)], kernel_at, 1.0, (quad, particle, ThermalState(T, T)), memo)

@@ -506,6 +506,28 @@ class TestMain:
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
         assert "i/o error" in capsys.readouterr().err
 
+    # each exited 1 with a traceback: a UTF-16 byte-order mark is not
+    # UTF-8, and json.loads raised RecursionError on the nesting
+    UNREADABLE = {
+        "not_utf8": (b'\xff\xfe{"distance_m": 1e-7}', "not UTF-8 text"),
+        "deeply_nested": (b"[" * 200_000, "too deeply"),
+    }
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep"], ["coeffs", "--distance", "1e-7"]])
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys, command, case):
+        data, message = self.UNREADABLE[case]
+        path = tmp_path / "c.json"
+        path.write_bytes(data)
+        assert main(command + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep"], ["coeffs", "--distance", "1e-7"]])
+    def test_missing_config_is_io_error_for_every_command(self, tmp_path, capsys, command):
+        assert main(command + ["--config", str(tmp_path / "nope.json")]) == 4
+        assert capsys.readouterr().err.startswith("i/o error:")
+
     def test_bad_config_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"distance_m": 1e-7, "separation_m": 1.0})
         assert main(["run", "--config", cfg]) == 2

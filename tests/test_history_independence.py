@@ -8,10 +8,12 @@ import threading
 
 import pytest
 
-from nanospin import parse_config, quadrature, solve_nonlinear, torque
+from nanospin import parse_config, solve_nonlinear, torque
 from nanospin.cli import run
 from nanospin.dynamics import coefficients_for
 from nanospin.torque import clear_memo
+
+from test_lockstep_oracle import rows_per_panel_call
 
 
 def spin_up(d, omega1=1e10, **keys):
@@ -85,9 +87,7 @@ def test_threads_get_the_serial_bits():
 def test_coefficients_then_solver_costs_no_more_kernel_calls(monkeypatch):
     # coefficients_for(config) followed by solve_nonlinear(config, coeffs),
     # the README's library pattern, against solve_nonlinear(config) alone
-    calls = []
-    panels = quadrature._panels
-    monkeypatch.setattr(quadrature, "_panels", lambda *args: calls.append(1) or panels(*args))
+    calls = rows_per_panel_call(monkeypatch)
     cfg = parse_config(json.dumps({"distance_m": 3.3e-7, "omega1_rad_per_s": 1e10, "mode": "nonlinear"}))
     counts = []
     for pattern in (lambda: solve_nonlinear(cfg, coefficients_for(cfg)[0]), lambda: solve_nonlinear(cfg)):

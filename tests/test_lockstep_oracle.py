@@ -431,15 +431,20 @@ def test_non_finite_tails_match_oracle(monkeypatch):
 
 
 def rows_per_panel_call(monkeypatch):
-    """A list that gets the row count of every _panels call from now on."""
-    rows = []
-    panels = quadrature._panels
+    """A list that gets the row count of every kernel call the engine
+    makes on panel nodes, 15 per row, from now on; its tail checks, one
+    column, are not counted."""
+    rows, engine = [], quadrature._lockstep
 
-    def counted(kernel, owners, a, b):
-        rows.append(len(owners))
-        return panels(kernel, owners, a, b)
+    def counted(kernel, quad, n, first=None):
+        def kernel_counted(w, owners):
+            if w.shape[1] == len(_NODES):
+                rows.append(len(owners))
+            return kernel(w, owners)
 
-    monkeypatch.setattr(quadrature, "_panels", counted)
+        return engine(kernel_counted, quad, n, first)
+
+    monkeypatch.setattr(quadrature, "_lockstep", counted)
     return rows
 
 

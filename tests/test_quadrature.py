@@ -172,6 +172,20 @@ def test_kernel_of_another_shape_rejected():
         integrate(lambda w: w.sum(axis=-1), q)
 
 
+@pytest.mark.parametrize(
+    "late_block",
+    [lambda w: w[:-1], lambda w: w[:1], lambda w: w[0], lambda w: 1.0],
+    ids=["row_short", "one_row", "one_node_row", "scalar"],
+)
+def test_kernel_of_another_shape_rejected_in_a_later_block(late_block):
+    # three integrands on 60 first panels each make a first round of 180
+    # rows, two kernel calls; the second call's values have another shape,
+    # some of which would broadcast into the round's rows
+    q = QuadratureConfig(omega_min=0.0, omega_max=1.0, breakpoints=tuple(k / 60 for k in range(1, 60)))
+    with pytest.raises(ConfigError, match="same-shape array"):
+        integrate_with_diagnostics(lambda w, owners: np.exp(-w) if len(w) == 128 else late_block(w), q, 3)
+
+
 def test_first_round_of_another_row_count_rejected():
     # two integrands on a window with no breakpoints have two first-round rows
     q = QuadratureConfig(omega_min=0.0, omega_max=1.0)
