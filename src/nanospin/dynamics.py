@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SURROGATE_MAX_DEGREE",
-    "ChebyshevInterpolant",
     "Trajectory",
     "chebyshev_interpolant",
     "coefficients_for",
@@ -43,8 +42,9 @@ __all__ = [
     "sync_time",
 ]
 
-# Highest Chebyshev degree the spin-up drift may reach before its fit
-# gives up; the default materials certify at degree 8, 16 or 32.
+# Highest Chebyshev degree a spin-up series may reach before its fit
+# gives up. The drift and each piece of t(s) are numpy Chebyshev series;
+# the default materials certify the drift at degree 8, 16 or 32.
 SURROGATE_MAX_DEGREE = 64
 
 
@@ -82,36 +82,6 @@ class Trajectory:
         return delta_measure(self.omega1, self.omega2)
 
 
-@dataclass(frozen=True)
-class ChebyshevInterpolant:
-    """Polynomial on [lo, hi] given by its Chebyshev coefficients (at
-    least three)."""
-
-    lo: float
-    hi: float
-    coeffs: tuple[float, ...]
-
-    @property
-    def nodes(self) -> int:
-        """Chebyshev-Lobatto nodes the interpolant was built from."""
-        return len(self.coeffs)
-
-    def __call__(self, w):
-        """The polynomial at w, a float or an array of spins.
-
-        Clenshaw's recurrence, operation for operation the one
-        numpy.polynomial.chebyshev.chebval runs: each element of an array
-        gets the bits a float gets, and a float costs a third of chebval.
-        """
-        x = (2.0 * w - (self.lo + self.hi)) / (self.hi - self.lo)
-        x2 = 2.0 * x
-        c = self.coeffs
-        c0, c1 = c[-2], c[-1]
-        for ci in c[-3::-1]:
-            c0, c1 = ci - c1, c0 + c1 * x2
-        return c0 + c1 * x
-
-
 # np.fft and np.polynomial are looked up at call time: numpy loads each on
 # first access, so importing nanospin loads neither
 def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
@@ -124,23 +94,11 @@ def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _antiderivative(fit: ChebyshevInterpolant) -> ChebyshevInterpolant:
-    """The integral of fit from fit.lo, exact, one degree higher."""
-    c = np.polynomial.chebyshev.chebint(fit.coeffs, lbnd=-1, scl=0.5 * (fit.hi - fit.lo))
-    return ChebyshevInterpolant(fit.lo, fit.hi, tuple(c.tolist()))
-
-
-def _derivative(fit: ChebyshevInterpolant) -> ChebyshevInterpolant:
-    """The derivative of fit, exact, one degree lower."""
-    c = np.polynomial.chebyshev.chebder(fit.coeffs, scl=2.0 / (fit.hi - fit.lo))
-    return ChebyshevInterpolant(fit.lo, fit.hi, tuple(c.tolist()))
-
-
 def chebyshev_interpolant(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float
-) -> ChebyshevInterpolant:
+) -> np.polynomial.Chebyshev:
     """Interpolate f on [lo, hi] at Chebyshev-Lobatto nodes, certified
-    by coefficient decay.
+    by coefficient decay, as a numpy Chebyshev series with that domain.
 
     f maps an array of nodes to the array of its values there; each
     degree calls it once, on the nodes that degree adds. The degree
@@ -158,7 +116,7 @@ def chebyshev_interpolant(
         coeffs = _lobatto_coefficients(values)
         tail = float(np.max(np.abs(coeffs[-3:])))
         if tail <= tol:
-            return ChebyshevInterpolant(lo, hi, tuple(coeffs.tolist()))
+            return np.polynomial.Chebyshev(coeffs, domain=[lo, hi])
         if 2 * n > SURROGATE_MAX_DEGREE:
             raise ConvergenceError(
                 f"Chebyshev surrogate on [{lo:.6e}, {hi:.6e}] not certified at degree {n}: "
@@ -244,7 +202,7 @@ def _newton(g: Callable, dg: Callable, a: float, b: float, x, tol: float) -> np.
     return x
 
 
-def _certified_pieces(g: Callable, tol: Callable, lo: float, hi: float) -> list[ChebyshevInterpolant]:
+def _certified_pieces(g: Callable, tol: Callable, lo: float, hi: float) -> list[np.polynomial.Chebyshev]:
     """chebyshev_interpolant of g on [lo, hi] to min(tol(lo), tol(hi)),
     bisected until every piece certifies."""
     try:
@@ -262,7 +220,8 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     The follower obeys domega2/dt = f(omega2), the drift
     f(w) = (mutual_torque(omega1, w) - vacuum_torque(w))/I, one
     chebyshev_interpolant of direct kernel values on [0, omega1]
-    certified to fit_tol = quad.rel_tol * (gamma_s + gamma_b) * omega1/I.
+    certified to fit_tol = quad.rel_tol * (gamma_s + gamma_b) * omega1/I:
+    a numpy Chebyshev series, whose derivative gives kappa below.
     Each degree integrates its new nodes' gap torques in one
     lockstep call, then their vacuum torques in another. The nodes
     include both ends: the vacuum torque at 0 is 0 times the memo's
@@ -275,11 +234,12 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     u = omega* - omega2 and s = -ln(u/omega*), dt/ds = u/f. Its plateau
     value 1/kappa integrates in closed form; the rest is a
     chebyshev_interpolant in s on [0, s_end], certified to the error
-    that a drift error of fit_tol puts into u/f, bisected until it
-    certifies, and integrated exactly. The table ends where
-    u*|1 - kappa*u/f| <= rel_tol*omega1; past it
-    omega2 = omega* - u_end*exp(-kappa*(t - t_end)), or omega* when
-    kappa is None. Newton steps invert every sample time at once.
+    that a drift error of fit_tol puts into u/f and bisected until it
+    certifies. t(s) is one numpy Chebyshev series per piece, the exact
+    integral of 1/kappa plus that piece, and its derivative is Newton's
+    slope. The pieces end where u*|1 - kappa*u/f| <= rel_tol*omega1;
+    past them omega2 = omega* - u_end*exp(-kappa*(t - t_end)), or omega*
+    when kappa is None. Newton steps invert every sample time at once.
 
     nanospin.torque keeps gamma_s, the gap moments, the vacuum node
     torques and the mutual node batches' first rounds free of the
@@ -316,8 +276,8 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
 
     fit_tol = config.quad.rel_tol * denom * omega1 / inertia
     f = chebyshev_interpolant(drift, 0.0, omega1, fit_tol)
-    nodes["mutual"] = nodes["vacuum"] = f.nodes
-    df = _derivative(f)
+    nodes["mutual"] = nodes["vacuum"] = len(f.coef)
+    df = f.deriv()
 
     # the plateau star: the first root of f, 0 if the follower cannot start
     w = np.linspace(0.0, omega1, 65)
@@ -328,10 +288,11 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     elif np.any(v <= 0.0):
         j = int(np.argmax(v <= 0.0))
         star = float(_newton(lambda x: -f(x), lambda x: -df(x), w[j - 1], w[j], w[j], 1e-15))
-        kappa = -df(star) if df(star) < 0.0 else None
+        slope = float(df(star))
+        kappa = -slope if slope < 0.0 else None
     stats["plateau_rad_per_s"], stats["kappa_per_s"] = star, kappa
 
-    # t(s) table on [0, s_end] (empty at star = 0): t0 + c0*(s - lo) + the integral of the rest
+    # t(s) on [0, s_end] (no piece at star = 0): the integral of c0 + the rest
     spin_tol, c0 = config.quad.rel_tol * omega1, 1.0 / kappa if kappa else 0.0
     u = star * 0.5 ** np.arange(40)
     u = u[u > spin_tol]
@@ -345,27 +306,24 @@ def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = N
     def tol(s):
         return fit_tol * star * math.exp(-s) / f(-star * math.expm1(-s)) ** 2
 
-    table, t_end = [], 0.0  # table: (t0, interpolant of dt/ds - c0, its antiderivative)
+    times, edges = [], [0.0]  # times[k]: t(s) on piece k, from edges[k] to edges[k + 1]
     for piece in _certified_pieces(rest, tol, 0.0, s_end) if s_end > 0.0 else []:
-        integral = _antiderivative(piece)
-        table.append((t_end, piece, integral))
-        t_end += c0 * (piece.hi - piece.lo) + (integral(piece.hi) - integral(piece.lo))
-    stats["piece_nodes"] = [piece.nodes for _, piece, _ in table]
+        lo, hi = piece.domain
+        stats["piece_nodes"].append(len(piece.coef))
+        times.append((piece + c0).integ(lbnd=lo, k=edges[-1]))
+        edges.append(float(times[-1](hi)))
+    t_end = edges[-1]
 
     s = np.empty_like(grid)
     tail = grid >= t_end
     s[tail] = s_end + kappa * (grid[tail] - t_end) if kappa else np.inf
-    which = np.searchsorted([t0 for t0, _, _ in table], grid, side="right") - 1
-    for k, (t0, piece, integral) in enumerate(table):
+    which = np.searchsorted(edges, grid, side="right") - 1
+    for k, time in enumerate(times):
         mine = ~tail & (which == k)
         if mine.any():
-            lo, hi, targets = piece.lo, piece.hi, grid[mine]
-
-            def time(x):  # t at x on this piece: t0 + c0*(x - lo) + the integral of piece
-                return t0 + c0 * (x - lo) + (integral(x) - integral(lo))
-
-            start = lo + (targets - t0) * ((hi - lo) / (time(hi) - t0))
-            s[mine] = _newton(lambda x: time(x) - targets, lambda x: c0 + piece(x), lo, hi, start, 1e-12)
+            (lo, hi), (t0, t1), targets = time.domain, edges[k : k + 2], grid[mine]
+            start = lo + (targets - t0) * ((hi - lo) / (t1 - t0))
+            s[mine] = _newton(lambda x: time(x) - targets, time.deriv(), lo, hi, start, 1e-12)
     out = np.stack([grid, s])  # times and spins in one block: a caller keeping many does not fragment its heap
     np.expm1(-out[1], out=out[1])
     out[1] *= -star

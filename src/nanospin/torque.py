@@ -50,17 +50,13 @@ MEMO_ENTRIES values, dropping the oldest first.
 The gap kernel is one factor free of the distance, _gap_spectra at the
 batch's spin pairs, times 2|g_t|^2 = 2(1/d^2 - 1/(k^2 d^4) +
 1/(k^4 d^6)) as its last operation, so gamma_b(d) is scale*(A/d^2 -
-B/d^4 + C/d^6): the moments are the factor at zero spins, written from
-one spectrum, times 2 (c/omega)^(2j) in one batch, which each distance
-tightens until its own value certifies. Next to the memo each gap node
-batch keeps its factor on its first mesh, evaluated by the engine's own
-_kernel_rows, and at omega_max, with the wavenumbers of one node's
-first-mesh nodes and of omega_max, keyed on the particle, T, the
-resolved window and the batch's spins, for at most _FIRST_ROUNDS
-batches, dropping the oldest first. A later distance takes its first
-round and tail checks as the kept factor times 2|g_t|^2, the bits the
-kernel returns, with no kernel call; its later rounds run as at the
-first. clear_memo empties both.
+B/d^4 + C/d^6): the moments are the factor at zero spins times
+2 (c/omega)^(2j), tightened at each distance until its own value
+certifies. Next to the memo each gap node batch keeps its factor's first
+round, keyed on the particle, T, the resolved window and the batch's
+spins, for at most _FIRST_ROUNDS batches, dropping the oldest first; a
+later distance multiplies it by its own 2|g_t|^2 for the bits the kernel
+returns. clear_memo empties both.
 """
 
 from __future__ import annotations

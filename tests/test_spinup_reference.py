@@ -64,6 +64,18 @@ def test_quadrature_matches_dop853(particle, thermal, quad, monkeypatch, distanc
     assert reference[-1] == pytest.approx(traj.solver["plateau_rad_per_s"], rel=1e-9)
 
 
+def test_two_piece_time_table_matches_dop853(particle, thermal, quad, monkeypatch):
+    # at 100 nm and 2.12e12, just below the co-rotation edge Omega_c, the
+    # rest of dt/ds does not certify as one series on [0, s_end], so t(s)
+    # is bisected into two pieces
+    config = RunConfig(particle, thermal, quad, distance=1e-7, omega1=2.12e12)
+    traj, drift = solve_with_surrogates(config, monkeypatch)
+    assert len(traj.solver["piece_nodes"]) == 2
+    reference = dop853_reference(config, drift, traj.times)
+    assert np.max(np.abs(traj.omega2 - reference)) <= 1e-7 * config.omega1
+    assert np.all(np.diff(traj.omega2) >= 0.0)
+
+
 def test_bottleneck_sync_time(particle, thermal, quad):
     # at 100 nm and 2e12 the drive weakens as the follower nears
     # co-rotation, where its slope falls to about 0.0055 gamma_b, so it
