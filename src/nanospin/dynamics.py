@@ -215,43 +215,24 @@ def _certified_pieces(g: Callable, tol: Callable, lo: float, hi: float) -> list[
 
 
 def solve_nonlinear(config: "RunConfig", coeffs: FrictionCoefficients | None = None) -> Trajectory:
-    """The follower's spin-up on the full torque balance, as a quadrature.
+    """The follower's spin-up on the full torque balance, as a quadrature
+    of the drift (README "Library use" derives it).
 
-    The follower obeys domega2/dt = f(omega2), the drift
-    f(w) = (mutual_torque(omega1, w) - vacuum_torque(w))/I, one
-    chebyshev_interpolant of direct kernel values on [0, omega1]
-    certified to fit_tol = quad.rel_tol * (gamma_s + gamma_b) * omega1/I:
-    a numpy Chebyshev series, whose derivative gives kappa below.
-    Each degree integrates its new nodes' gap torques in one
-    lockstep call, then their vacuum torques in another. The nodes
-    include both ends: the vacuum torque at 0 is 0 times the memo's
-    P(0), and the gap torque at omega1 is 0.0 with no integral.
+    config is a nonlinear RunConfig; coeffs, when given, must be
+    coefficients_for(config). Returns the Trajectory on
+    default_time_grid(I/(gamma_s + gamma_b), config.samples), or at rest
+    on [0, 1] when gamma_s + gamma_b = 0. Raises ConfigError when
+    gamma_b < 0 (the follower would spin backwards) or omega1 exceeds half
+    the infrared cutoff, ConvergenceError when the drift or a time piece
+    does not certify or an integral does not converge, and
+    TailNotNegligibleError when a torque's tail does not certify.
 
-    The follower stops at the plateau omega*, the first root of f, with
-    kappa = -f'(omega*), or kappa None where f'(omega*) >= 0 or f > 0 on
-    all of [0, omega1] (omega* = omega1); where f(0) <= 0 it stays at
-    rest (omega* = 0, kappa None). The equation separates: with
-    u = omega* - omega2 and s = -ln(u/omega*), dt/ds = u/f. Its plateau
-    value 1/kappa integrates in closed form; the rest is a
-    chebyshev_interpolant in s on [0, s_end], certified to the error
-    that a drift error of fit_tol puts into u/f and bisected until it
-    certifies. t(s) is one numpy Chebyshev series per piece, the exact
-    integral of 1/kappa plus that piece, and its derivative is Newton's
-    slope. The pieces end where u*|1 - kappa*u/f| <= rel_tol*omega1;
-    past them omega2 = omega* - u_end*exp(-kappa*(t - t_end)), or omega*
-    when kappa is None. Newton steps invert every sample time at once.
-
-    nanospin.torque keeps gamma_s, the gap moments, the vacuum node
-    torques and the mutual node batches' first rounds free of the
-    distance, so a later run at another distance integrates only the
-    mutual nodes' later rounds, for the bits a first run returns.
-
-    coeffs, when given, must be coefficients_for(config). gamma_b < 0
-    raises ConfigError: the follower would spin backwards, outside the
-    drift's interval. Trajectory.solver records the drift's nodes under
-    each channel, where both torques were evaluated (0 when
-    gamma_s + gamma_b = 0), the direct torque calls (every node of both
-    channels), the plateau, kappa and each time piece's nodes.
+    Trajectory.solver records surrogate_nodes, the drift's nodes under
+    each channel (0 when gamma_s + gamma_b = 0); direct_torque_calls,
+    every node of both channels; plateau_rad_per_s; kappa_per_s, the
+    relaxation rate there or None; and piece_nodes, each time piece's
+    node count. The torque memo and kept first rounds hold values with
+    the bits of fresh integrals, so what ran before changes no bit.
     """
     particle = config.particle
     inertia = moment_of_inertia(particle)

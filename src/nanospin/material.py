@@ -13,6 +13,7 @@ All functions accept scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,9 @@ class DielectricParams:
             raise ValueError("require gamma > 0")
         if self.eps_inf < 1.0:
             raise ValueError("require eps_inf >= 1")
+        for name in ("eps_inf", "omega_L", "omega_T", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"require finite {name}")
 
 
 # Silicon carbide, transverse/longitudinal optical phonon resonance.
@@ -98,6 +102,9 @@ class ParticleSpec:
             raise ValueError("require radius > 0")
         if self.mass_density <= 0.0:
             raise ValueError("require mass_density > 0")
+        for name in ("radius", "mass_density"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"require finite {name}")
         if self.polarizability_model not in _MODELS:
             raise ValueError(f"polarizability_model must be one of {_MODELS}")
         object.__setattr__(self, "volume", 4.0 * np.pi * self.radius**3 / 3.0)

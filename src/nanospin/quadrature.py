@@ -9,15 +9,15 @@ identical panel sequence and an identical float result.
 
 It also runs many integrands in lockstep, such as the nodes of a torque
 surrogate or the gap channel's three moments: each round splits the
-worst panel of every unfinished integrand, and _kernel_rows passes the
-round's halves to the kernel in consecutive blocks of at most
-_ROWS_PER_CALL rows, one call per block. A row's values do not depend
-on the other rows of its call, and an integrand's panels and sums do
-not depend on the others in its batch, so each keeps the panels and
-bits it has when integrated alone, whatever ran before and on whichever
-thread. A caller that keeps a batch's kernel values on its first mesh,
-from _kernel_rows, and at omega_max may pass them for the first round
-and the tail check; the engine itself keeps nothing between calls.
+worst panel of every unfinished integrand and passes all of the round's
+halves to the kernel in one call, so a kernel's memory grows with the
+batch. A row's values do not depend on the other rows of its call, and
+an integrand's panels and sums do not depend on the others in its
+batch, so each keeps the panels and bits it has when integrated alone,
+whatever ran before and on whichever thread. A caller that keeps a
+batch's kernel values on its first mesh and at omega_max may pass them
+for the first round and the tail check; the engine itself keeps nothing
+between calls.
 
 An integrand whose splits run out with its error sum at or below
 QUADPACK's roundoff floor, 50 eps times the integral of |f|, is
@@ -140,7 +140,12 @@ class QuadratureConfig:
             raise ConfigError("max_subdivisions must be >= 1")
         if self.omega_min < 0.0:
             raise ConfigError("omega_min must be >= 0")
+        for name in ("max_subdivisions", "omega_min", "omega_max"):
+            if (value := getattr(self, name)) is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         pts = tuple(sorted(float(b) for b in set(self.breakpoints)))
+        if not all(map(math.isfinite, pts)):
+            raise ConfigError("breakpoints must be finite")
         object.__setattr__(self, "breakpoints", pts)
         if self.omega_max is not None:
             if self.omega_max <= self.omega_min:
@@ -159,13 +164,6 @@ class IntegrationResult:
     evaluations: int
 
 
-# Rows per kernel call in _kernel_rows: few enough that a kernel's
-# temporaries (4 spectra x 15 points per row in the gap kernel) stay
-# under the size past which the allocator trims the heap after them and
-# faults it in again, and enough to spread the per-call overhead.
-_ROWS_PER_CALL = 128
-
-
 def _first_mesh(quad: QuadratureConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first round of n integrands on quad's window: owners, a and b,
     row i the panel [a[i], b[i]] of integrand owners[i], each integrand's
@@ -181,20 +179,6 @@ def _first_mesh(quad: QuadratureConfig, n: int) -> tuple[np.ndarray, np.ndarray,
 def _nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The 15 rule nodes of each panel [a[i], b[i]], one row each."""
     return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _NODES
-
-
-def _kernel_rows(kernel, w: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """kernel(w, owners), row i of w a panel's nodes in integrand
-    owners[i], in blocks of at most _ROWS_PER_CALL rows, one kernel call
-    per block: a lockstep round's calls, or a kept first round's."""
-    y = np.empty_like(w)
-    for k in range(0, len(w), _ROWS_PER_CALL):
-        block = slice(k, k + _ROWS_PER_CALL)
-        values = np.asarray(kernel(w[block], owners[block]), dtype=float)
-        if values.shape != w[block].shape:
-            raise ConfigError("kernel must map a float array to a same-shape array")
-        y[block] = values
-    return y
 
 
 def _rule_sums(y, a: np.ndarray, b: np.ndarray):
@@ -287,7 +271,7 @@ def _lockstep(
     """Integrate n integrands, each exactly as a lone one would be.
 
     Every round splits the worst panel of each unfinished integrand,
-    evaluates the halves with _kernel_rows and adds them in row order,
+    evaluates all the halves in one kernel call and adds them in row order,
     the order a lone integrand adds its panels in, so its sums keep their
     bits. first, when given, takes the place of the first round's and the
     tail check's kernel calls (see integrate_with_diagnostics).
@@ -298,7 +282,9 @@ def _lockstep(
         raise ConfigError(f"first round has {len(rows)} rows, the first mesh {len(owners)}, each of {len(_NODES)} values")
     integrals = [_Integral() for _ in range(n)]
     while len(owners):
-        y = _kernel_rows(kernel, _nodes(a, b), owners) if rows is None else np.ascontiguousarray(rows, dtype=float)
+        y = np.ascontiguousarray(kernel(_nodes(a, b), owners) if rows is None else rows, dtype=float)
+        if y.shape != (len(owners), len(_NODES)):
+            raise ConfigError("kernel must map a float array to a same-shape array")
         for j, panel, entry in zip(owners.tolist(), zip(a.tolist(), b.tolist()), _rule_sums(y, a, b)):
             integrals[j].add(panel, entry)
         rows, owners, a, b = None, [], [], []
@@ -347,8 +333,8 @@ def integrate_with_diagnostics(
 
     With n, integrates n integrands in lockstep: kernel(w, owners) maps a
     2-D frequency array w to same-shape values, row i belonging to
-    integrand owners[i], called on blocks of at most _ROWS_PER_CALL (128)
-    rows, so its temporaries stay small however many integrands run; the
+    integrand owners[i], called once per round on all of the round's
+    rows, so its temporaries grow with the number of integrands; the
     tail check is one more call, one row per finished integrand. Each
     integrand gets the panels, sums and result it would get alone, and
     the return value is a list with, for each integrand, its
@@ -358,8 +344,8 @@ def integrate_with_diagnostics(
     rows, _first_mesh(quad, n or 1), in row order, with its value at
     omega_max for each integrand, read only for those that finish: a
     caller that keeps them passes them in place of those kernel calls.
-    They must have the bits the kernel returns, as from _kernel_rows on
-    the first mesh's _nodes; the engine keeps nothing.
+    They must have the bits the kernel returns on the first mesh's
+    _nodes; the engine keeps nothing.
     """
     if n is not None:
         return _lockstep(kernel, quad, n, first)

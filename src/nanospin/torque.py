@@ -74,7 +74,7 @@ from .greens import abs2_transverse_sum  # noqa: F401 -- bench/tracing.py wraps 
 from .material import CONSTANTS, ParticleSpec, im_polarizability, lorentzian
 from .material import d_im_polarizability  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.d_im_polarizability
 from .quadrature import IntegrationResult, QuadratureConfig, integrate_with_diagnostics, resolved
-from .quadrature import _first_mesh, _kernel_rows, _nodes
+from .quadrature import _first_mesh, _nodes
 from .quadrature import integrate  # noqa: F401 -- bench/tracing.py wraps nanospin.torque.integrate
 
 __all__ = [
@@ -142,6 +142,8 @@ class ThermalState:
     def __post_init__(self) -> None:
         if self.T < 0.0 or self.T0 < 0.0:
             raise ConfigError("temperatures must be >= 0")
+        if not (math.isfinite(self.T) and math.isfinite(self.T0)):
+            raise ConfigError("temperatures must be finite")
 
 
 @dataclass(frozen=True)
@@ -237,14 +239,8 @@ def _lorentzian_dd(x, y, sx, sy, h2, particle: ParticleSpec):
     d_im_polarizability's omega0^2 - x^2 does."""
     strength, omega0 = lorentzian(particle)
     sg, w2, g2 = strength * particle.dielectric.gamma, omega0 * omega0, particle.dielectric.gamma ** 2
-    xy = x * y  # ((omega0^2/xy + 3)(omega0^2 - xy) - h2 - gamma^2) s(x) s(y)/(S gamma), in place:
-    out = np.divide(w2 / sg, xy)
-    out += 3.0 / sg
-    out *= np.subtract(w2, xy, out=xy)
-    out -= (h2 + g2) / sg
-    out *= sx
-    out *= sy
-    return out
+    xy = x * y  # ((omega0^2/xy + 3)(omega0^2 - xy) - h2 - gamma^2) s(x) s(y)/(S gamma)
+    return ((w2 / sg / xy + 3.0 / sg) * (w2 - xy) - (h2 + g2) / sg) * sx * sy
 
 
 def _occupation_step(b: float, h: float) -> float:
@@ -438,15 +434,11 @@ def _gap_spectra(columns: np.ndarray, particle: ParticleSpec, b: float) -> Calla
         z = np.add(w, shifts[:, owners, None], order="C")  # (4, rows, points)
         s, n = im_polarizability(z, particle), _occupation(z, b)
         sdd = _lorentzian_dd(z[2:], z[:2], s[2:], s[:2], h2[owners, None], particle)
-        # in place where it reads as well: fewer temporaries keep a warm
-        # spin-up's heap from being trimmed and faulted in again
-        wdd = _occupation_dd(n[:2], n[2:], steps[owners, None])
-        wdd *= s[:2]
-        n += 0.5
-        wdd += sdd * n[2:]  # W[x, y] = s[x, y] (n(x) + 1/2) + s(y) n[x, y]
-        q = (s[3] * n[3] - s[0] * n[0]) * (sdd[0] - sdd[1])  # u(o2) v[o1, o2]
-        q += (s[0] + s[3]) * (wdd[0] + wdd[1])  # - v(o2) u[o1, o2]
-        return q
+        half = n + 0.5
+        # W[x, y] = s[x, y] (n(x) + 1/2) + s(y) n[x, y]
+        wdd = _occupation_dd(n[:2], n[2:], steps[owners, None]) * s[:2] + sdd * half[2:]
+        # u(o2) v[o1, o2] - v(o2) u[o1, o2]
+        return (s[3] * half[3] - s[0] * half[0]) * (sdd[0] - sdd[1]) + (s[0] + s[3]) * (wdd[0] + wdd[1])
 
     return spectra
 
@@ -473,20 +465,15 @@ def _mutual_torques(
     def kernel_at(columns: np.ndarray):
         spectra = _gap_spectra(columns, particle, b)
 
-        def kernel(w, owners):
-            q = spectra(w, owners)
-            q *= _abs2_transverse(w / CONSTANTS.c, d)
-            return q
-
-        return kernel
+        return lambda w, owners: spectra(w, owners) * _abs2_transverse(w / CONSTANTS.c, d)
 
     def first_round(q: QuadratureConfig, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n, key = len(columns), (particle, T, q, tuple(map(tuple, columns.tolist())))
         kept = _first_rounds.get(key)
-        if kept is None:  # the factor's first round, in the engine's own blocks
+        if kept is None:  # the factor's first round
             owners, lo, hi = _first_mesh(q, n)
             w, spectra = _nodes(lo, hi), _gap_spectra(columns, particle, b)
-            rows, tails = _kernel_rows(spectra, w, owners), spectra(np.full((n, 1), q.omega_max), np.arange(n))
+            rows, tails = spectra(w, owners), spectra(np.full((n, 1), q.omega_max), np.arange(n))
             kept = rows.reshape(n, -1, 15), tails.reshape(-1), np.append(w[: len(w) // n], q.omega_max) / CONSTANTS.c
             for array in kept:
                 array.flags.writeable = False

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -10,6 +11,7 @@ import pytest
 
 from nanospin import (
     DEFAULT_COUPLING_SCALE,
+    SIC,
     ConfigError,
     ParticleSpec,
     QuadratureConfig,
@@ -221,6 +223,36 @@ class TestRejection:
         base = {"particle": ParticleSpec(), "thermal": ThermalState(), "quad": QuadratureConfig(), "distance": 1e-7}
         with pytest.raises(ConfigError, match="finite"):
             RunConfig(**dict(base, **{field: value}))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "make, field, error",
+        [
+            pytest.param(ThermalState, "T", ConfigError, id="ThermalState.T"),
+            pytest.param(ThermalState, "T0", ConfigError, id="ThermalState.T0"),
+            pytest.param(ParticleSpec, "radius", ValueError, id="ParticleSpec.radius"),
+            pytest.param(ParticleSpec, "mass_density", ValueError, id="ParticleSpec.mass_density"),
+            *(
+                pytest.param(lambda **kw: replace(SIC, **kw), field, ValueError, id=f"DielectricParams.{field}")
+                for field in ("eps_inf", "omega_L", "omega_T", "gamma")
+            ),
+            pytest.param(QuadratureConfig, "max_subdivisions", ConfigError, id="QuadratureConfig.max_subdivisions"),
+            pytest.param(QuadratureConfig, "omega_min", ConfigError, id="QuadratureConfig.omega_min"),
+            pytest.param(QuadratureConfig, "omega_max", ConfigError, id="QuadratureConfig.omega_max"),
+            pytest.param(
+                lambda breakpoints: QuadratureConfig(breakpoints=(1e14, breakpoints)), "breakpoints", ConfigError,
+                id="QuadratureConfig.breakpoints",
+            ),
+        ],
+    )
+    def test_library_inputs_refuse_non_finite_values(self, make, field, error, value):
+        # parse_config refuses them first, but the library objects took
+        # them: a NaN T0 gave gamma_s its T0 = 0 value, a NaN T an
+        # omega_max of NaN and a ConvergenceError, and a NaN radius a
+        # ConvergenceError. parse_config turns a ValueError into ConfigError
+        with pytest.raises(error, match="temperatures" if make is ThermalState else field) as raised:
+            make(**{field: value})
+        assert type(raised.value) is error
 
     def test_integer_beyond_float_range(self):
         with pytest.raises(ConfigError, match="radius_m"):

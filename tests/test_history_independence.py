@@ -43,8 +43,8 @@ def test_history_does_not_change_a_spin_up(tmp_path):
 
 # the degree-8 gap batch integrates 8 of its 9 nodes (the torque at
 # omega1 is 0.0), a first round of 192 rows; at 1e12 the degree-16 batch
-# adds 8 nodes, 192 rows, two blocks each; at 4e12 a degree-32 batch of
-# 16 more nodes starts with 384 rows, three blocks
+# adds 8 nodes, 192 rows; at 4e12 a degree-32 batch of 16 more nodes
+# starts with 384 rows, each round in one kernel call
 @pytest.mark.parametrize("model", ["bare", "clausius_mossotti"])
 @pytest.mark.parametrize(
     "omega1, keys, batch_rows",

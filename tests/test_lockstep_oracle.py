@@ -1,7 +1,6 @@
 """The lockstep engine against an independent implementation of the
 same algorithm: one split per integrand per round, each round's halves
-in one kernel call (the engine's blocks of at most _ROWS_PER_CALL rows
-must change no bit), and each panel's sums as 1-D dot products. Every
+in one kernel call, and each panel's sums as 1-D dot products. Every
 result, error class and message must be the same, bit for bit, the
 engine must evaluate no panel the oracle does not, and a prior integral
 on the same window must leave no trace."""
@@ -449,24 +448,23 @@ def rows_per_panel_call(monkeypatch):
 
 
 # 100 first panels: a batch of three integrands starts with a round of
-# 300 rows, three blocks of at most _ROWS_PER_CALL; a lone one starts
-# with one block of 100
+# 300 rows in one kernel call; a lone one starts with one of 100
 FINE = tuple(k / 100 for k in range(1, 100))
 
 
 def spread(w, owners):
     # owner 0 has an integrable singularity that exhausts the splits; 1
-    # converges in the first round, its rows 100-199 astride the first two
-    # blocks, so its sum keeps its bits only if the blocks and their
-    # entries are added in row order; 2 is not finite in its panels
-    # [0.49, 0.5] and [0.5, 0.51], rows 249 and 250, in the second block
+    # converges in the first round, its rows 100-199 between the other
+    # two's, so its sum keeps its bits only if the entries are added in
+    # row order; 2 is not finite in its panels [0.49, 0.5] and
+    # [0.5, 0.51], rows 249 and 250
     y = np.exp(-10.0 * w) * (1.0 - w) ** 2 * (1.0 + owners[:, None])
     y = np.where(owners[:, None] == 0, y / np.sqrt(np.abs(w - 0.03141)), y)
     return np.where((owners[:, None] == 2) & (np.abs(w - 0.5) < 0.01), np.inf, y)
 
 
 @pytest.mark.parametrize("max_subdivisions", [7, 30])
-def test_blocked_rounds_match_oracle(monkeypatch, max_subdivisions):
+def test_wide_rounds_match_oracle(monkeypatch, max_subdivisions):
     q = QuadratureConfig(omega_min=0.0, omega_max=1.0, max_subdivisions=max_subdivisions, breakpoints=FINE)
     assert_same_as_oracle(monkeypatch, lambda: integrate_with_diagnostics(spread, q, 3))
     for j in range(3):
@@ -475,7 +473,7 @@ def test_blocked_rounds_match_oracle(monkeypatch, max_subdivisions):
         )
     rows = rows_per_panel_call(monkeypatch)
     results = integrate_with_diagnostics(spread, q, 3)
-    assert rows[:3] == [128, 128, 44] and max(rows) <= quadrature._ROWS_PER_CALL
+    assert rows[0] == 300
     assert isinstance(results[0], ConvergenceError) and "subdivisions" in str(results[0])
     assert isinstance(results[1], IntegrationResult)
     assert results[2].worst_panel == (0.49, 0.5)
@@ -496,22 +494,21 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
     # the four integrals of a cold 1e10 / 100 nm bare spin-up take 31
     # refinement rounds: gamma_s 3, the gap moments 15, the mutual node
     # batch 10 and the vacuum node batch 3. A round makes one panel call
-    # per block of at most _ROWS_PER_CALL rows, and the first round of each
-    # node batch needs two: of its 9 nodes the gap torque at omega1 and
-    # the vacuum torque at 0 need no integral, and 8 nodes times 24 first
-    # panels make 192 rows. The
-    # gap batch's first round and tail check are its kept distance-free
-    # factor, evaluated in those two blocks and at omega_max outside the
-    # engine, times 2|g_t|^2, so 31 panel calls. A later distance reads
+    # with all of its rows: of each node batch's 9 nodes the gap torque
+    # at omega1 and the vacuum torque at 0 need no integral, and 8 nodes
+    # times 24 first panels make a first round of 192 rows. The gap
+    # batch's first round and tail check are its kept distance-free
+    # factor, evaluated in one call on that round's rows and one at
+    # omega_max outside the engine, times 2|g_t|^2, so 30 panel calls. A later distance reads
     # gamma_b off the kept moments, the vacuum nodes off the memo and the
     # gap batch's first round and tails off the kept factor, and
     # integrates the gap batch's 9 later rounds alone, in 9 calls of at
     # most 16 rows, with no tail-check call. The first mesh is graded
     # around each model's own peak, so clausius_mossotti, which peaks at
     # its Froehlich frequency, takes about as few (83, 22 and 57 with the
-    # mesh graded around omega_T): 34 cold, its vacuum node batch taking
-    # 3 rounds as under bare. Every kernel call, each panel call, each
-    # block of a kept factor, its tails and each other integral's one
+    # mesh graded around omega_T): 33 cold, its vacuum node batch taking
+    # 3 rounds as under bare. Every kernel call, each panel call, a kept
+    # factor's first round, its tails and each other integral's one
     # tail check, makes one im_polarizability call: the direct kernels
     # stack their spin-shifted spectra (four for the gap, two for the
     # vacuum) into one array
@@ -526,15 +523,33 @@ def test_spin_up_kernel_calls(monkeypatch, thermal, quad):
         return len(calls), len(material), max(calls)
 
     for model, counts, spectra in (
-        ("bare", (31, 9, 9), (37, 9, 9)),
-        ("clausius_mossotti", (34, 10, 10), (40, 10, 10)),
+        ("bare", (30, 9, 9), (35, 9, 9)),
+        ("clausius_mossotti", (33, 10, 10), (38, 10, 10)),
     ):
         particle = ParticleSpec(polarizability_model=model)
         clear_memo()
         got = [spin_up(particle, d) for d in (1e-7, 3.3e-7, 5e-7)]
         assert tuple(panel for panel, _, _ in got) == counts, model
         assert tuple(spectrum for _, spectrum, _ in got) == spectra, model
-        # the cold vacuum node batch's first round fills a block; a warm
+        # the cold node batches' first rounds are the widest; a warm
         # spin-up's largest round is 2 halves of each of the 8 integrated
         # gap nodes
-        assert tuple(rows for _, _, rows in got) == (quadrature._ROWS_PER_CALL, 16, 16), model
+        assert tuple(rows for _, _, rows in got) == (192, 16, 16), model
+
+
+@pytest.mark.parametrize("model", ["bare", "clausius_mossotti"])
+@pytest.mark.parametrize("omega1, widest", [(1e12, 16), (4e12, 32)])
+def test_warm_spin_up_rounds_stay_narrow(monkeypatch, thermal, quad, model, omega1, widest):
+    # a round is one kernel call however many rows it has, which costs a
+    # warm spin-up little only because its rounds are narrow: the kept
+    # first round spares it the node batches' first rounds of 192 or 384
+    # rows, and its widest later round is 2 halves of each of 8 (1e12) or
+    # 16 (4e12) integrated gap nodes. A warm round of 192 rows or more
+    # would bring back the kernel temporaries that made the allocator trim
+    # the heap and fault it in again on every spin-up
+    particle = ParticleSpec(polarizability_model=model)
+    clear_memo()
+    solve_nonlinear(RunConfig(particle, thermal, quad, distance=1e-7, omega1=omega1, mode="nonlinear"))
+    calls = rows_per_panel_call(monkeypatch)
+    solve_nonlinear(RunConfig(particle, thermal, quad, distance=3.3e-7, omega1=omega1, mode="nonlinear"))
+    assert max(calls) == widest

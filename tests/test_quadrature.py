@@ -178,12 +178,20 @@ def test_kernel_of_another_shape_rejected():
     ids=["row_short", "one_row", "one_node_row", "scalar"],
 )
 def test_kernel_of_another_shape_rejected_in_a_later_block(late_block):
-    # three integrands on 60 first panels each make a first round of 180
-    # rows, two kernel calls; the second call's values have another shape,
+    # a later round's kernel call, the block of rows it evaluates: three
+    # integrands of sqrt(w), which one panel does not resolve, make a first
+    # round of 3 rows and a second of 6, whose values have another shape,
     # some of which would broadcast into the round's rows
-    q = QuadratureConfig(omega_min=0.0, omega_max=1.0, breakpoints=tuple(k / 60 for k in range(1, 60)))
+    q = QuadratureConfig(omega_min=0.0, omega_max=1.0)
+    rows = []
+
+    def kernel(w, owners):
+        rows.append(len(w))
+        return np.sqrt(w) if len(rows) == 1 else late_block(w)
+
     with pytest.raises(ConfigError, match="same-shape array"):
-        integrate_with_diagnostics(lambda w, owners: np.exp(-w) if len(w) == 128 else late_block(w), q, 3)
+        integrate_with_diagnostics(kernel, q, 3)
+    assert rows == [3, 6]
 
 
 def test_first_round_of_another_row_count_rejected():

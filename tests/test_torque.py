@@ -946,8 +946,8 @@ class TestMemo:
     def test_a_spin_up_keeps_its_node_batches_first_rounds(self, particle, thermal, quad):
         # at 4e12 the gap surrogate reaches degree 32: batches of 9, 8 and
         # 16 nodes, of which the co-rotating one is not integrated, so first
-        # rounds of 192, 192 and 384 rows span two, two and three blocks;
-        # the degree-8 one keeps 26 KB
+        # rounds of 192, 192 and 384 rows, each one kernel call; the
+        # degree-8 one keeps 26 KB
         from nanospin.config import RunConfig
         from nanospin.dynamics import solve_nonlinear
 
